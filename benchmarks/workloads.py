@@ -49,8 +49,9 @@ SWEEP_T0 = (0.5e-3, 1e-3, 2e-3, 4e-3)
 # Convergence grid on the small random models.
 CONV_T0 = (0.25e-3, 0.5e-3, 1e-3)
 CONV_K = (1, 2, 4)
-# One gap-exact op per size; n = 10 would take about 11 s per op.
-ORACLE_SIZES = (4, 5, 6, 7, 8, 9)
+# One gap-exact op per size. n = 9 takes about 2 s per op, so a 30 s run
+# would time it only about ten times; n = 10 takes about 11 s.
+ORACLE_SIZES = (4, 5, 6, 7, 8)
 
 
 @dataclass(frozen=True)
