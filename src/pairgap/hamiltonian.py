@@ -14,13 +14,6 @@ import numpy as np
 
 _MAX_DENSE_QUBITS = 12
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 ONSITE = "onsite"
 XX = "xx"
 YY = "yy"
@@ -236,6 +229,31 @@ def nmr_zz_hamiltonian(j_hz: np.ndarray) -> PauliSum:
     return PauliSum(tuple(terms), n)
 
 
+def _add_pauli(out: np.ndarray, coeff: float, factors: tuple[tuple[int, str], ...]) -> None:
+    """Add coeff times a Pauli string to the dense 2^n x 2^n ``out`` in place.
+
+    Qubit q sits at bit n - q. X and Y flip their bit, so row i holds its one
+    entry in column i ^ xmask; Z and Y read their bit and flip the sign when
+    it is set; each Y adds a factor -i. Every entry is +-coeff on the real or
+    the imaginary axis, exactly what the tensor product of the 2 x 2 factors
+    gives, so a sum of terms taken in the same order matches it bit for bit.
+    """
+    n = out.shape[0].bit_length() - 1
+    rows = np.arange(out.shape[0])
+    xmask = 0
+    parity = np.zeros_like(rows)
+    value = complex(coeff)
+    for q, p in factors:
+        bit = n - q
+        if p != "Z":
+            xmask |= 1 << bit
+        if p != "X":
+            parity ^= rows >> bit
+        if p == "Y":
+            value *= -1j
+    out[rows, rows ^ xmask] += np.where(parity & 1, -value, value)
+
+
 def realize(op: PauliSum) -> np.ndarray:
     """Dense matrix of a PauliSum, qubit 1 most significant. Guarded at 12 qubits."""
     if op.n > _MAX_DENSE_QUBITS:
@@ -243,11 +261,7 @@ def realize(op: PauliSum) -> np.ndarray:
     dim = 2**op.n
     out = np.zeros((dim, dim), dtype=complex)
     for term in op.terms:
-        letters = dict(term.factors)
-        acc = np.array([[term.coeff]], dtype=complex)
-        for q in range(1, op.n + 1):
-            acc = np.kron(acc, _PAULI[letters.get(q, "I")])
-        out += acc
+        _add_pauli(out, term.coeff, term.factors)
     return out
 
 

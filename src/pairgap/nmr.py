@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import propagator
-from .hamiltonian import PairingModel, nmr_zz_hamiltonian, realize, _check_symmetric
+from .hamiltonian import PairingModel, nmr_zz_hamiltonian, realize, _add_pauli, _check_symmetric
 
 _PI = math.pi
 
@@ -197,8 +197,9 @@ def _coupling_events(
     shared ZZ delay; uncoupled spins get a single X pi pulse at the delay
     midpoint, which cancels their coupling to the active spins over the block.
 
-    Simultaneously flipped spectator pairs keep their mutual coupling; the
-    preset instances have at most one spectator, so this never bites here.
+    Spectators are flipped together, so two of them with nonzero mutual J
+    would keep that coupling through the block; such layouts raise a
+    ValueError that names the spins.
     """
     if axis == "X":
         open_phase, close_phase = _PI / 2, -_PI / 2
@@ -210,6 +211,18 @@ def _coupling_events(
     if not coupled:
         return
     idle = tuple(m for m in range(1, model.n + 1) if m not in coupled)
+    if d > 0:
+        tied = [
+            f"{a},{b}"
+            for a in idle
+            for b in idle
+            if a < b and machine.j_hz[a - 1, b - 1] != 0.0
+        ]
+        if tied:
+            raise ValueError(
+                f"spectator spins {'; '.join(tied)} have J != 0: the shared "
+                "refocusing pulse leaves their mutual coupling on"
+            )
     out.append(RfPulse(tuple(coupled), open_phase, _PI / 2))
     if idle and d > 0:
         out.append(Delay(d / 2))
@@ -306,39 +319,63 @@ def compile_trotter_step(model, plan, method: str, machine: SpinSystem) -> Pulse
 
 
 def _rotation_unitary(n: int, targets: tuple[int, ...], phase: float, angle: float) -> np.ndarray:
+    """R_phase(angle) on every target spin, identity elsewhere, spin q at bit n - q.
+
+    Row i holds its entries in the columns i ^ m, m running over the subsets
+    of the target bits. Each entry multiplies the targets' 2 x 2 factors in
+    ascending spin order, the order of the tensor product, so it rounds the
+    same way.
+    """
     c = math.cos(angle / 2)
     s = math.sin(angle / 2)
     r = np.array(
         [[c, 1j * s * np.exp(-1j * phase)], [1j * s * np.exp(1j * phase), c]],
         dtype=complex,
     )
-    eye = np.eye(2, dtype=complex)
-    acc = np.array([[1.0]], dtype=complex)
-    for q in range(1, n + 1):
-        acc = np.kron(acc, r if q in targets else eye)
-    return acc
+    shifts = [n - t for t in sorted(targets)]
+    flips = np.zeros(1, dtype=int)
+    for b in shifts:
+        flips = np.concatenate((flips, flips | (1 << b)))
+    rows = np.arange(2**n)[:, None]
+    cols = rows ^ flips
+    vals = np.ones(cols.shape, dtype=complex)
+    for b in shifts:
+        vals = vals * r[(rows >> b) & 1, (cols >> b) & 1]
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    u[rows, cols] = vals
+    return u
 
 
 def _axis_field(n: int, targets: tuple[int, ...], phase: float) -> np.ndarray:
     """Dense sum over targets of (X_i cos(phase) + Y_i sin(phase)) / 2."""
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    axis = x * math.cos(phase) + y * math.sin(phase)
-    eye = np.eye(2, dtype=complex)
     out = np.zeros((2**n, 2**n), dtype=complex)
     for t in targets:
-        acc = np.array([[0.5]], dtype=complex)
-        for q in range(1, n + 1):
-            acc = np.kron(acc, axis if q == t else eye)
-        out += acc
+        _add_pauli(out, 0.5 * math.cos(phase), ((t, "X"),))
+        _add_pauli(out, 0.5 * math.sin(phase), ((t, "Y"),))
     return out
+
+
+def _pulse_unitary(ev: RfPulse, n: int, machine: SpinSystem, pulse_mode: str, zz: np.ndarray) -> np.ndarray:
+    if pulse_mode == DELTA or ev.ideal:
+        return _rotation_unitary(n, ev.targets, ev.phase, ev.angle)
+    if machine.t_pi <= 0:
+        raise ValueError("finite pulse mode needs machine.t_pi > 0")
+    duration = machine.t_pi * abs(ev.angle) / _PI
+    omega1 = -math.copysign(_PI / machine.t_pi, ev.angle)
+    h = omega1 * _axis_field(n, ev.targets, ev.phase) + zz
+    return propagator(h, duration)
 
 
 def _event_unitaries(program: PulseProgram, machine: SpinSystem, pulse_mode: str):
     """Yield one unitary per event. Delays evolve the diagonal ZZ Hamiltonian;
     finite-mode pulses evolve RF plus ZZ for duration t_pi |angle| / pi with
     amplitude omega_1 = -sign(angle) pi / t_pi, which reproduces the perfect
-    rotation exactly when J = 0."""
+    rotation exactly when J = 0.
+
+    A program repeats a handful of distinct RF events many times, so each
+    distinct pulse is built once per call and its unitary yielded again for
+    every repeat.
+    """
     if pulse_mode not in (DELTA, FINITE):
         raise ValueError("pulse_mode must be 'delta' or 'finite'")
     n = program.n
@@ -346,20 +383,16 @@ def _event_unitaries(program: PulseProgram, machine: SpinSystem, pulse_mode: str
         raise ValueError("machine and program spin counts differ")
     zz = realize(nmr_zz_hamiltonian(machine.j_hz))
     zz_diag = np.real(np.diag(zz))
+    pulses: dict[RfPulse, np.ndarray] = {}
     for ev in program.events:
         if isinstance(ev, Delay):
             yield np.diag(np.exp(-1j * zz_diag * ev.duration))
         elif ev.angle == 0.0:
             yield np.eye(2**n, dtype=complex)
-        elif pulse_mode == DELTA or ev.ideal:
-            yield _rotation_unitary(n, ev.targets, ev.phase, ev.angle)
         else:
-            if machine.t_pi <= 0:
-                raise ValueError("finite pulse mode needs machine.t_pi > 0")
-            duration = machine.t_pi * abs(ev.angle) / _PI
-            omega1 = -math.copysign(_PI / machine.t_pi, ev.angle)
-            h = omega1 * _axis_field(n, ev.targets, ev.phase) + zz
-            yield propagator(h, duration)
+            if ev not in pulses:
+                pulses[ev] = _pulse_unitary(ev, n, machine, pulse_mode, zz)
+            yield pulses[ev]
 
 
 def program_unitary(program: PulseProgram, machine: SpinSystem, pulse_mode: str = DELTA) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Shared test helpers: the one-line verdicts that the acceptance tests print
-as a dedicated section at the end of the pytest run, and two step oracles that
+as a dedicated section at the end of the pytest run, two step oracles that
 need no DFT and no fit (the step's own spectral line and the t0/k order of its
-pair-number leak)."""
+pair-number leak), and reference builders for the dense operators."""
+
+import math
 
 import numpy as np
 
@@ -51,3 +53,61 @@ def sector_leak_exponents(step, n: int, t0_list, k_list) -> tuple[float, float]:
     p = np.mean([np.polyfit(log_t, log_leak[:, j], 1)[0] for j in range(len(k_list))])
     q = -np.mean([np.polyfit(log_k, log_leak[i], 1)[0] for i in range(len(t0_list))])
     return float(p), float(q)
+
+
+# Reference builders: every operator as an n-fold np.kron chain of 2 x 2
+# factors, qubit 1 most significant. The package builds the same matrices by
+# bit arithmetic and must match these with np.array_equal.
+
+_MAX_DENSE_QUBITS = 12
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_realize(op) -> np.ndarray:
+    """Dense matrix of a PauliSum, qubit 1 most significant. Guarded at 12 qubits."""
+    if op.n > _MAX_DENSE_QUBITS:
+        raise ValueError(f"dense realization limited to {_MAX_DENSE_QUBITS} qubits")
+    dim = 2**op.n
+    out = np.zeros((dim, dim), dtype=complex)
+    for term in op.terms:
+        letters = dict(term.factors)
+        acc = np.array([[term.coeff]], dtype=complex)
+        for q in range(1, op.n + 1):
+            acc = np.kron(acc, _PAULI[letters.get(q, "I")])
+        out += acc
+    return out
+
+
+def kron_rotation_unitary(n: int, targets: tuple[int, ...], phase: float, angle: float) -> np.ndarray:
+    c = math.cos(angle / 2)
+    s = math.sin(angle / 2)
+    r = np.array(
+        [[c, 1j * s * np.exp(-1j * phase)], [1j * s * np.exp(1j * phase), c]],
+        dtype=complex,
+    )
+    eye = np.eye(2, dtype=complex)
+    acc = np.array([[1.0]], dtype=complex)
+    for q in range(1, n + 1):
+        acc = np.kron(acc, r if q in targets else eye)
+    return acc
+
+
+def kron_axis_field(n: int, targets: tuple[int, ...], phase: float) -> np.ndarray:
+    """Dense sum over targets of (X_i cos(phase) + Y_i sin(phase)) / 2."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    axis = x * math.cos(phase) + y * math.sin(phase)
+    eye = np.eye(2, dtype=complex)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for t in targets:
+        acc = np.array([[0.5]], dtype=complex)
+        for q in range(1, n + 1):
+            acc = np.kron(acc, axis if q == t else eye)
+        out += acc
+    return out

@@ -111,6 +111,23 @@ def test_unrealizable_coupling_exit_4(tmp_path):
     assert "internal error" in proc.stderr and "unrealizable coupling" in proc.stderr
 
 
+def test_coupled_spectator_pair_exit_4(tmp_path):
+    cfgfile = tmp_path / "spectators.cfg"
+    cfgfile.write_text(
+        "model.nu_hz = 75, 50, 25, 37.5\n"
+        "model.v_1_2_hz = 112\n"
+        "machine.j_1_2_hz = 224\n"
+        "machine.j_3_4_hz = 150\n"
+        "run.init = 0101\n"
+        "run.method = w1\n"
+        "run.q = 16\n"
+        "plan.t0_s = 0.5e-3\n"
+    )
+    proc = run_cli("run", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert proc.returncode == 4
+    assert "spectator spins 3,4" in proc.stderr
+
+
 def test_estimate_table_and_summary(tmp_path):
     proc = run_cli("estimate", "--n", "4,10", "--eps-over-delta", "0.01,1",
                    "--out", str(tmp_path))

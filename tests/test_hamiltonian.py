@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import kron_realize
 from pairgap.hamiltonian import (
     FermionicPairingInput,
     PairingModel,
@@ -107,6 +110,21 @@ def test_realize_matches_explicit_kron():
         + coeffs[2] * kron3(I2, Z, I2)
     )
     assert np.allclose(realize(op), want, atol=0, rtol=1e-15)
+
+
+@st.composite
+def pauli_sums(draw):
+    n = draw(st.integers(1, 8))
+    coeff = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    letters = st.dictionaries(st.integers(1, n), st.sampled_from("XYZ"), max_size=n)
+    terms = draw(st.lists(st.builds(lambda c, f: PauliTerm(c, tuple(f.items())), coeff, letters), max_size=10))
+    return PauliSum(tuple(terms), n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(pauli_sums())
+def test_realize_matches_kron_oracle_exactly(op):
+    assert np.array_equal(realize(op), kron_realize(op))
 
 
 def test_realize_qubit_guard():

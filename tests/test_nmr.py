@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import kron_axis_field, kron_realize, kron_rotation_unitary
+from pairgap.exact import propagator
 from pairgap.hamiltonian import (
     PairingModel,
     build_hamiltonian,
@@ -15,6 +19,8 @@ from pairgap.hamiltonian import (
     realize,
 )
 from pairgap.nmr import (
+    _axis_field,
+    _rotation_unitary,
     Delay,
     PulseProgram,
     RfPulse,
@@ -108,6 +114,54 @@ def test_single_pulse_rotation_convention():
         assert np.allclose(got, want, atol=1e-14)
 
 
+@st.composite
+def rf_fields(draw):
+    n = draw(st.integers(1, 6))
+    targets = draw(st.sets(st.integers(1, n), min_size=1))
+    phase = draw(st.floats(-10.0, 10.0, allow_nan=False))
+    angle = draw(st.floats(-2 * PI, 2 * PI, exclude_min=True, allow_nan=False))
+    return n, tuple(sorted(targets)), phase, angle
+
+
+@settings(deadline=None, max_examples=150)
+@given(rf_fields())
+def test_pulse_builders_match_kron_oracles_exactly(case):
+    n, targets, phase, angle = case
+    assert np.array_equal(_rotation_unitary(n, targets, phase, angle), kron_rotation_unitary(n, targets, phase, angle))
+    assert np.array_equal(_axis_field(n, targets, phase), kron_axis_field(n, targets, phase))
+
+
+def oracle_program_unitary(program, machine, pulse_mode):
+    """Ordered product of per-event unitaries, every one built afresh from the
+    reference builders."""
+    n = program.n
+    zz = kron_realize(nmr_zz_hamiltonian(machine.j_hz))
+    zz_diag = np.real(np.diag(zz))
+    u = np.eye(2**n, dtype=complex)
+    for ev in program.events:
+        if isinstance(ev, Delay):
+            step = np.diag(np.exp(-1j * zz_diag * ev.duration))
+        elif ev.angle == 0.0:
+            step = np.eye(2**n, dtype=complex)
+        elif pulse_mode == "delta" or ev.ideal:
+            step = kron_rotation_unitary(n, ev.targets, ev.phase, ev.angle)
+        else:
+            omega1 = -math.copysign(PI / machine.t_pi, ev.angle)
+            h = omega1 * kron_axis_field(n, ev.targets, ev.phase) + zz
+            step = propagator(h, machine.t_pi * abs(ev.angle) / PI)
+        u = step @ u
+    return u
+
+
+@pytest.mark.parametrize("pulse_mode", ["delta", "finite"])
+def test_repeated_pulses_give_the_fresh_event_product(pulse_mode):
+    prog = compile_trotter_step(H1, TrotterPlan(2e-3, 2), "w1", MACHINE)
+    pulses = [e for e in prog.events if isinstance(e, RfPulse)]
+    assert len(set(pulses)) < len(pulses)
+    got = program_unitary(prog, MACHINE, pulse_mode)
+    assert np.array_equal(got, oracle_program_unitary(prog, MACHINE, pulse_mode))
+
+
 def test_zero_angle_pulse_is_a_no_op():
     machine = spin_system()
     prog = PulseProgram((RfPulse((1,), 0.3, 0.0),), n=3)
@@ -174,6 +228,31 @@ def test_unrealizable_coupling_raises():
     machine = SpinSystem(np.zeros((3, 3)))  # no scalar coupling to exploit
     with pytest.raises(ValueError, match="unrealizable"):
         compile_coupling(H1, "X", 1e-3, machine)
+
+
+def spectator_pair_case(j34):
+    # coupling only on (1,2); spins 3 and 4 are both spectators
+    nu = (150 * PI, 100 * PI, 50 * PI, 75 * PI)
+    v = np.zeros((4, 4))
+    v[0, 1] = v[1, 0] = PI * 224.0
+    j = np.zeros((4, 4))
+    j[0, 1] = j[1, 0] = 224.0
+    j[2, 3] = j[3, 2] = j34
+    return PairingModel(nu, v), SpinSystem(j)
+
+
+def test_coupled_spectator_pair_raises():
+    # both spectators take the same midpoint pi pulse, which cannot refocus
+    # their mutual J (compiled anyway, the w1 step would miss by a fidelity
+    # deficit of 0.028)
+    model, machine = spectator_pair_case(150.0)
+    with pytest.raises(ValueError, match=r"spectator spins 3,4"):
+        compile_trotter_step(model, TrotterPlan(0.5e-3, 2), "w1", machine)
+    model, machine = spectator_pair_case(0.0)
+    plan = TrotterPlan(0.5e-3, 2)
+    u = program_unitary(compile_trotter_step(model, plan, "w1", machine), machine, "delta")
+    want = symmetric3_step(model, plan)
+    assert 1 - abs(np.trace(want.conj().T @ u)) / 16 < 1e-9
 
 
 def test_compiled_angles_stay_in_range():
@@ -261,6 +340,10 @@ def test_finite_mode_needs_a_pulse_width():
     machine = spin_system(t_pi=0.0)
     prog = PulseProgram((RfPulse((1,), 0.0, PI),), n=3)
     with pytest.raises(ValueError):
+        program_unitary(prog, machine, "finite")
+    # a full step program fails on its first finite pulse, not on a repeat
+    prog = compile_trotter_step(H1, TrotterPlan(2e-3, 2), "w1", machine)
+    with pytest.raises(ValueError, match=r"finite pulse mode needs machine\.t_pi > 0"):
         program_unitary(prog, machine, "finite")
 
 
