@@ -28,6 +28,7 @@ from .config import ConfigError, ExperimentConfig, build_config, parse_config_te
 from .exact import computational_state, reachable_gap, sector_matrix
 from .nmr import compile_trotter_step, program_to_text, wall_time
 from .pipeline import (
+    _write,
     run_experiment,
     result_record,
     sweep_rows_to_csv,
@@ -64,11 +65,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"--config: cannot read {args.config}: {exc}") from None
     return build_config(args.preset, text, tuple(args.override))
-
-
-def _write(path: str, body: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
 
 
 def _emit(args: argparse.Namespace, filename: str, body: str) -> None:

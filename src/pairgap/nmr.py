@@ -198,8 +198,9 @@ def _coupling_events(
     midpoint, which cancels their coupling to the active spins over the block.
 
     Spectators are flipped together, so two of them with nonzero mutual J
-    would keep that coupling through the block; such layouts raise a
-    ValueError that names the spins.
+    would keep that coupling through the block; so would two coupled spins
+    with V = 0 but J != 0 between them, which share the delay. Such layouts
+    raise a ValueError that names the spins.
     """
     if axis == "X":
         open_phase, close_phase = _PI / 2, -_PI / 2
@@ -222,6 +223,17 @@ def _coupling_events(
             raise ValueError(
                 f"spectator spins {'; '.join(tied)} have J != 0: the shared "
                 "refocusing pulse leaves their mutual coupling on"
+            )
+        leaked = [
+            f"{a},{b}"
+            for a in coupled
+            for b in coupled
+            if a < b and model.coupling[a - 1, b - 1] == 0.0 and machine.j_hz[a - 1, b - 1] != 0.0
+        ]
+        if leaked:
+            raise ValueError(
+                f"coupled spins {'; '.join(leaked)} have V = 0 but J != 0: the "
+                "shared delay leaves their mutual coupling on"
             )
     out.append(RfPulse(tuple(coupled), open_phase, _PI / 2))
     if idle and d > 0:

@@ -182,6 +182,8 @@ def write_run_artifacts(result: RunResult, out_dir: str) -> dict[str, str]:
 
 
 def _write(path: str, body: str) -> None:
+    """Write through a sibling .tmp file and os.replace, so a reader never
+    sees a partly written artifact."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(body)

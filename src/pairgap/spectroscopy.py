@@ -15,6 +15,8 @@ from .nmr import PulseProgram, SpinSystem, program_unitary, wall_time
 _MIN_DECAY_RATE = 1e-12
 _MAX_FIT_ITERATIONS = 200
 _STEP_TOL = 1e-10
+# Parameter indices of (A, Delta, phi): the free set while the rate is held at 0.
+_FREE_OF_RATE = np.array([0, 2, 3])
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,11 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
     seeded from the DFT bin nearest the seed frequency: amplitude 2|X|/Q,
     tau_e = Q t0, phase arg(X). Accepted steps never increase the residual;
     convergence means a relative step below 1e-10 within 200 iterations.
+
+    The decay rate is clamped to rate >= 0. Once it sits on 0 with the cost
+    gradient pushing it below, the bound is active: the step solves for
+    (A, Delta, phi) alone and the rate stays 0 until the gradient turns. An
+    undamped series thus converges with tau_e = 1e12 s (rate on its bound).
     """
     if series.q < 8:
         raise ValueError("need at least eight samples to fit four parameters")
@@ -235,13 +242,18 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
     for _ in range(_MAX_FIT_ITERATIONS):
         jtj = jac.T @ jac
         g = jac.T @ residual
+        # Rate on its bound with the gradient pushing it out: hold it there.
+        free = _FREE_OF_RATE if beta[1] == 0.0 and g[1] >= 0.0 else slice(None)
+        sub = jtj[free][:, free]
         step = None
         for _ in range(50):
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)) + 1e-300 * np.eye(4), -g)
+                solved = np.linalg.solve(sub + lam * np.diag(np.diag(sub)) + 1e-300 * np.eye(len(sub)), -g[free])
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
+            step = np.zeros(4)
+            step[free] = solved
             trial = beta + step
             trial[1] = max(trial[1], 0.0)  # decay rates stay physical
             rel = float(np.max(np.abs(trial - beta) / np.maximum(np.abs(beta), 1e-12)))

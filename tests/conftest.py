@@ -1,7 +1,8 @@
 """Shared test helpers: the one-line verdicts that the acceptance tests print
 as a dedicated section at the end of the pytest run, two step oracles that
 need no DFT and no fit (the step's own spectral line and the t0/k order of its
-pair-number leak), and reference builders for the dense operators."""
+pair-number leak), reference builders for the dense operators and the
+reference damped-cosine fit."""
 
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from pairgap.exact import sector_matrix
 from pairgap.hamiltonian import number_operator
+from pairgap.spectroscopy import FitResult, TimeSeries
 
 _LINES: list[str] = []
 
@@ -111,3 +113,101 @@ def kron_axis_field(n: int, targets: tuple[int, ...], phase: float) -> np.ndarra
             acc = np.kron(acc, axis if q == t else eye)
         out += acc
     return out
+
+
+# Reference fit: the damped-cosine Levenberg fit as it stood before the rate
+# bound became an active constraint. On an undamped series the clamped rate
+# sits at 0 and the relative-step stop cannot fire, so it runs to the
+# iteration cap. Fits that never touch the bound must match it field for field.
+
+_MIN_DECAY_RATE = 1e-12
+_MAX_FIT_ITERATIONS = 200
+_STEP_TOL = 1e-10
+
+
+def _model_and_jacobian(beta: np.ndarray, t: np.ndarray):
+    a, rate, omega, phi = beta
+    envelope = np.exp(-rate * t)
+    c = np.cos(omega * t + phi)
+    s = np.sin(omega * t + phi)
+    f = a * envelope * c
+    jac = np.column_stack(
+        (envelope * c, -t * a * envelope * c, -t * a * envelope * s, -a * envelope * s)
+    )
+    return f, jac
+
+
+def capped_lm_fit(series: TimeSeries, seed: float) -> FitResult:
+    """Least-squares fit of A exp(-t/tau_e) cos(Delta t + phi) to the series.
+
+    Damped Gauss-Newton (Levenberg) iteration on (A, 1/tau_e, Delta, phi),
+    seeded from the DFT bin nearest the seed frequency: amplitude 2|X|/Q,
+    tau_e = Q t0, phase arg(X). Accepted steps never increase the residual;
+    convergence means a relative step below 1e-10 within 200 iterations.
+    """
+    if series.q < 8:
+        raise ValueError("need at least eight samples to fit four parameters")
+    y = series.values
+    if np.ptp(y) == 0.0:
+        raise ValueError("degenerate flat series")
+    t = series.times
+    q = series.q
+
+    x = np.fft.fft(y)
+    bin_index = int(round(seed * q * series.t0 / (2 * math.pi)))
+    bin_index = min(max(bin_index, 0), q // 2)
+    a0 = 2.0 * abs(x[bin_index]) / q
+    if a0 == 0.0:
+        a0 = np.ptp(y) / 2
+    phi0 = float(np.angle(x[bin_index]))
+    beta = np.array([a0, 1.0 / (q * series.t0), float(seed), phi0])
+
+    f, jac = _model_and_jacobian(beta, t)
+    residual = f - y
+    cost = float(residual @ residual)
+    lam = 1e-3
+    converged = False
+    for _ in range(_MAX_FIT_ITERATIONS):
+        jtj = jac.T @ jac
+        g = jac.T @ residual
+        step = None
+        for _ in range(50):
+            try:
+                step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)) + 1e-300 * np.eye(4), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            trial = beta + step
+            trial[1] = max(trial[1], 0.0)  # decay rates stay physical
+            rel = float(np.max(np.abs(trial - beta) / np.maximum(np.abs(beta), 1e-12)))
+            if rel < _STEP_TOL:
+                # Parameters have stopped moving (possibly pinned at the
+                # rate >= 0 boundary); that is convergence, not failure.
+                converged = True
+                break
+            f_t, jac_t = _model_and_jacobian(trial, t)
+            r_t = f_t - y
+            cost_t = float(r_t @ r_t)
+            if cost_t <= cost:
+                break
+            lam *= 2
+            step = None
+        if converged or step is None:
+            break
+        beta, f, jac, residual, cost = trial, f_t, jac_t, r_t, cost_t
+        lam = max(lam / 3, 1e-12)
+
+    a, rate, omega, phi = beta
+    if a < 0:
+        a, phi = -a, phi + math.pi
+    if omega < 0:
+        omega, phi = -omega, -phi
+    phi = math.remainder(phi, 2 * math.pi)
+    return FitResult(
+        delta_exp=float(omega),
+        tau_e=1.0 / max(rate, _MIN_DECAY_RATE),
+        amplitude=float(a),
+        phase=float(phi),
+        residual_norm=math.sqrt(cost),
+        converged=converged,
+    )

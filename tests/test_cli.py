@@ -47,13 +47,15 @@ def test_gap_exact_h2_skips_dark_level(tmp_path):
     assert record["gap_first_over_2pi_hz"] < record["reachable_gap_over_2pi_hz"]
 
 
-def test_run_default_h1_nonconverged_fit_exit_3(tmp_path):
+def test_run_default_h1_converges_on_rate_bound_exit_0(tmp_path):
     proc = run_cli("run", "--preset", "h1", "--out", str(tmp_path))
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == 0, proc.stderr
     for name in ("timeseries.csv", "spectrum.csv", "populations.csv", "result.json"):
         assert (tmp_path / name).exists(), name
     record = json.loads((tmp_path / "result.json").read_text())
-    assert record["converged"] is False
+    assert record["converged"] is True
+    # undamped series: the decay rate ends on its rate >= 0 bound
+    assert record["tau_e_s"] == 1e12
     assert record["delta_exp_over_2pi_hz"] == pytest.approx(217.46, abs=6.0)
     assert "delta_exp/2pi" in proc.stdout
 
@@ -128,6 +130,24 @@ def test_coupled_spectator_pair_exit_4(tmp_path):
     assert "spectator spins 3,4" in proc.stderr
 
 
+def test_coupled_pair_without_v_but_with_j_exit_4(tmp_path):
+    cfgfile = tmp_path / "open_pair.cfg"
+    cfgfile.write_text(
+        "model.nu_hz = 75, 50, 25\n"
+        "model.v_1_2_hz = 112\n"
+        "model.v_2_3_hz = -155.5\n"
+        "machine.j_1_2_hz = 224\n"
+        "machine.j_2_3_hz = -311\n"
+        "machine.j_1_3_hz = 50\n"
+        "run.init = 011\n"
+        "run.method = w1\n"
+        "run.q = 16\n"
+    )
+    proc = run_cli("run", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert proc.returncode == 4
+    assert "coupled spins 1,3" in proc.stderr
+
+
 def test_estimate_table_and_summary(tmp_path):
     proc = run_cli("estimate", "--n", "4,10", "--eps-over-delta", "0.01,1",
                    "--out", str(tmp_path))
@@ -165,7 +185,7 @@ def test_sweep_t0_writes_exponent(tmp_path):
     assert summary["varied"] == "plan.t0_s"
     assert summary["hold_epsilon_ft"] is True
     # palindromic step: frequency offset shrinks quadratically with t0
-    assert summary["offset_exponent"] == pytest.approx(1.970192802917591, rel=1e-9)
+    assert summary["offset_exponent"] == pytest.approx(1.970199271530155, rel=1e-9)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("t0_s,")
     assert len(lines) == 4

@@ -255,6 +255,30 @@ def test_coupled_spectator_pair_raises():
     assert 1 - abs(np.trace(want.conj().T @ u)) / 16 < 1e-9
 
 
+def open_pair_case(j13):
+    # V on (1,2) and (2,3) only; spins 1 and 3 are both coupled, so they share
+    # the delay, which keeps any J between them on
+    v = np.zeros((3, 3))
+    v[0, 1] = v[1, 0] = PI * 224.0
+    v[1, 2] = v[2, 1] = -PI * 311.0
+    j = np.array(spin_system().j_hz)
+    j[0, 2] = j[2, 0] = j13
+    return PairingModel((150 * PI, 100 * PI, 50 * PI), v), SpinSystem(j)
+
+
+def test_coupled_pair_without_v_but_with_j_raises():
+    # compiled anyway at the preset J_13 = 50 Hz, the w1 step would miss by a
+    # fidelity deficit of 0.017
+    plan = TrotterPlan(2e-3, 2)
+    model, machine = open_pair_case(50.0)
+    with pytest.raises(ValueError, match=r"coupled spins 1,3 have V = 0 but J != 0"):
+        compile_trotter_step(model, plan, "w1", machine)
+    model, machine = open_pair_case(0.0)
+    u = program_unitary(compile_trotter_step(model, plan, "w1", machine), machine, "delta")
+    want = symmetric3_step(model, plan)
+    assert 1 - abs(np.trace(want.conj().T @ u)) / 8 < 1e-9
+
+
 def test_compiled_angles_stay_in_range():
     for model, t0 in ((H1, 2e-3), (H2, 0.5e-3)):
         prog = compile_trotter_step(model, TrotterPlan(t0, 3), "w1", MACHINE)

@@ -10,11 +10,21 @@ process. The exit code, stdout and the bytes of every file written must agree.
 `--base` is another checkout of this repository (for example made with
 `git archive <commit>`); this checkout is the other side. BLAS runs on one
 thread in both, as in the benchmark. Exit status is 0 when every case agrees.
+
+Under each case that differs, the tool names what differs (exit code, stdout,
+artifact files) and, from both sides' result.json, sweep.csv and
+sweep_summary.json, how far the fit moved: the largest |delta_exp change| in
+units of epsilon_ft (in rad/s on generic sweeps, which record no epsilon_ft),
+the relative change of residual_norm, the change of the offset exponent, and
+every flip of `converged`.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +37,8 @@ sys.path.insert(0, str(HERE / "benchmarks"))
 from workloads import generate  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+Outcome = tuple[int, str, dict[str, bytes]]  # exit code, stdout, file bytes by name
 
 
 def grid() -> list[tuple[str, ...]]:
@@ -44,7 +56,7 @@ def grid() -> list[tuple[str, ...]]:
     return cases
 
 
-def run(src: Path, argv: tuple[str, ...]) -> tuple[int, str, dict[str, bytes]]:
+def run(src: Path, argv: tuple[str, ...]) -> Outcome:
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
     with tempfile.TemporaryDirectory() as out:
         proc = subprocess.run(
@@ -53,6 +65,61 @@ def run(src: Path, argv: tuple[str, ...]) -> tuple[int, str, dict[str, bytes]]:
         )
         files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(Path(out).rglob("*")) if p.is_file()}
     return proc.returncode, proc.stdout.replace(out, "<out>"), files
+
+
+def _sweep_rows(body: bytes) -> list[dict[str, str]]:
+    return list(csv.DictReader(io.StringIO(body.decode())))
+
+
+def _fit_moves(base: dict[str, bytes], head: dict[str, bytes]) -> list[str]:
+    """How far the fitted quantities moved between the two sides' artifacts."""
+    moves = []
+    if "result.json" in base and "result.json" in head:
+        b, h = json.loads(base["result.json"]), json.loads(head["result.json"])
+        shift = abs(h["delta_exp_rad_s"] - b["delta_exp_rad_s"]) / b["epsilon_ft_rad_s"]
+        moves.append(f"|d delta_exp|/eps_ft {shift:.2e}")
+        if b["residual_norm"]:
+            change = (h["residual_norm"] - b["residual_norm"]) / b["residual_norm"]
+            moves.append(f"residual_norm {change:+.2e} rel")
+        if h["converged"] != b["converged"]:
+            moves.append(f"converged {b['converged']} -> {h['converged']}")
+    if "sweep.csv" in base and "sweep.csv" in head:
+        b_rows, h_rows = _sweep_rows(base["sweep.csv"]), _sweep_rows(head["sweep.csv"])
+        shifts, flips = [], []
+        for b, h in zip(b_rows, h_rows):
+            if b["delta_exp_rad_s"] and h["delta_exp_rad_s"]:
+                shift = abs(float(h["delta_exp_rad_s"]) - float(b["delta_exp_rad_s"]))
+                eps = b.get("epsilon_ft_rad_s")
+                shifts.append(shift / float(eps) if eps else shift)
+            if h["converged"] != b["converged"]:
+                key = "t0_s" if "t0_s" in b else "point"
+                flips.append(f"{key} {b[key]}: converged {b['converged']} -> {h['converged']}")
+        if shifts:
+            unit = "/eps_ft" if "epsilon_ft_rad_s" in b_rows[0] else " rad/s"
+            moves.append(f"max |d delta_exp|{unit} {max(shifts):.2e}")
+        moves += flips
+    if "sweep_summary.json" in base and "sweep_summary.json" in head:
+        b, h = json.loads(base["sweep_summary.json"]), json.loads(head["sweep_summary.json"])
+        if b["offset_exponent"] is not None and h["offset_exponent"] is not None:
+            moves.append(f"d offset_exponent {h['offset_exponent'] - b['offset_exponent']:+.2e}")
+    return moves
+
+
+def describe(base: Outcome, head: Outcome) -> list[str]:
+    """Lines saying what differs between two outcomes of the same case."""
+    lines = []
+    if base[0] != head[0]:
+        lines.append(f"exit {base[0]} -> {head[0]}")
+    if base[1] != head[1]:
+        lines.append("stdout differs")
+    names = sorted(set(base[2]) | set(head[2]))
+    changed = [n for n in names if base[2].get(n) != head[2].get(n)]
+    if changed:
+        lines.append("files differ: " + ", ".join(changed))
+    moves = _fit_moves(base[2], head[2])
+    if moves:
+        lines.append("; ".join(moves))
+    return lines
 
 
 def main() -> int:
@@ -73,6 +140,9 @@ def main() -> int:
         same = base == head
         differ += not same
         print(f"{'same  ' if same else 'DIFFER'} exit {head[0]} files {len(head[2])}  {label}")
+        if not same:
+            for line in describe(base, head):
+                print(f"        {line}")
     print(f"{len(cases) - differ} of {len(cases)} cases byte-identical")
     return 1 if differ else 0
 
