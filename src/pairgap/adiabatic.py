@@ -14,14 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import eigendecompose, propagator, sector_matrix
-from .hamiltonian import (
-    PairingModel,
-    full_hamiltonian,
-    realize,
-    sector_basis,
-)
-from .nmr import SpinSystem, compile_trotter_step, simulate_program
+from .exact import EigenSystem, Ramp, _ramp_for, eigendecompose, propagator
+from .hamiltonian import PairingModel
+from .nmr import EventTable, SpinSystem, compile_trotter_step, simulate_program
 from .trotter import TrotterPlan, symmetric3_step
 
 
@@ -68,15 +63,14 @@ class AdiabaticSchedule:
 
 
 def _single_sector(state: np.ndarray, n: int) -> int | None:
-    weights = {bin(i).count("1") for i in range(2**n) if abs(state[i]) > 1e-12}
+    weights = {bin(i).count("1") for i in np.flatnonzero(np.abs(state) > 1e-12)}
     return weights.pop() if len(weights) == 1 else None
 
 
-def _min_schedule_gap(model: PairingModel, pairs: int, steps: int) -> float:
+def _min_schedule_gap(ramp: Ramp) -> float:
     gaps = []
-    for s in range(steps + 1):
-        sub, _ = sector_matrix(model.with_coupling_scale(s / steps), pairs)
-        values = np.linalg.eigvalsh(sub)
+    for s in range(ramp.steps + 1):
+        values = np.linalg.eigvalsh(ramp.block(s))
         if len(values) > 1:
             gaps.append(float(values[1] - values[0]))
     return min(gaps) if gaps else math.inf
@@ -87,6 +81,8 @@ def prepare(
     init: np.ndarray,
     schedule: AdiabaticSchedule,
     check_adiabaticity: bool = True,
+    ramp: Ramp | None = None,
+    pulses: EventTable | None = None,
 ) -> np.ndarray:
     """Evolve ``init`` under the interpolated Hamiltonian for t_ad at each
     s = 0..S and return the final state.
@@ -94,62 +90,76 @@ def prepare(
     Scaling the model's couplings by s/S realizes the interpolation, because
     (1 - s/S) H_free + (s/S) H_full = H_free + (s/S) (H_full - H_free).
     Warns when the minimum sector gap along the path is below 1/(S * t_ad).
+
+    A run passes its ramp and its pulse-event table, so the ramp's operators
+    and each distinct pulse are built once however many preparations share
+    them; without them this call builds its own.
     """
     psi = np.asarray(init, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
     s_steps = schedule.steps
-    if check_adiabaticity and schedule.t_ad > 0:
-        pairs = _single_sector(psi, model.n)
-        if pairs is not None:
-            min_gap = _min_schedule_gap(model, pairs, s_steps)
-            if min_gap < 1.0 / (s_steps * schedule.t_ad):
-                warnings.warn(
-                    f"minimum schedule gap {min_gap:.3g} rad/s is below "
-                    f"1/(S*t_ad) = {1.0 / (s_steps * schedule.t_ad):.3g} rad/s; "
-                    "preparation is quasiadiabatic, not adiabatic",
-                    AdiabaticityWarning,
-                    stacklevel=2,
-                )
+    pairs = _single_sector(psi, model.n)
+    ramp = _ramp_for(model, pairs, ramp, s_steps)
+    if ramp.steps != s_steps:
+        raise ValueError("ramp was built for another schedule length")
+    ev = schedule.evolver
     for s in range(s_steps + 1):
-        scaled = model.with_coupling_scale(s / s_steps)
-        ev = schedule.evolver
         if isinstance(ev, ExactEvolver):
-            u = propagator(realize(full_hamiltonian(scaled)), schedule.t_ad)
+            u = propagator(ramp.hamiltonian(s), schedule.t_ad)
             psi = u @ psi
         elif isinstance(ev, TrotterEvolver):
             if schedule.t_ad > 0:
+                scaled = model.with_coupling_scale(s / s_steps)
                 u = symmetric3_step(scaled, TrotterPlan(schedule.t_ad, ev.plan.k))
                 psi = u @ psi
         elif isinstance(ev, NmrEvolver):
             if schedule.t_ad > 0:
+                scaled = model.with_coupling_scale(s / s_steps)
                 program = compile_trotter_step(
                     scaled, TrotterPlan(schedule.t_ad, ev.plan.k), ev.method, ev.machine
                 )
-                psi, _ = simulate_program(program, ev.machine, psi, ev.pulse_mode)
+                if pulses is None:
+                    pulses = EventTable(ev.machine, model.n, ev.pulse_mode)
+                psi, _ = simulate_program(program, ev.machine, psi, ev.pulse_mode, pulses)
         else:
             raise ValueError(f"unknown evolver {ev!r}")
+    # The gap check reads the sector blocks an exact evolution has just kept.
+    if check_adiabaticity and schedule.t_ad > 0 and pairs is not None:
+        min_gap = _min_schedule_gap(ramp)
+        if min_gap < 1.0 / (s_steps * schedule.t_ad):
+            warnings.warn(
+                f"minimum schedule gap {min_gap:.3g} rad/s is below "
+                f"1/(S*t_ad) = {1.0 / (s_steps * schedule.t_ad):.3g} rad/s; "
+                "preparation is quasiadiabatic, not adiabatic",
+                AdiabaticityWarning,
+                stacklevel=2,
+            )
     return psi
 
 
-def population_report(state: np.ndarray, h: np.ndarray) -> list[tuple[int, float, float]]:
-    """Populations of ``state`` over the eigenstates of ``h``, ascending in
-    energy: rows of (eigenindex, energy rad/s, population)."""
-    state = np.asarray(state, dtype=complex)
-    es = eigendecompose(h)
+def _population_rows(state: np.ndarray, es: EigenSystem) -> list[tuple[int, float, float]]:
     if es.vectors.shape[0] != state.shape[0]:
         raise ValueError("state and operator dimensions differ")
     pops = np.abs(es.vectors.conj().T @ state) ** 2
     return [(i, float(es.values[i]), float(pops[i])) for i in range(len(pops))]
 
 
+def population_report(state: np.ndarray, h: np.ndarray) -> list[tuple[int, float, float]]:
+    """Populations of ``state`` over the eigenstates of ``h``, ascending in
+    energy: rows of (eigenindex, energy rad/s, population)."""
+    state = np.asarray(state, dtype=complex)
+    return _population_rows(state, eigendecompose(h))
+
+
 def sector_population_report(
-    model: PairingModel, pairs: int, state: np.ndarray
+    model: PairingModel, pairs: int, state: np.ndarray, ramp: Ramp | None = None
 ) -> list[tuple[int, float, float]]:
     """Population report against the sector-restricted Hamiltonian; the state is
-    projected onto the sector first, so rows sum to the in-sector weight."""
-    sub, idx = sector_matrix(model, pairs)
-    return population_report(np.asarray(state, dtype=complex)[idx], sub)
+    projected onto the sector first, so rows sum to the in-sector weight. A
+    run passes its ramp, whose final sector eigensystem it shares."""
+    ramp = _ramp_for(model, pairs, ramp)
+    return _population_rows(np.asarray(state, dtype=complex)[ramp.idx], ramp.final_eigensystem())
 
 
 def report_to_csv(rows: list[tuple[int, float, float]]) -> str:

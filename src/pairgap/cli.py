@@ -25,7 +25,7 @@ import numpy as np
 from . import presets
 from .adiabatic import AdiabaticSchedule, ExactEvolver, prepare
 from .config import ConfigError, ExperimentConfig, build_config, parse_config_text
-from .exact import computational_state, reachable_gap, sector_matrix
+from .exact import Ramp, computational_state, reachable_gap
 from .nmr import compile_trotter_step, program_to_text, wall_time
 from .pipeline import (
     _write,
@@ -99,14 +99,15 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 def _cmd_gap_exact(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     pairs = cfg.init_bits.count("1")
-    sub, _ = sector_matrix(cfg.model, pairs)
-    values = np.linalg.eigvalsh(sub)
+    ramp = Ramp(cfg.model, cfg.schedule_steps, pairs)
     init = computational_state(cfg.model.n, cfg.init_index)
     prepared = prepare(
         cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, ExactEvolver()),
-        check_adiabaticity=False,
+        check_adiabaticity=False, ramp=ramp,
     )
-    level, gap = reachable_gap(cfg.model, pairs, prepared, cfg.population_floor)
+    # The preparation kept the final sector block: the model's own.
+    values = np.linalg.eigvalsh(ramp.block(ramp.steps))
+    level, gap = reachable_gap(cfg.model, pairs, prepared, cfg.population_floor, ramp)
     record = {
         "pairs": pairs,
         "sector_eigenvalues_rad_s": [float(v) for v in values],

@@ -1,5 +1,6 @@
-"""Exact diagonalization oracle: eigensystems, propagators, sector gaps and the
-level actually reachable from a prepared superposition."""
+"""Exact diagonalization oracle: eigensystems, propagators, sector gaps, the
+preparation ramp's operators and the level actually reachable from a prepared
+superposition."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import PairingModel, full_hamiltonian, realize, sector_basis
+from .hamiltonian import PairingModel, full_hamiltonian, interpolated_hamiltonian, realize, sector_basis
 
 _HERMITICITY_TOL = 1e-9
 # Eigenvalues closer than this (relative to the spectral scale) are treated as
@@ -71,6 +72,55 @@ def sector_matrix(model: PairingModel, pairs: int) -> tuple[np.ndarray, np.ndarr
     return h[np.ix_(idx, idx)], idx
 
 
+class Ramp:
+    """Operators of one preparation ramp in one pair sector: the dense
+    H_s = realize(interpolated_hamiltonian(model, s, S)), s = 0..S, the
+    sector block of each and the eigensystem of the final (s = S) block,
+    whose Hamiltonian is the model's own.
+
+    Realizing H_s keeps its sector block, not the dense matrix, so a ramp
+    holds (S + 1) blocks of C(n, pairs)^2 entries and one eigensystem. A run
+    builds one ramp and hands it to every stage: the exact evolution realizes
+    each H_s once, and the schedule gap, the reachable level and the
+    population report read the blocks it kept. ``pairs`` None (a state
+    spread over sectors) keeps no blocks.
+    """
+
+    def __init__(self, model: PairingModel, steps: int, pairs: int | None):
+        self.model = model
+        self.steps = steps
+        self.pairs = pairs
+        self.idx = None if pairs is None else sector_basis(model.n, pairs)
+        self._blocks: dict[int, np.ndarray] = {}
+        self._final: EigenSystem | None = None
+
+    def hamiltonian(self, s: int) -> np.ndarray:
+        h = realize(interpolated_hamiltonian(self.model, s, self.steps))
+        if self.idx is not None:
+            self._blocks[s] = h[np.ix_(self.idx, self.idx)]
+        return h
+
+    def block(self, s: int) -> np.ndarray:
+        if s not in self._blocks:
+            self.hamiltonian(s)
+        return self._blocks[s]
+
+    def final_eigensystem(self) -> EigenSystem:
+        if self._final is None:
+            self._final = eigendecompose(self.block(self.steps))
+        return self._final
+
+
+def _ramp_for(model: PairingModel, pairs: int | None, ramp: Ramp | None, steps: int = 1) -> Ramp:
+    """``ramp`` once it is checked to belong to this model and sector, or a
+    fresh ramp of ``steps`` steps when it is None."""
+    if ramp is None:
+        return Ramp(model, steps, pairs)
+    if ramp.model is not model or ramp.pairs != pairs:
+        raise ValueError("ramp was built for another model or pair sector")
+    return ramp
+
+
 def sector_gap(model: PairingModel, pairs: int, target: int | str = "first") -> float:
     """E_target - E_ground inside one pair sector; target 'first' means level 1."""
     sub, _ = sector_matrix(model, pairs)
@@ -100,21 +150,23 @@ def reachable_gap(
     pairs: int,
     prepared: np.ndarray,
     population_floor: float = 0.02,
+    ramp: Ramp | None = None,
 ) -> tuple[int, float]:
     """Lowest excited level holding at least ``population_floor`` of the prepared
     state, and its gap to the ground level.
 
     This is the oscillation frequency the time-series stage will actually see.
-    Degenerate eigenvalues are grouped and their populations summed.
+    Degenerate eigenvalues are grouped and their populations summed. A run
+    passes its ramp so the final sector eigensystem is computed once.
     """
     if not 0.0 < population_floor < 1.0:
         raise ValueError("population_floor must lie in (0, 1)")
     prepared = np.asarray(prepared, dtype=complex)
     if abs(np.linalg.norm(prepared) - 1.0) > 1e-8:
         raise ValueError("prepared state must be normalized")
-    sub, idx = sector_matrix(model, pairs)
-    es = eigendecompose(sub)
-    amps = es.vectors.conj().T @ prepared[idx]
+    ramp = _ramp_for(model, pairs, ramp)
+    es = ramp.final_eigensystem()
+    amps = es.vectors.conj().T @ prepared[ramp.idx]
     pops = np.abs(amps) ** 2
     levels = _grouped_levels(es.values)
     e0 = float(np.mean(es.values[levels[0]]))

@@ -26,7 +26,7 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
-    if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
+    if m.size and float(np.abs(m - m.T).max()) > 1e-12:
         raise ValueError(f"{name} must be symmetric")
     return m
 
@@ -127,9 +127,6 @@ class PauliTerm:
             seen.add(q)
         object.__setattr__(self, "factors", pairs)
 
-    def scaled(self, c: float) -> "PauliTerm":
-        return PauliTerm(self.coeff * c, self.factors)
-
 
 @dataclass(frozen=True)
 class PauliSum:
@@ -190,26 +187,19 @@ def build_hamiltonian(model: PairingModel, part: str) -> PauliSum:
 
 
 def interpolated_hamiltonian(model: PairingModel, s: int, steps: int) -> PauliSum:
-    """Schedule Hamiltonian (1 - s/S) * onsite + (s/S) * full.
+    """Schedule Hamiltonian (1 - s/S) * onsite + (s/S) * full, built as the
+    full Hamiltonian of the model with its couplings scaled by s/S. The two
+    agree because the onsite part is common to both ends; this is the ramp
+    the preparation runs.
 
-    Terms whose scaled coefficient is exactly zero are dropped, so the
-    endpoints return the onsite and full term lists verbatim.
+    Zero couplings are dropped, so the endpoints return the onsite and full
+    term lists verbatim.
     """
     if steps == 0:
         raise ValueError("schedule.steps: must be >= 1")
     if not 0 <= s <= steps:
         raise ValueError("schedule step index out of range")
-    lam = s / steps
-    terms = []
-    for t in onsite_hamiltonian(model).terms:
-        ts = t.scaled(1.0 - lam)
-        if ts.coeff != 0.0:
-            terms.append(ts)
-    for t in full_hamiltonian(model).terms:
-        ts = t.scaled(lam)
-        if ts.coeff != 0.0:
-            terms.append(ts)
-    return PauliSum(tuple(terms), model.n)
+    return full_hamiltonian(model.with_coupling_scale(s / steps))
 
 
 def nmr_zz_hamiltonian(j_hz: np.ndarray) -> PauliSum:

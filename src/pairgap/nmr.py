@@ -378,39 +378,80 @@ def _pulse_unitary(ev: RfPulse, n: int, machine: SpinSystem, pulse_mode: str, zz
     return propagator(h, duration)
 
 
-def _event_unitaries(program: PulseProgram, machine: SpinSystem, pulse_mode: str):
-    """Yield one unitary per event. Delays evolve the diagonal ZZ Hamiltonian;
-    finite-mode pulses evolve RF plus ZZ for duration t_pi |angle| / pi with
-    amplitude omega_1 = -sign(angle) pi / t_pi, which reproduces the perfect
-    rotation exactly when J = 0.
+class EventTable:
+    """Unitaries of pulse-program events for one (machine, n, pulse_mode).
 
-    A program repeats a handful of distinct RF events many times, so each
-    distinct pulse is built once per call and its unitary yielded again for
-    every repeat.
+    Delays evolve the diagonal ZZ Hamiltonian; finite-mode pulses evolve RF
+    plus ZZ for duration t_pi |angle| / pi with amplitude
+    omega_1 = -sign(angle) pi / t_pi, which reproduces the perfect rotation
+    exactly when J = 0.
+
+    Each distinct event, keyed by the frozen Delay or RfPulse itself, is
+    built on first use and then shared by every program applied through the
+    table; the ZZ diagonal is built once too. A run keeps one table for its
+    preparation programs and its step program, which all repeat the same few
+    pulses. Using the table with another machine, spin count or pulse mode
+    raises ValueError instead of returning another machine's unitary.
     """
-    if pulse_mode not in (DELTA, FINITE):
-        raise ValueError("pulse_mode must be 'delta' or 'finite'")
-    n = program.n
-    if machine.n != n:
-        raise ValueError("machine and program spin counts differ")
-    zz = realize(nmr_zz_hamiltonian(machine.j_hz))
-    zz_diag = np.real(np.diag(zz))
-    pulses: dict[RfPulse, np.ndarray] = {}
-    for ev in program.events:
+
+    def __init__(self, machine: SpinSystem, n: int, pulse_mode: str):
+        if pulse_mode not in (DELTA, FINITE):
+            raise ValueError("pulse_mode must be 'delta' or 'finite'")
+        if machine.n != n:
+            raise ValueError("machine and program spin counts differ")
+        self.machine = machine
+        self.n = n
+        self.pulse_mode = pulse_mode
+        self._zz: np.ndarray | None = None
+        self._zz_diag: np.ndarray | None = None
+        self._unitaries: dict[PulseEvent, np.ndarray] = {}
+
+    def check(self, machine: SpinSystem, n: int, pulse_mode: str) -> None:
+        if pulse_mode != self.pulse_mode:
+            raise ValueError(f"event table holds {self.pulse_mode} unitaries, not {pulse_mode}")
+        if n != self.n:
+            raise ValueError(f"event table holds {self.n}-spin unitaries, not {n}-spin")
+        same = machine is self.machine or (
+            machine.t_pi == self.machine.t_pi and np.array_equal(machine.j_hz, self.machine.j_hz)
+        )
+        if not same:
+            raise ValueError("event table holds the unitaries of another machine")
+
+    def unitary(self, ev: PulseEvent) -> np.ndarray:
+        u = self._unitaries.get(ev)
+        if u is None:
+            u = self._build(ev)
+            u.flags.writeable = False
+            self._unitaries[ev] = u
+        return u
+
+    def _build(self, ev: PulseEvent) -> np.ndarray:
+        if self._zz is None:
+            self._zz = realize(nmr_zz_hamiltonian(self.machine.j_hz))
+            self._zz_diag = np.real(np.diag(self._zz))
         if isinstance(ev, Delay):
-            yield np.diag(np.exp(-1j * zz_diag * ev.duration))
-        elif ev.angle == 0.0:
-            yield np.eye(2**n, dtype=complex)
-        else:
-            if ev not in pulses:
-                pulses[ev] = _pulse_unitary(ev, n, machine, pulse_mode, zz)
-            yield pulses[ev]
+            return np.diag(np.exp(-1j * self._zz_diag * ev.duration))
+        if ev.angle == 0.0:
+            return np.eye(2**self.n, dtype=complex)
+        return _pulse_unitary(ev, self.n, self.machine, self.pulse_mode, self._zz)
 
 
-def program_unitary(program: PulseProgram, machine: SpinSystem, pulse_mode: str = DELTA) -> np.ndarray:
+def _table_for(program: PulseProgram, machine: SpinSystem, pulse_mode: str, table: EventTable | None) -> EventTable:
+    if table is None:
+        return EventTable(machine, program.n, pulse_mode)
+    table.check(machine, program.n, pulse_mode)
+    return table
+
+
+def program_unitary(
+    program: PulseProgram, machine: SpinSystem, pulse_mode: str = DELTA, table: EventTable | None = None
+) -> np.ndarray:
+    """Ordered product of the program's event unitaries, taken from ``table``
+    (a fresh one when None)."""
+    table = _table_for(program, machine, pulse_mode, table)
     u = np.eye(2**program.n, dtype=complex)
-    for step in _event_unitaries(program, machine, pulse_mode):
-        u = step @ u
+    for ev in program.events:
+        u = table.unitary(ev) @ u
     return u
 
 
@@ -419,13 +460,16 @@ def simulate_program(
     machine: SpinSystem,
     init: np.ndarray,
     pulse_mode: str = DELTA,
+    table: EventTable | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Apply the program to a state; returns (final state, wall-clock duration)."""
+    """Apply the program to a state; returns (final state, wall-clock duration).
+    Event unitaries come from ``table`` (a fresh one when None)."""
     psi = np.asarray(init, dtype=complex)
     if psi.shape[0] != 2**program.n:
         raise ValueError("state dimension does not match program spin count")
-    for step in _event_unitaries(program, machine, pulse_mode):
-        psi = step @ psi
+    table = _table_for(program, machine, pulse_mode, table)
+    for ev in program.events:
+        psi = table.unitary(ev) @ psi
     return psi, wall_time(program, machine.t_pi)
 
 

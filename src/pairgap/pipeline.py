@@ -24,8 +24,8 @@ from .adiabatic import (
     sector_population_report,
 )
 from .config import ConfigError, ExperimentConfig, with_plan
-from .exact import computational_state, reachable_gap
-from .nmr import compile_trotter_step
+from .exact import Ramp, computational_state, reachable_gap
+from .nmr import EventTable, compile_trotter_step
 from .spectroscopy import (
     FitResult,
     Spectrum,
@@ -80,31 +80,40 @@ def _resolve_evolver(cfg: ExperimentConfig):
     return NmrEvolver(method, cfg.machine, cfg.plan, cfg.pulse_mode)
 
 
-def _build_stepper(cfg: ExperimentConfig) -> tuple[UnitaryStepper, tuple[str, ...]]:
+def _build_stepper(cfg: ExperimentConfig, pulses: EventTable) -> tuple[UnitaryStepper, tuple[str, ...]]:
     if cfg.method == "ideal":
         u = symmetric3_step(cfg.model, cfg.plan)
         # Simulated time doubles as physical time for an ideal stepper.
         return UnitaryStepper(u, cfg.plan.t0), ()
     program = compile_trotter_step(cfg.model, cfg.plan, cfg.method, cfg.machine)
-    return program_stepper(program, cfg.machine, cfg.pulse_mode), program.clamp_warnings
+    return program_stepper(program, cfg.machine, cfg.pulse_mode, pulses), program.clamp_warnings
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     init = computational_state(cfg.model.n, cfg.init_index)
     pairs = cfg.init_bits.count("1")
+    # One ramp and one pulse-event table serve every stage of this run.
+    ramp = Ramp(cfg.model, cfg.schedule_steps, pairs)
+    pulses = EventTable(cfg.machine, cfg.model.n, cfg.pulse_mode)
 
+    # The exact preparation runs first: its ramp Hamiltonians leave the
+    # sector blocks that the other evolver's gap check then reads.
     evolver = _resolve_evolver(cfg)
-    prepared = prepare(cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, evolver))
-    if isinstance(evolver, ExactEvolver):
-        prepared_exact = prepared
+    exact = isinstance(evolver, ExactEvolver)
+    prepared_exact = prepare(
+        cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, ExactEvolver()),
+        check_adiabaticity=exact, ramp=ramp,
+    )
+    if exact:
+        prepared = prepared_exact
     else:
-        prepared_exact = prepare(
-            cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, ExactEvolver()),
-            check_adiabaticity=False,
+        prepared = prepare(
+            cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, evolver),
+            ramp=ramp, pulses=pulses,
         )
-    level, delta_exact = reachable_gap(cfg.model, pairs, prepared_exact, cfg.population_floor)
+    level, delta_exact = reachable_gap(cfg.model, pairs, prepared_exact, cfg.population_floor, ramp)
 
-    stepper, clamp_warnings = _build_stepper(cfg)
+    stepper, clamp_warnings = _build_stepper(cfg, pulses)
     t2 = cfg.machine.t2[cfg.observed_spin - 1] if cfg.damping else None
     series = acquire(prepared, stepper, cfg.q, cfg.plan.t0, cfg.observed_spin, t2)
 
@@ -128,7 +137,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         fit=fit,
         series=series,
         spectrum=spectrum,
-        populations=sector_population_report(cfg.model, pairs, prepared),
+        populations=sector_population_report(cfg.model, pairs, prepared, ramp),
         wall_per_step=stepper.wall_per_step,
         clamp_warnings=clamp_warnings,
     )

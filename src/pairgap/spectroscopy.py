@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nmr import PulseProgram, SpinSystem, program_unitary, wall_time
+from .nmr import EventTable, PulseProgram, SpinSystem, program_unitary, wall_time
 
 # Smallest decay rate distinguishable from zero; keeps tau_e finite.
 _MIN_DECAY_RATE = 1e-12
@@ -86,12 +86,12 @@ class UnitaryStepper:
 
 
 def program_stepper(
-    program: PulseProgram, machine: SpinSystem, pulse_mode: str = "delta"
+    program: PulseProgram, machine: SpinSystem, pulse_mode: str = "delta", table: EventTable | None = None
 ) -> UnitaryStepper:
     """Collapse a pulse program into a stepper; the program is stationary, so
-    its unitary is composed once."""
+    its unitary is composed once, from ``table``'s event unitaries when given."""
     return UnitaryStepper(
-        program_unitary(program, machine, pulse_mode),
+        program_unitary(program, machine, pulse_mode, table),
         wall_time(program, machine.t_pi),
     )
 

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+import pairgap.exact
+import pairgap.nmr
 from pairgap.adiabatic import (
     AdiabaticityWarning,
     AdiabaticSchedule,
@@ -15,8 +17,11 @@ from pairgap.adiabatic import (
     report_to_csv,
     sector_population_report,
 )
-from pairgap.exact import computational_state
+from pairgap.config import build_config
+from pairgap.exact import Ramp, computational_state, reachable_gap
 from pairgap.hamiltonian import full_hamiltonian, realize, sector_basis
+from pairgap.nmr import RfPulse, compile_trotter_step
+from pairgap.pipeline import run_experiment
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan
 
@@ -137,3 +142,74 @@ def test_report_csv_layout():
     lines = text.strip().split("\n")
     assert lines[0] == "eigenindex,energy_rad_per_s,population"
     assert lines[1] == "0,-1.5,0.25"
+
+
+def test_shared_ramp_gives_the_fresh_results():
+    ramp = Ramp(H1, 4, 2)
+    psi = prepare(H1, INIT, fast_schedule(), check_adiabaticity=False, ramp=ramp)
+    assert np.array_equal(psi, prepare(H1, INIT, fast_schedule(), check_adiabaticity=False))
+    nmr = fast_schedule(evolver=NmrEvolver("w1", spin_system(), TrotterPlan(1 / 700, 1)))
+    with pytest.warns(AdiabaticityWarning) as shared:
+        a = prepare(H1, INIT, nmr, ramp=ramp)
+    with pytest.warns(AdiabaticityWarning) as fresh:
+        b = prepare(H1, INIT, nmr)
+    assert np.array_equal(a, b)
+    assert str(shared[0].message) == str(fresh[0].message)
+    assert reachable_gap(H1, 2, psi, ramp=ramp) == reachable_gap(H1, 2, psi)
+    assert sector_population_report(H1, 2, a, ramp) == sector_population_report(H1, 2, a)
+
+
+def test_ramp_of_another_model_sector_or_length_raises():
+    ramp = Ramp(H1, 4, 2)
+    with pytest.raises(ValueError, match="another model or pair sector"):
+        prepare(H2, INIT, fast_schedule(), ramp=ramp)
+    with pytest.raises(ValueError, match="another model or pair sector"):
+        reachable_gap(H1, 1, computational_state(3, 1), ramp=ramp)
+    with pytest.raises(ValueError, match="another schedule length"):
+        prepare(H1, INIT, fast_schedule(steps=8), ramp=ramp)
+
+
+def counting(monkeypatch, module, name):
+    """Record the first argument of every call to module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["ideal", "w1"])
+def test_run_realizes_each_ramp_hamiltonian_once(monkeypatch, method):
+    realized = counting(monkeypatch, pairgap.exact, "realize")
+    cfg = build_config(preset="h1", overrides=(f"run.method={method}",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        run_experiment(cfg)
+    assert len(realized) == cfg.schedule_steps + 1
+
+
+def test_run_builds_each_distinct_pulse_once(monkeypatch):
+    built = counting(monkeypatch, pairgap.nmr, "_pulse_unitary")
+    cfg = build_config(preset="h1", overrides=("run.method=w1", "run.pulse_mode=finite"))
+    steps = cfg.schedule_steps
+    programs = [
+        compile_trotter_step(cfg.model.with_coupling_scale(s / steps), TrotterPlan(cfg.t_ad, cfg.plan.k), "w1", cfg.machine)
+        for s in range(steps + 1)
+    ] + [compile_trotter_step(cfg.model, cfg.plan, "w1", cfg.machine)]
+    per_program = [{ev for ev in p.events if isinstance(ev, RfPulse) and ev.angle != 0.0} for p in programs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        run_experiment(cfg)
+        first = list(built)
+        assert len(first) == len(set(first))
+        assert set(first) == set().union(*per_program)
+        # the programs share pulses, so one table builds fewer than one per program
+        assert len(first) < sum(len(p) for p in per_program)
+        # no table outlives its run: a second run builds them all again
+        built.clear()
+        run_experiment(cfg)
+    assert built == first

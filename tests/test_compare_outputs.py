@@ -10,11 +10,23 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 
 
 @pytest.fixture(scope="module")
-def describe():
+def tool():
     spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.describe
+    return module
+
+
+@pytest.fixture(scope="module")
+def describe(tool):
+    return tool.describe
+
+
+def test_grid_covers_gap_exact_on_both_presets(tool):
+    cases = tool.grid()
+    assert ("gap-exact", "--preset", "h1") in cases
+    assert ("gap-exact", "--preset", "h2") in cases
+    assert len(cases) == len(set(cases)) == 34
 
 
 def result_json(delta, residual, converged):

@@ -54,6 +54,15 @@ def test_model_validation():
         m.coupling[0, 1] = 99.0  # read-only view
 
 
+def test_symmetry_tolerance_boundary():
+    # the check is |V - V^T| <= 1e-12 entrywise, inclusive
+    PairingModel((1.0, 2.0), np.array([[0.0, 1e-12], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="must be symmetric"):
+        PairingModel((1.0, 2.0), np.array([[0.0, 2e-12], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="must be symmetric"):
+        PairingModel((1.0, 2.0), np.array([[0.0, 0.0], [-2e-12, 0.0]]))
+
+
 def test_with_coupling_scale_leaves_onsite_alone():
     m = two_mode_model(v12=10.0)
     half = m.with_coupling_scale(0.5)
@@ -67,7 +76,6 @@ def test_with_coupling_scale_leaves_onsite_alone():
 def test_pauli_term_normalization():
     t = PauliTerm(2.0, ((3, "X"), (1, "Z")))
     assert t.factors == ((1, "Z"), (3, "X"))
-    assert t.scaled(-0.5).coeff == -1.0
     with pytest.raises(ValueError):
         PauliTerm(1.0, ((1, "X"), (1, "Y")))  # duplicate qubit
     with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from pairgap.nmr import (
     _axis_field,
     _rotation_unitary,
     Delay,
+    EventTable,
     PulseProgram,
     RfPulse,
     SpinSystem,
@@ -160,6 +161,49 @@ def test_repeated_pulses_give_the_fresh_event_product(pulse_mode):
     assert len(set(pulses)) < len(pulses)
     got = program_unitary(prog, MACHINE, pulse_mode)
     assert np.array_equal(got, oracle_program_unitary(prog, MACHINE, pulse_mode))
+
+
+@pytest.mark.parametrize("model", [H1, H2], ids=["h1", "h2"])
+@pytest.mark.parametrize("method", ["w1", "w2"])
+@pytest.mark.parametrize("pulse_mode", ["delta", "finite"])
+def test_shared_table_matches_fresh_programs(model, method, pulse_mode):
+    # a run's programs: the S + 1 = 5 ramp steps of the preparation, then the step
+    prepare_plan, steps = TrotterPlan(1 / 700, 2), 4
+    programs = [
+        compile_trotter_step(model.with_coupling_scale(s / steps), prepare_plan, method, MACHINE)
+        for s in range(steps + 1)
+    ]
+    programs.append(compile_trotter_step(model, TrotterPlan(2e-3, 2), method, MACHINE))
+    table = EventTable(MACHINE, 3, pulse_mode)
+    psi = np.zeros(8, dtype=complex)
+    psi[3] = 1.0
+    fresh_psi = psi
+    for prog in programs:
+        assert np.array_equal(program_unitary(prog, MACHINE, pulse_mode, table), program_unitary(prog, MACHINE, pulse_mode))
+        psi, _ = simulate_program(prog, MACHINE, psi, pulse_mode, table)
+        fresh_psi, _ = simulate_program(prog, MACHINE, fresh_psi, pulse_mode)
+        assert np.array_equal(psi, fresh_psi)
+
+
+def test_table_bound_to_another_machine_size_or_mode_raises():
+    prog = compile_trotter_step(H1, TrotterPlan(2e-3, 2), "w1", MACHINE)
+    table = EventTable(MACHINE, 3, "delta")
+    want = program_unitary(prog, MACHINE, "delta", table)
+    # an equal machine built afresh is the same machine
+    assert np.array_equal(program_unitary(prog, spin_system(), "delta", table), want)
+    with pytest.raises(ValueError, match="another machine"):
+        program_unitary(prog, spin_system(t_pi=30e-6), "delta", table)
+    with pytest.raises(ValueError, match="another machine"):
+        program_unitary(prog, SpinSystem(np.zeros((3, 3))), "delta", table)
+    with pytest.raises(ValueError, match="delta unitaries, not finite"):
+        program_unitary(prog, MACHINE, "finite", table)
+    pair = SpinSystem(np.array([[0.0, 50.0], [50.0, 0.0]]))
+    with pytest.raises(ValueError, match="3-spin unitaries, not 2-spin"):
+        simulate_program(PulseProgram((RfPulse((1,), 0.0, PI),), n=2), pair, np.eye(4)[0], "delta", table)
+    with pytest.raises(ValueError, match="pulse_mode"):
+        EventTable(MACHINE, 3, "gaussian")
+    with pytest.raises(ValueError, match="spin counts differ"):
+        EventTable(MACHINE, 2, "delta")
 
 
 def test_zero_angle_pulse_is_a_no_op():
@@ -369,6 +413,13 @@ def test_finite_mode_needs_a_pulse_width():
     prog = compile_trotter_step(H1, TrotterPlan(2e-3, 2), "w1", machine)
     with pytest.raises(ValueError, match=r"finite pulse mode needs machine\.t_pi > 0"):
         program_unitary(prog, machine, "finite")
+    # so does a shared table, after building the delays before that pulse
+    prog = PulseProgram((Delay(1e-3), RfPulse((1,), 0.0, PI)), n=3)
+    table = EventTable(machine, 3, "finite")
+    with pytest.raises(ValueError, match=r"finite pulse mode needs machine\.t_pi > 0"):
+        program_unitary(prog, machine, "finite", table)
+    with pytest.raises(ValueError, match=r"finite pulse mode needs machine\.t_pi > 0"):
+        program_unitary(prog, machine, "finite", table)
 
 
 def test_ideal_flag_is_exact_in_finite_mode():

@@ -1,8 +1,8 @@
 """Check that two source trees of pairgap give byte-identical CLI results.
 
 For every op of the benchmark workloads at one seed, plus a fixed grid of
-runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, and two
-sweeps), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
+runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, two
+sweeps and gap-exact on both presets), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
 process. The exit code, stdout and the bytes of every file written must agree.
 
     python tools/compare_outputs.py --base ../parent --seed 5151
@@ -53,6 +53,7 @@ def grid() -> list[tuple[str, ...]]:
                         argv += ["--override", item]
                     cases.append(tuple(argv))
         cases.append(("sweep", "--preset", preset, "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3"))
+        cases.append(("gap-exact", "--preset", preset))
     return cases
 
 
