@@ -2,82 +2,16 @@
 with an exact oracle, a pulse-level NMR control-error model and resource
 scaling estimators."""
 
-from .adiabatic import (
-    AdiabaticityWarning,
-    AdiabaticSchedule,
-    ExactEvolver,
-    NmrEvolver,
-    TrotterEvolver,
-    population_report,
-    prepare,
-    sector_population_report,
-)
+from .adiabatic import AdiabaticityWarning, AdiabaticSchedule, prepare, sector_population_report
+from .backend import Backend, step
 from .config import ConfigError, ExperimentConfig, build_config
-from .exact import (
-    EigenSystem,
-    computational_state,
-    eigendecompose,
-    evolve,
-    propagator,
-    reachable_gap,
-    sector_gap,
-    sector_matrix,
-)
-from .hamiltonian import (
-    FermionicPairingInput,
-    PairingModel,
-    PauliSum,
-    PauliTerm,
-    build_hamiltonian,
-    coupling_hamiltonian,
-    full_hamiltonian,
-    interpolated_hamiltonian,
-    nmr_zz_hamiltonian,
-    onsite_hamiltonian,
-    pairing_to_qubit,
-    realize,
-    sector_basis,
-)
-from .nmr import (
-    Delay,
-    PulseProgram,
-    RfPulse,
-    SpinSystem,
-    compile_coupling,
-    compile_onsite,
-    compile_trotter_step,
-    damping_factor,
-    program_from_text,
-    program_to_text,
-    program_unitary,
-    simulate_program,
-    wall_time,
-)
-from .pipeline import RunResult, run_experiment, result_record, sweep_t0, write_run_artifacts
+from .exact import computational_state, propagator, reachable_gap, sector_gap
+from .hamiltonian import PairingModel, full_hamiltonian, realize
+from .nmr import PulseProgram, SpinSystem, compile_trotter_step, program_to_text, wall_time
+from .pipeline import RunResult, run_experiment, sweep_t0, write_run_artifacts
 from .presets import pairing_model, spin_system
-from .resources import Feasibility, feasibility, gate_count, max_feasible_n, precision_cost
-from .spectroscopy import (
-    FitResult,
-    Spectrum,
-    TimeSeries,
-    UnitaryStepper,
-    acquire,
-    dft,
-    epsilon_ft,
-    fit_damped_sinusoid,
-    idft,
-    peak_pick,
-    program_stepper,
-    systematic_offset,
-)
-from .trotter import (
-    NmrRealizer,
-    SweepResult,
-    TrotterPlan,
-    convergence_sweep,
-    first_order_step,
-    symmetric3_step,
-    trotter_error,
-)
+from .resources import feasibility, gate_count, max_feasible_n
+from .spectroscopy import TimeSeries, acquire, dft, epsilon_ft, fit_damped_sinusoid, peak_pick
+from .trotter import TrotterPlan, convergence_sweep, symmetric3_step
 
 __version__ = "0.1.0"

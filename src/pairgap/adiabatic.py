@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import EigenSystem, Ramp, _ramp_for, eigendecompose, propagator
+from .backend import Backend, apply_step
+from .exact import Ramp, _ramp_for, propagator
 from .hamiltonian import PairingModel
-from .nmr import EventTable, SpinSystem, compile_trotter_step, simulate_program
-from .trotter import TrotterPlan, symmetric3_step
+from .nmr import EventTable
+from .trotter import TrotterPlan
 
 
 class AdiabaticityWarning(UserWarning):
@@ -25,44 +26,29 @@ class AdiabaticityWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class ExactEvolver:
-    pass
-
-
-@dataclass(frozen=True)
-class TrotterEvolver:
-    plan: TrotterPlan
-
-
-@dataclass(frozen=True)
-class NmrEvolver:
-    method: str
-    machine: SpinSystem
-    plan: TrotterPlan
-    pulse_mode: str = "delta"
-
-
-Evolver = ExactEvolver | TrotterEvolver | NmrEvolver
-
-
-@dataclass(frozen=True)
 class AdiabaticSchedule:
     """S interpolation steps of per-step simulated time t_ad; the product runs
-    over s = 0..S inclusive, so S+1 evolutions are applied."""
+    over s = 0..S inclusive, so S+1 evolutions are applied. Each is exact
+    when ``backend`` is None, else one Trotter step t_ad of k repetitions
+    realized by the backend."""
 
     steps: int
     t_ad: float
-    evolver: Evolver = field(default_factory=ExactEvolver)
+    backend: Backend | None = None
+    k: int = 1
 
     def __post_init__(self):
         if int(self.steps) < 1:
             raise ValueError("schedule.steps: must be >= 1")
         if not (self.t_ad >= 0 and math.isfinite(self.t_ad)):
             raise ValueError("schedule.t_ad: must be non-negative and finite")
+        if int(self.k) < 1:
+            raise ValueError("schedule.k: must be >= 1")
         object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "k", int(self.k))
 
 
-def _single_sector(state: np.ndarray, n: int) -> int | None:
+def _single_sector(state: np.ndarray) -> int | None:
     weights = {bin(i).count("1") for i in np.flatnonzero(np.abs(state) > 1e-12)}
     return weights.pop() if len(weights) == 1 else None
 
@@ -82,7 +68,7 @@ def prepare(
     schedule: AdiabaticSchedule,
     check_adiabaticity: bool = True,
     ramp: Ramp | None = None,
-    pulses: EventTable | None = None,
+    table: EventTable | None = None,
 ) -> np.ndarray:
     """Evolve ``init`` under the interpolated Hamiltonian for t_ad at each
     s = 0..S and return the final state.
@@ -93,37 +79,24 @@ def prepare(
 
     A run passes its ramp and its pulse-event table, so the ramp's operators
     and each distinct pulse are built once however many preparations share
-    them; without them this call builds its own.
+    them; without them this call builds its own ramp, and a compiled backend
+    a fresh table per step.
     """
     psi = np.asarray(init, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
     s_steps = schedule.steps
-    pairs = _single_sector(psi, model.n)
+    pairs = _single_sector(psi)
     ramp = _ramp_for(model, pairs, ramp, s_steps)
     if ramp.steps != s_steps:
         raise ValueError("ramp was built for another schedule length")
-    ev = schedule.evolver
+    backend = schedule.backend
     for s in range(s_steps + 1):
-        if isinstance(ev, ExactEvolver):
-            u = propagator(ramp.hamiltonian(s), schedule.t_ad)
-            psi = u @ psi
-        elif isinstance(ev, TrotterEvolver):
-            if schedule.t_ad > 0:
-                scaled = model.with_coupling_scale(s / s_steps)
-                u = symmetric3_step(scaled, TrotterPlan(schedule.t_ad, ev.plan.k))
-                psi = u @ psi
-        elif isinstance(ev, NmrEvolver):
-            if schedule.t_ad > 0:
-                scaled = model.with_coupling_scale(s / s_steps)
-                program = compile_trotter_step(
-                    scaled, TrotterPlan(schedule.t_ad, ev.plan.k), ev.method, ev.machine
-                )
-                if pulses is None:
-                    pulses = EventTable(ev.machine, model.n, ev.pulse_mode)
-                psi, _ = simulate_program(program, ev.machine, psi, ev.pulse_mode, pulses)
-        else:
-            raise ValueError(f"unknown evolver {ev!r}")
+        if backend is None:
+            psi = propagator(ramp.hamiltonian(s), schedule.t_ad) @ psi
+        elif schedule.t_ad > 0:
+            scaled = model.with_coupling_scale(s / s_steps)
+            psi = apply_step(scaled, TrotterPlan(schedule.t_ad, schedule.k), backend, psi, table)
     # The gap check reads the sector blocks an exact evolution has just kept.
     if check_adiabaticity and schedule.t_ad > 0 and pairs is not None:
         min_gap = _min_schedule_gap(ramp)
@@ -138,28 +111,19 @@ def prepare(
     return psi
 
 
-def _population_rows(state: np.ndarray, es: EigenSystem) -> list[tuple[int, float, float]]:
-    if es.vectors.shape[0] != state.shape[0]:
-        raise ValueError("state and operator dimensions differ")
-    pops = np.abs(es.vectors.conj().T @ state) ** 2
-    return [(i, float(es.values[i]), float(pops[i])) for i in range(len(pops))]
-
-
-def population_report(state: np.ndarray, h: np.ndarray) -> list[tuple[int, float, float]]:
-    """Populations of ``state`` over the eigenstates of ``h``, ascending in
-    energy: rows of (eigenindex, energy rad/s, population)."""
-    state = np.asarray(state, dtype=complex)
-    return _population_rows(state, eigendecompose(h))
-
-
 def sector_population_report(
     model: PairingModel, pairs: int, state: np.ndarray, ramp: Ramp | None = None
 ) -> list[tuple[int, float, float]]:
     """Population report against the sector-restricted Hamiltonian; the state is
     projected onto the sector first, so rows sum to the in-sector weight. A
     run passes its ramp, whose final sector eigensystem it shares."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (2**model.n,):
+        raise ValueError("state and model dimensions differ")
     ramp = _ramp_for(model, pairs, ramp)
-    return _population_rows(np.asarray(state, dtype=complex)[ramp.idx], ramp.final_eigensystem())
+    es = ramp.final_eigensystem()
+    pops = np.abs(es.vectors.conj().T @ state[ramp.idx]) ** 2
+    return [(i, float(es.values[i]), float(pops[i])) for i in range(len(pops))]
 
 
 def report_to_csv(rows: list[tuple[int, float, float]]) -> str:

@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import presets
-from .adiabatic import AdiabaticSchedule, ExactEvolver, prepare
-from .config import ConfigError, ExperimentConfig, build_config, parse_config_text
+from .adiabatic import AdiabaticSchedule, prepare
+from .config import ConfigError, ExperimentConfig, build_config
 from .exact import Ramp, computational_state, reachable_gap
 from .nmr import compile_trotter_step, program_to_text, wall_time
 from .pipeline import (
@@ -35,7 +35,7 @@ from .pipeline import (
     sweep_t0,
     write_run_artifacts,
 )
-from .resources import feasibility, gate_count, grid_to_csv, max_feasible_n
+from .resources import grid_to_csv, max_feasible_n
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,15 +56,18 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output directory (default: current directory)")
 
 
+def _config_text(args: argparse.Namespace) -> str | None:
+    if not args.config:
+        return None
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {args.config}: {exc}") from None
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    text = None
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"--config: cannot read {args.config}: {exc}") from None
-    return build_config(args.preset, text, tuple(args.override))
+    return build_config(args.preset, _config_text(args), tuple(args.override))
 
 
 def _emit(args: argparse.Namespace, filename: str, body: str) -> None:
@@ -102,7 +105,7 @@ def _cmd_gap_exact(args: argparse.Namespace) -> int:
     ramp = Ramp(cfg.model, cfg.schedule_steps, pairs)
     init = computational_state(cfg.model.n, cfg.init_index)
     prepared = prepare(
-        cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, ExactEvolver()),
+        cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad),
         check_adiabaticity=False, ramp=ramp,
     )
     # The preparation kept the final sector block: the model's own.
@@ -150,7 +153,8 @@ def _parse_vary(vary: str) -> tuple[str, list[str]]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     key, points = _parse_vary(args.vary)
-    cfg = _load_config(args)
+    base_text = _config_text(args)
+    cfg = build_config(args.preset, base_text, tuple(args.override))
     if key == "plan.t0_s":
         try:
             t0_values = [float(p) for p in points]
@@ -166,10 +170,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _emit(args, "sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
     # Generic axis: rebuild the config per point through the override path.
-    base_text = None
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            base_text = fh.read()
     rows = ["point,delta_exact_rad_s,delta_exp_rad_s,systematic_offset_rad_s,converged,error"]
     for p in points:
         try:
@@ -199,7 +199,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    method = cfg.method if cfg.method in ("w1", "w2") else "w1"
+    method = cfg.compile_method
     program = compile_trotter_step(cfg.model, cfg.plan, method, cfg.machine)
     body = program_to_text(program, cfg.machine.t_pi)
     _emit(args, "program.txt", body)

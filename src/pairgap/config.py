@@ -100,6 +100,12 @@ class ExperimentConfig:
     def init_index(self) -> int:
         return int(self.init_bits, 2)
 
+    @property
+    def compile_method(self) -> str:
+        """run.method when it compiles a pulse program, else w1: an ideal
+        run's `compile` output and NMR preparation use the w1 sequence."""
+        return self.method if self.method in ("w1", "w2") else "w1"
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}

@@ -47,13 +47,6 @@ def propagator(h: np.ndarray, t: float) -> np.ndarray:
     return (es.vectors * phases) @ es.vectors.conj().T
 
 
-def evolve(state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    if u.shape[1] != state.shape[0]:
-        raise ValueError("dimension mismatch between unitary and state")
-    return u @ state
-
-
 def computational_state(n: int, index: int) -> np.ndarray:
     if not 0 <= index < 2**n:
         raise ValueError("basis index out of range")

@@ -8,16 +8,11 @@ computational basis index (so |011> on three qubits has index 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _MAX_DENSE_QUBITS = 12
-
-ONSITE = "onsite"
-XX = "xx"
-YY = "yy"
-FULL = "full"
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
@@ -72,33 +67,6 @@ class PairingModel:
         s/S while keeping nu realizes the interpolated Hamiltonian.
         """
         return PairingModel(self.nu, self.coupling * float(scale), self.convention_factor)
-
-
-@dataclass(frozen=True)
-class FermionicPairingInput:
-    """Fermionic-side parameters: single-particle energies epsilon_m and a full
-    symmetric interaction matrix including its diagonal, rad/s."""
-
-    epsilon: tuple[float, ...]
-    v: np.ndarray
-
-    def __post_init__(self):
-        eps = tuple(float(x) for x in self.epsilon)
-        v = _check_symmetric(self.v, "input.v")
-        if v.shape[0] != len(eps):
-            raise ValueError("input.v: dimension mismatch with epsilon")
-        object.__setattr__(self, "epsilon", eps)
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
-
-
-def pairing_to_qubit(inp: FermionicPairingInput) -> PairingModel:
-    """Convert fermionic parameters to the qubit model: nu_m = epsilon_m + V_mm,
-    off-diagonal couplings copied unchanged (a global energy shift is dropped)."""
-    eps = np.asarray(inp.epsilon, dtype=float)
-    nu = eps + np.diag(inp.v)
-    return PairingModel(tuple(nu), inp.v.copy(), 1.0)
 
 
 @dataclass(frozen=True)
@@ -171,19 +139,6 @@ def full_hamiltonian(model: PairingModel) -> PauliSum:
     b = coupling_hamiltonian(model, "X")
     c = coupling_hamiltonian(model, "Y")
     return PauliSum(a.terms + b.terms + c.terms, model.n)
-
-
-def build_hamiltonian(model: PairingModel, part: str) -> PauliSum:
-    """Dispatch on part name: 'onsite', 'xx', 'yy' or 'full'."""
-    if part == ONSITE:
-        return onsite_hamiltonian(model)
-    if part == XX:
-        return coupling_hamiltonian(model, "X")
-    if part == YY:
-        return coupling_hamiltonian(model, "Y")
-    if part == FULL:
-        return full_hamiltonian(model)
-    raise ValueError(f"unknown Hamiltonian part {part!r}")
 
 
 def interpolated_hamiltonian(model: PairingModel, s: int, steps: int) -> PauliSum:
@@ -262,9 +217,3 @@ def sector_basis(n: int, pairs: int) -> np.ndarray:
     idx = [i for i in range(2**n) if bin(i).count("1") == pairs]
     return np.array(idx, dtype=int)
 
-
-def number_operator(n: int) -> np.ndarray:
-    """Dense sum_m (I - Z_m)/2, counting qubits in |1>."""
-    dim = 2**n
-    diag = np.array([bin(i).count("1") for i in range(dim)], dtype=float)
-    return np.diag(diag).astype(complex)

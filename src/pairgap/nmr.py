@@ -247,30 +247,6 @@ def _coupling_events(
     out.append(RfPulse(tuple(coupled), close_phase, _PI / 2))
 
 
-def compile_onsite(model: PairingModel, t: float) -> PulseProgram:
-    """Program realizing the free (on-site) evolution for simulated time t."""
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
-    events: list[PulseEvent] = []
-    _onsite_events(model, t, {m: 0 for m in range(1, model.n + 1)}, events)
-    return PulseProgram(tuple(events), model.n)
-
-
-def compile_coupling(model: PairingModel, axis: str, t: float, machine: SpinSystem) -> PulseProgram:
-    """Program realizing one coupling evolution (axis 'X' or 'Y') for time t.
-
-    A lone block leaves any spectator spin net-flipped (its single refocusing
-    pulse is undone only by the parity bookkeeping of a full step program).
-    """
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
-    if machine.n != model.n:
-        raise ValueError("machine and model spin counts differ")
-    events: list[PulseEvent] = []
-    _coupling_events(model, axis, t, machine, {m: 0 for m in range(1, model.n + 1)}, events)
-    return PulseProgram(tuple(events), model.n)
-
-
 def _compensate_delays(
     events: tuple[PulseEvent, ...], t_pi: float
 ) -> tuple[tuple[PulseEvent, ...], tuple[str, ...]]:
@@ -473,15 +449,6 @@ def simulate_program(
     return psi, wall_time(program, machine.t_pi)
 
 
-def damping_factor(elapsed: float, machine: SpinSystem, observed_spin: int) -> float:
-    """Signal attenuation exp(-elapsed / T2) for the observed spin."""
-    if elapsed < 0:
-        raise ValueError("elapsed wall time must be non-negative")
-    if not 1 <= observed_spin <= machine.n:
-        raise ValueError("observed spin out of range")
-    return math.exp(-elapsed / machine.t2[observed_spin - 1])
-
-
 def program_to_text(program: PulseProgram, t_pi: float) -> str:
     """Line format: DELAY <s> | RF <spins> <phase_rad> <angle_rad> [IDEAL],
     closed by WALL <s> computed at the given t_pi."""
@@ -496,48 +463,3 @@ def program_to_text(program: PulseProgram, t_pi: float) -> str:
     lines.append(f"WALL {wall_time(program, t_pi)!r}")
     return "\n".join(lines) + "\n"
 
-
-def program_from_text(text: str, t_pi: float | None = None) -> tuple[PulseProgram, float]:
-    """Parse a serialized program. When t_pi is supplied the recomputed wall
-    time must match the trailing WALL record to 1e-9 s; otherwise t_pi is
-    inferred from the WALL record (and must come out non-negative)."""
-    events: list[PulseEvent] = []
-    wall: float | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if wall is not None:
-            raise ValueError("events after WALL record")
-        if fields[0] == "DELAY" and len(fields) == 2:
-            events.append(Delay(float(fields[1])))
-        elif fields[0] == "RF" and len(fields) in (4, 5):
-            if len(fields) == 5 and fields[4] != "IDEAL":
-                raise ValueError(f"unrecognized rf suffix {fields[4]!r}")
-            targets = tuple(int(t) for t in fields[1].split(","))
-            events.append(
-                RfPulse(targets, float(fields[2]), float(fields[3]), len(fields) == 5)
-            )
-        elif fields[0] == "WALL" and len(fields) == 2:
-            wall = float(fields[1])
-        else:
-            raise ValueError(f"unparseable program line: {line!r}")
-    if wall is None:
-        raise ValueError("missing WALL record")
-    n = max((ev.targets[-1] for ev in events if isinstance(ev, RfPulse)), default=1)
-    program = PulseProgram(tuple(events), n)
-    if t_pi is None:
-        delays = sum(ev.duration for ev in events if isinstance(ev, Delay))
-        units = sum(abs(ev.angle) / _PI for ev in events if isinstance(ev, RfPulse))
-        if units == 0.0:
-            if abs(wall - delays) > 1e-9:
-                raise ValueError("WALL record disagrees with event durations")
-            return program, 0.0
-        t_pi = (wall - delays) / units
-        if t_pi < -1e-9:
-            raise ValueError("WALL record implies a negative pulse width")
-        t_pi = max(t_pi, 0.0)
-    if abs(wall_time(program, t_pi) - wall) > 1e-9:
-        raise ValueError("WALL record disagrees with event durations")
-    return program, t_pi

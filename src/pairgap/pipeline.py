@@ -14,35 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import (
-    AdiabaticSchedule,
-    ExactEvolver,
-    NmrEvolver,
-    TrotterEvolver,
-    prepare,
-    report_to_csv,
-    sector_population_report,
-)
+from .adiabatic import AdiabaticSchedule, prepare, report_to_csv, sector_population_report
+from .backend import Backend, step
 from .config import ConfigError, ExperimentConfig, with_plan
 from .exact import Ramp, computational_state, reachable_gap
-from .nmr import EventTable, compile_trotter_step
+from .nmr import EventTable
 from .spectroscopy import (
     FitResult,
     Spectrum,
     TimeSeries,
-    UnitaryStepper,
     acquire,
     dft,
     epsilon_ft,
     fit_damped_sinusoid,
     fit_record,
     peak_pick,
-    program_stepper,
     series_to_csv,
     spectrum_to_csv,
     systematic_offset,
 )
-from .trotter import TrotterPlan, symmetric3_step
+from .trotter import _log_slope
 
 # Offsets below this (rad/s) are treated as numerically zero in exponent fits.
 _OFFSET_FLOOR = 1e-9
@@ -68,25 +59,18 @@ class RunResult:
         return float(self.series.wall_times[-1])
 
 
-def _resolve_evolver(cfg: ExperimentConfig):
+def _preparation_backend(cfg: ExperimentConfig) -> Backend | None:
+    """Backend of the preparation ramp's steps; None evolves it exactly.
+    schedule.evolver "default" means exact for an ideal run and the run's
+    compiled program otherwise."""
     kind = cfg.evolver
     if kind == "default":
         kind = "exact" if cfg.method == "ideal" else "nmr"
     if kind == "exact":
-        return ExactEvolver()
+        return None
     if kind == "trotter":
-        return TrotterEvolver(cfg.plan)
-    method = cfg.method if cfg.method in ("w1", "w2") else "w1"
-    return NmrEvolver(method, cfg.machine, cfg.plan, cfg.pulse_mode)
-
-
-def _build_stepper(cfg: ExperimentConfig, pulses: EventTable) -> tuple[UnitaryStepper, tuple[str, ...]]:
-    if cfg.method == "ideal":
-        u = symmetric3_step(cfg.model, cfg.plan)
-        # Simulated time doubles as physical time for an ideal stepper.
-        return UnitaryStepper(u, cfg.plan.t0), ()
-    program = compile_trotter_step(cfg.model, cfg.plan, cfg.method, cfg.machine)
-    return program_stepper(program, cfg.machine, cfg.pulse_mode, pulses), program.clamp_warnings
+        return Backend()
+    return Backend(cfg.compile_method, cfg.machine, cfg.pulse_mode)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -94,28 +78,29 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     pairs = cfg.init_bits.count("1")
     # One ramp and one pulse-event table serve every stage of this run.
     ramp = Ramp(cfg.model, cfg.schedule_steps, pairs)
-    pulses = EventTable(cfg.machine, cfg.model.n, cfg.pulse_mode)
+    table = EventTable(cfg.machine, cfg.model.n, cfg.pulse_mode)
 
     # The exact preparation runs first: its ramp Hamiltonians leave the
-    # sector blocks that the other evolver's gap check then reads.
-    evolver = _resolve_evolver(cfg)
-    exact = isinstance(evolver, ExactEvolver)
+    # sector blocks that the other preparation's gap check then reads.
+    backend = _preparation_backend(cfg)
     prepared_exact = prepare(
-        cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, ExactEvolver()),
-        check_adiabaticity=exact, ramp=ramp,
+        cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad),
+        check_adiabaticity=backend is None, ramp=ramp,
     )
-    if exact:
+    if backend is None:
         prepared = prepared_exact
     else:
         prepared = prepare(
-            cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, evolver),
-            ramp=ramp, pulses=pulses,
+            cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, backend, cfg.plan.k),
+            ramp=ramp, table=table,
         )
     level, delta_exact = reachable_gap(cfg.model, pairs, prepared_exact, cfg.population_floor, ramp)
 
-    stepper, clamp_warnings = _build_stepper(cfg, pulses)
+    u, wall_per_step, clamp_warnings = step(
+        cfg.model, cfg.plan, Backend(cfg.method, cfg.machine, cfg.pulse_mode), table
+    )
     t2 = cfg.machine.t2[cfg.observed_spin - 1] if cfg.damping else None
-    series = acquire(prepared, stepper, cfg.q, cfg.plan.t0, cfg.observed_spin, t2)
+    series = acquire(prepared, u, wall_per_step, cfg.q, cfg.plan.t0, cfg.observed_spin, t2)
 
     if cfg.noise_amplitude > 0:
         rng = np.random.default_rng(cfg.noise_seed)
@@ -138,7 +123,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         series=series,
         spectrum=spectrum,
         populations=sector_population_report(cfg.model, pairs, prepared, ramp),
-        wall_per_step=stepper.wall_per_step,
+        wall_per_step=wall_per_step,
         clamp_warnings=clamp_warnings,
     )
 
@@ -253,12 +238,8 @@ def sweep_t0(
             )
         except Exception as exc:  # noqa: BLE001 - per-point failures become rows
             rows.append(SweepRow(t0, cfg.plan.k, q, None, None, None, None, None, False, str(exc)))
-    pts = [(r.t0, abs(r.offset)) for r in rows if r.offset is not None and abs(r.offset) > _OFFSET_FLOOR]
-    exponent = None
-    if len(pts) >= 2:
-        lx = np.log([p[0] for p in pts])
-        ly = np.log([p[1] for p in pts])
-        exponent = float(np.polyfit(lx, ly, 1)[0])
+    done = [r for r in rows if r.offset is not None]
+    exponent = _log_slope([r.t0 for r in done], [abs(r.offset) for r in done], _OFFSET_FLOOR)
     return SweepT0Result(tuple(rows), exponent)
 
 

@@ -6,7 +6,6 @@ program come from the compiler, not from here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -59,19 +58,6 @@ def max_feasible_n(
     while feasibility(n + 1, delta, epsilon, t_g_over_tau, budget_in_tau).feasible:
         n += 1
     return n
-
-
-def precision_cost(n: int, d: int, epsilon_rel: float, r: float = 1.0) -> float:
-    """Dimensionless cost score n^d / epsilon^r for a d-local Hamiltonian
-    simulated to relative precision epsilon; r = 2 models the fault-tolerant
-    overhead."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
-    if not epsilon_rel > 0:
-        raise ValueError("epsilon_rel must be positive")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return n**d / epsilon_rel**r
 
 
 def grid_to_csv(

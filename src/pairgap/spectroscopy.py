@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nmr import EventTable, PulseProgram, SpinSystem, program_unitary, wall_time
-
 # Smallest decay rate distinguishable from zero; keeps tau_e finite.
 _MIN_DECAY_RATE = 1e-12
 _MAX_FIT_ITERATIONS = 200
@@ -74,28 +72,6 @@ class FitResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class UnitaryStepper:
-    """One fixed evolution per sample interval plus its physical duration."""
-
-    u: np.ndarray
-    wall_per_step: float
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.u @ psi
-
-
-def program_stepper(
-    program: PulseProgram, machine: SpinSystem, pulse_mode: str = "delta", table: EventTable | None = None
-) -> UnitaryStepper:
-    """Collapse a pulse program into a stepper; the program is stationary, so
-    its unitary is composed once, from ``table``'s event unitaries when given."""
-    return UnitaryStepper(
-        program_unitary(program, machine, pulse_mode, table),
-        wall_time(program, machine.t_pi),
-    )
-
-
 def _z_diagonal(n: int, spin: int) -> np.ndarray:
     if not 1 <= spin <= n:
         raise ValueError("observed spin out of range")
@@ -106,16 +82,17 @@ def _z_diagonal(n: int, spin: int) -> np.ndarray:
 
 def acquire(
     prepared: np.ndarray,
-    stepper: UnitaryStepper,
+    u: np.ndarray,
+    wall_per_step: float,
     q: int,
     t0: float,
     observed_spin: int,
     t2: float | None = None,
 ) -> TimeSeries:
-    """Sample <Z_r> after k = 0..Q-1 stepper applications.
+    """Sample <Z_r> after k = 0..Q-1 applications of the step unitary u.
 
-    t0 is the simulated time per step; the physical duration per step comes
-    from the stepper's wall clock. When t2 is given, sample k is attenuated by
+    t0 is the simulated time per step and wall_per_step its physical
+    duration. When t2 is given, sample k is attenuated by
     exp(-k * wall_per_step / t2), modelling dephasing of the observed spin
     over accumulated physical time; the k = 0 sample is untouched.
     """
@@ -126,15 +103,14 @@ def acquire(
     zdiag = _z_diagonal(n, observed_spin)
     values = np.empty(q)
     walls = np.empty(q)
-    wall_step = stepper.wall_per_step
     for k in range(q):
         expectation = float(np.real(np.vdot(psi, zdiag * psi)))
         if t2 is not None:
-            expectation *= math.exp(-k * wall_step / t2)
+            expectation *= math.exp(-k * wall_per_step / t2)
         values[k] = expectation
-        walls[k] = k * wall_step
+        walls[k] = k * wall_per_step
         if k + 1 < q:
-            psi = stepper.apply(psi)
+            psi = u @ psi
     return TimeSeries(t0, values, walls)
 
 
@@ -148,16 +124,6 @@ def dft(series: TimeSeries) -> Spectrum:
     omega = 2 * math.pi * j_sym / (q * series.t0)
     order = np.argsort(omega)
     return Spectrum(omega[order], x[order], q, series.t0)
-
-
-def idft(spectrum: Spectrum) -> TimeSeries:
-    """Inverse transform back to a time series (wall clock not recoverable)."""
-    q = spectrum.q
-    j_sym = np.rint(spectrum.omega * q * spectrum.t0 / (2 * math.pi)).astype(int)
-    x = np.zeros(q, dtype=complex)
-    x[j_sym % q] = spectrum.amp
-    values = np.fft.ifft(x)
-    return TimeSeries(spectrum.t0, values.real, np.zeros(q))
 
 
 def peak_pick(spectrum: Spectrum, exclude_dc: bool = True) -> tuple[float, float]:

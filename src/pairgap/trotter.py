@@ -1,5 +1,5 @@
-"""Product-formula propagators: generic first-order splitting, the symmetric
-third-order step used throughout the pipeline, and convergence sweeps."""
+"""The symmetric third-order product step used throughout the pipeline, its
+error against the exact propagator, and convergence sweeps."""
 
 from __future__ import annotations
 
@@ -16,12 +16,9 @@ from .hamiltonian import (
     onsite_hamiltonian,
     realize,
 )
-from .nmr import SpinSystem, compile_trotter_step, program_unitary
 
 # Errors below this are numerical noise; exponent fits ignore such points.
 _ERROR_FLOOR = 1e-12
-
-IDEAL = "ideal"
 
 
 @dataclass(frozen=True)
@@ -39,30 +36,7 @@ class TrotterPlan:
         object.__setattr__(self, "k", int(self.k))
 
 
-@dataclass(frozen=True)
-class NmrRealizer:
-    """Realize steps as compiled pulse programs instead of exact part exponentials."""
-
-    method: str
-    machine: SpinSystem
-    pulse_mode: str = "delta"
-
-
-def first_order_step(parts: list[np.ndarray], t: float, k: int) -> np.ndarray:
-    """(prod_j exp(-i H_j t/k))^k over the parts in the given order."""
-    if not parts:
-        raise ValueError("need at least one Hamiltonian part")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    step = np.eye(parts[0].shape[0], dtype=complex)
-    for h in parts:
-        step = step @ propagator(h, t / k)
-    return np.linalg.matrix_power(step, k)
-
-
-def symmetric3_step(
-    model: PairingModel, plan: TrotterPlan, realizer: str | NmrRealizer = IDEAL
-) -> np.ndarray:
+def symmetric3_step(model: PairingModel, plan: TrotterPlan) -> np.ndarray:
     """Palindromic split of the pairing evolution over one step t0:
 
         [A(tau/2) B(tau/2) C(tau) B(tau/2) A(tau/2)]^k,  tau = t0 / k,
@@ -70,11 +44,6 @@ def symmetric3_step(
     with A the on-site part, B the XX coupling and C the YY coupling. The
     palindrome cancels even error orders, leaving a unitary defect O(t0^3/k^2).
     """
-    if isinstance(realizer, NmrRealizer):
-        program = compile_trotter_step(model, plan, realizer.method, realizer.machine)
-        return program_unitary(program, realizer.machine, realizer.pulse_mode)
-    if realizer != IDEAL:
-        raise ValueError("realizer must be 'ideal' or an NmrRealizer")
     tau = plan.t0 / plan.k
     ua = propagator(realize(onsite_hamiltonian(model)), tau / 2)
     ub = propagator(realize(coupling_hamiltonian(model, "X")), tau / 2)
@@ -102,8 +71,10 @@ class SweepResult:
     q: float | None
 
 
-def _log_slope(xs: list[float], ys: list[float]) -> float | None:
-    pts = [(x, y) for x, y in zip(xs, ys) if y > _ERROR_FLOOR]
+def _log_slope(xs: list[float], ys: list[float], floor: float) -> float | None:
+    """Least-squares slope of log y against log x over the points with
+    y > floor; None when fewer than two remain."""
+    pts = [(x, y) for x, y in zip(xs, ys) if y > floor]
     if len(pts) < 2:
         return None
     lx = np.log([p[0] for p in pts])
@@ -111,12 +82,7 @@ def _log_slope(xs: list[float], ys: list[float]) -> float | None:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def convergence_sweep(
-    model: PairingModel,
-    t0_list: list[float],
-    k_list: list[int],
-    realizer: str | NmrRealizer = IDEAL,
-) -> SweepResult:
+def convergence_sweep(model: PairingModel, t0_list: list[float], k_list: list[int]) -> SweepResult:
     """Error of the symmetric step against the exact propagator over a product
     grid, with log-log least-squares exponents along each axis."""
     if not t0_list or not k_list:
@@ -126,12 +92,12 @@ def convergence_sweep(
     for t0 in t0_list:
         u_exact = propagator(h_full, t0)
         for k in k_list:
-            v = symmetric3_step(model, TrotterPlan(t0, k), realizer)
+            v = symmetric3_step(model, TrotterPlan(t0, k))
             rows.append((float(t0), int(k), trotter_error(u_exact, v)))
     p_fits = []
     for k in k_list:
         slope = _log_slope(
-            [r[0] for r in rows if r[1] == k], [r[2] for r in rows if r[1] == k]
+            [r[0] for r in rows if r[1] == k], [r[2] for r in rows if r[1] == k], _ERROR_FLOOR
         )
         if slope is not None:
             p_fits.append(slope)
@@ -140,6 +106,7 @@ def convergence_sweep(
         slope = _log_slope(
             [float(r[1]) for r in rows if r[0] == float(t0)],
             [r[2] for r in rows if r[0] == float(t0)],
+            _ERROR_FLOOR,
         )
         if slope is not None:
             q_fits.append(-slope)
@@ -149,9 +116,3 @@ def convergence_sweep(
         raise ValueError("fewer than 2 points for a fit on either axis")
     return SweepResult(tuple(rows), p, q)
 
-
-def sweep_to_csv(result: SweepResult) -> str:
-    lines = ["t0_s,k,error"]
-    for t0, k, err in result.rows:
-        lines.append(f"{t0!r},{k},{err!r}")
-    return "\n".join(lines) + "\n"

@@ -1,15 +1,15 @@
 """Shared test helpers: the one-line verdicts that the acceptance tests print
 as a dedicated section at the end of the pytest run, two step oracles that
 need no DFT and no fit (the step's own spectral line and the t0/k order of its
-pair-number leak), reference builders for the dense operators and the
-reference damped-cosine fit."""
+pair-number leak), test-only operators and pulse blocks, reference builders
+for the dense operators and the reference damped-cosine fit."""
 
 import math
 
 import numpy as np
 
-from pairgap.exact import sector_matrix
-from pairgap.hamiltonian import number_operator
+from pairgap.exact import propagator, sector_matrix
+from pairgap.nmr import PulseProgram, _coupling_events, _onsite_events
 from pairgap.spectroscopy import FitResult, TimeSeries
 
 _LINES: list[str] = []
@@ -55,6 +55,41 @@ def sector_leak_exponents(step, n: int, t0_list, k_list) -> tuple[float, float]:
     p = np.mean([np.polyfit(log_t, log_leak[:, j], 1)[0] for j in range(len(k_list))])
     q = -np.mean([np.polyfit(log_k, log_leak[i], 1)[0] for i in range(len(t0_list))])
     return float(p), float(q)
+
+
+def number_operator(n: int) -> np.ndarray:
+    """Dense sum_m (I - Z_m)/2, counting qubits in |1>."""
+    dim = 2**n
+    diag = np.array([bin(i).count("1") for i in range(dim)], dtype=float)
+    return np.diag(diag).astype(complex)
+
+
+def first_order_step(parts: list[np.ndarray], t: float, k: int) -> np.ndarray:
+    """(prod_j exp(-i H_j t/k))^k over the parts in the given order: the
+    non-palindromic step, a negative control for the order checks."""
+    if not parts:
+        raise ValueError("need at least one Hamiltonian part")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    step = np.eye(parts[0].shape[0], dtype=complex)
+    for h in parts:
+        step = step @ propagator(h, t / k)
+    return np.linalg.matrix_power(step, k)
+
+
+def compile_onsite(model, t: float) -> PulseProgram:
+    """The compiler's on-site block alone: the free evolution for time t."""
+    events = []
+    _onsite_events(model, t, {m: 0 for m in range(1, model.n + 1)}, events)
+    return PulseProgram(tuple(events), model.n)
+
+
+def compile_coupling(model, axis: str, t: float, machine) -> PulseProgram:
+    """The compiler's coupling block alone (axis 'X' or 'Y', time t). It
+    leaves a spectator spin net-flipped; a full step program restores it."""
+    events = []
+    _coupling_events(model, axis, t, machine, {m: 0 for m in range(1, model.n + 1)}, events)
+    return PulseProgram(tuple(events), model.n)
 
 
 # Reference builders: every operator as an n-fold np.kron chain of 2 x 2

@@ -20,15 +20,15 @@ import numpy as np
 
 from pairgap.config import build_config
 from pairgap.exact import propagator, sector_gap
-from pairgap.hamiltonian import full_hamiltonian, interpolated_hamiltonian, number_operator, realize
+from pairgap.hamiltonian import full_hamiltonian, interpolated_hamiltonian, realize
 from pairgap.nmr import compile_trotter_step, program_unitary
 from pairgap.pipeline import run_experiment, sweep_t0
 from pairgap.presets import pairing_model, spin_system
 from pairgap.resources import feasibility, max_feasible_n
 from pairgap.spectroscopy import TimeSeries, dft, epsilon_ft, fit_damped_sinusoid
-from pairgap.trotter import IDEAL, TrotterPlan, convergence_sweep, symmetric3_step
+from pairgap.trotter import TrotterPlan, convergence_sweep, symmetric3_step
 
-from conftest import record_criterion, sector_leak_exponents, step_line
+from conftest import number_operator, record_criterion, sector_leak_exponents, step_line
 
 TWO_PI = 2 * math.pi
 
@@ -201,7 +201,7 @@ def test_criterion_8_property_battery():
         for name in ("h1", "h2"):
             model = pairing_model(name)
             plan = TrotterPlan(2e-3 if name == "h1" else 0.5e-3, 2)
-            u = symmetric3_step(model, plan, IDEAL)
+            u = symmetric3_step(model, plan)
             if np.linalg.norm(u.conj().T @ u - np.eye(8)) > 1e-9:
                 failures.append(f"{name} step not unitary")
             h = realize(full_hamiltonian(model))
@@ -231,7 +231,7 @@ def test_criterion_8_property_battery():
         # the leak must be a Trotter-order defect with criterion 2's exponents.
         h1 = pairing_model("h1")
         leak_p, leak_q = sector_leak_exponents(
-            lambda t0, k: symmetric3_step(h1, TrotterPlan(t0, k), IDEAL),
+            lambda t0, k: symmetric3_step(h1, TrotterPlan(t0, k)),
             h1.n, [0.25e-3, 0.5e-3, 1e-3, 2e-3], [1, 2, 4],
         )
         if abs(leak_p - 3.0) > 0.3 or abs(leak_q - 2.0) > 0.3:
@@ -256,7 +256,7 @@ def test_criterion_8_property_battery():
                 failures.append(f"fit drifts from generator: {got!r} vs {want!r}")
 
         plan = TrotterPlan(2e-3, 2)
-        ideal = symmetric3_step(h1, plan, IDEAL)
+        ideal = symmetric3_step(h1, plan)
         program = compile_trotter_step(h1, plan, "w1", machine)
         if _fidelity_deficit(ideal, program_unitary(program, machine, "delta")) > 1e-9:
             failures.append("delta-pulse W1 differs from the ideal step")

@@ -9,18 +9,15 @@ import pairgap.nmr
 from pairgap.adiabatic import (
     AdiabaticityWarning,
     AdiabaticSchedule,
-    ExactEvolver,
-    NmrEvolver,
-    TrotterEvolver,
-    population_report,
     prepare,
     report_to_csv,
     sector_population_report,
 )
+from pairgap.backend import Backend
 from pairgap.config import build_config
 from pairgap.exact import Ramp, computational_state, reachable_gap
-from pairgap.hamiltonian import full_hamiltonian, realize, sector_basis
-from pairgap.nmr import RfPulse, compile_trotter_step
+from pairgap.hamiltonian import sector_basis
+from pairgap.nmr import RfPulse, compile_trotter_step, simulate_program
 from pairgap.pipeline import run_experiment
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan
@@ -30,16 +27,22 @@ H2 = pairing_model("h2")
 INIT = computational_state(3, 3)  # |011>
 
 
-def fast_schedule(evolver=None, steps=4, t_ad=1 / 700):
-    return AdiabaticSchedule(steps, t_ad, evolver or ExactEvolver())
+def fast_schedule(backend=None, k=1, steps=4, t_ad=1 / 700):
+    return AdiabaticSchedule(steps, t_ad, backend, k)
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        AdiabaticSchedule(0, 1e-3, ExactEvolver())
+        AdiabaticSchedule(0, 1e-3)
     with pytest.raises(ValueError):
-        AdiabaticSchedule(4, -1e-3, ExactEvolver())
-    assert AdiabaticSchedule(4, 0.0, ExactEvolver()).steps == 4
+        AdiabaticSchedule(4, -1e-3)
+    with pytest.raises(ValueError):
+        AdiabaticSchedule(4, 1e-3, Backend(), k=0)
+    assert AdiabaticSchedule(4, 0.0).steps == 4
+    with pytest.raises(ValueError, match="machine"):
+        Backend("w1")
+    with pytest.raises(ValueError, match="method"):
+        Backend("w3", spin_system())
 
 
 def test_prepare_requires_normalized_state():
@@ -92,8 +95,8 @@ def test_ground_population_grows_with_steps():
 
 
 def test_zero_duration_schedule_is_identity():
-    for ev in (ExactEvolver(), TrotterEvolver(TrotterPlan(1e-3, 1))):
-        psi = prepare(H1, INIT, fast_schedule(evolver=ev, t_ad=0.0), check_adiabaticity=False)
+    for backend in (None, Backend(), Backend("w1", spin_system())):
+        psi = prepare(H1, INIT, fast_schedule(backend, t_ad=0.0), check_adiabaticity=False)
         assert np.allclose(psi, INIT, atol=1e-12)
 
 
@@ -101,10 +104,7 @@ def test_trotter_evolver_tracks_exact():
     exact = prepare(H1, INIT, fast_schedule(), check_adiabaticity=False)
     fids = []
     for k in (1, 4, 16):
-        plan = TrotterPlan(1 / 700, k)
-        approx = prepare(
-            H1, INIT, fast_schedule(evolver=TrotterEvolver(plan)), check_adiabaticity=False
-        )
+        approx = prepare(H1, INIT, fast_schedule(Backend(), k), check_adiabaticity=False)
         fids.append(abs(np.vdot(exact, approx)) ** 2)
     assert all(a < b for a, b in zip(fids, fids[1:]))
     assert fids[0] > 0.97
@@ -112,28 +112,32 @@ def test_trotter_evolver_tracks_exact():
 
 
 def test_nmr_evolver_matches_trotter_with_delta_pulses():
-    plan = TrotterPlan(1 / 700, 1)
-    a = prepare(
-        H1, INIT, fast_schedule(evolver=TrotterEvolver(plan)), check_adiabaticity=False
-    )
-    b = prepare(
-        H1,
-        INIT,
-        fast_schedule(evolver=NmrEvolver("w1", spin_system(), plan)),
-        check_adiabaticity=False,
-    )
+    a = prepare(H1, INIT, fast_schedule(Backend()), check_adiabaticity=False)
+    b = prepare(H1, INIT, fast_schedule(Backend("w1", spin_system())), check_adiabaticity=False)
     assert abs(np.vdot(a, b)) ** 2 > 1 - 1e-12
+
+
+def test_compiled_preparation_applies_programs_event_by_event():
+    # composing each program's unitary first rounds differently, which would
+    # move the prepared state's last bits and so the run's artifacts
+    machine = spin_system()
+    psi = prepare(H1, INIT, fast_schedule(Backend("w1", machine, "finite"), k=2), check_adiabaticity=False)
+    want = INIT
+    for s in range(5):
+        program = compile_trotter_step(H1.with_coupling_scale(s / 4), TrotterPlan(1 / 700, 2), "w1", machine)
+        want, _ = simulate_program(program, machine, want, "finite")
+    assert np.array_equal(psi, want)
 
 
 def test_population_report_is_a_distribution():
     psi = prepare(H1, INIT, fast_schedule(), check_adiabaticity=False)
-    rows = population_report(psi, realize(full_hamiltonian(H1)))
-    assert len(rows) == 8
+    rows = sector_population_report(H1, 2, psi)
+    assert len(rows) == 3
     assert math.isclose(sum(p for _, _, p in rows), 1.0, rel_tol=1e-12)
     energies = [e for _, e, p in rows]
     assert energies == sorted(energies)
     with pytest.raises(ValueError):
-        population_report(np.ones(4), realize(full_hamiltonian(H1)))
+        sector_population_report(H1, 2, np.ones(4))
 
 
 def test_report_csv_layout():
@@ -148,7 +152,7 @@ def test_shared_ramp_gives_the_fresh_results():
     ramp = Ramp(H1, 4, 2)
     psi = prepare(H1, INIT, fast_schedule(), check_adiabaticity=False, ramp=ramp)
     assert np.array_equal(psi, prepare(H1, INIT, fast_schedule(), check_adiabaticity=False))
-    nmr = fast_schedule(evolver=NmrEvolver("w1", spin_system(), TrotterPlan(1 / 700, 1)))
+    nmr = fast_schedule(Backend("w1", spin_system()))
     with pytest.warns(AdiabaticityWarning) as shared:
         a = prepare(H1, INIT, nmr, ramp=ramp)
     with pytest.warns(AdiabaticityWarning) as fresh:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from pairgap.nmr import program_from_text
+from pairgap.config import build_config
+from pairgap.nmr import compile_trotter_step, program_to_text
 
 
 def run_cli(*argv, cwd=None):
@@ -167,11 +168,10 @@ def test_compile_program_round_trips(tmp_path):
                    "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "w2 program" in proc.stderr
-    text = (tmp_path / "program.txt").read_text()
-    program, t_pi = program_from_text(text)
-    assert t_pi == pytest.approx(20e-6, rel=1e-9)
+    cfg = build_config(preset="h2", overrides=("run.method=w2",))
+    program = compile_trotter_step(cfg.model, cfg.plan, "w2", cfg.machine)
     assert program.events
-    assert program_from_text(text)[0].events == program.events
+    assert (tmp_path / "program.txt").read_text() == program_to_text(program, cfg.machine.t_pi)
 
 
 def test_sweep_t0_writes_exponent(tmp_path):

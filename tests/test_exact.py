@@ -7,13 +7,12 @@ from scipy.linalg import expm
 from pairgap.exact import (
     computational_state,
     eigendecompose,
-    evolve,
     propagator,
     reachable_gap,
     sector_gap,
     sector_matrix,
 )
-from pairgap.hamiltonian import full_hamiltonian, realize, sector_basis
+from pairgap.hamiltonian import full_hamiltonian, realize
 from pairgap.presets import pairing_model
 
 PI = math.pi
@@ -70,7 +69,7 @@ def test_evolve_preserves_norm():
     psi /= np.linalg.norm(psi)
     a = rng.normal(size=(4, 4))
     u = propagator(a + a.T, 0.7)
-    out = evolve(psi, u)
+    out = u @ psi
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 

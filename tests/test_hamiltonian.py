@@ -5,20 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_realize
+from conftest import kron_realize, number_operator
 from pairgap.hamiltonian import (
-    FermionicPairingInput,
     PairingModel,
     PauliSum,
     PauliTerm,
-    build_hamiltonian,
     coupling_hamiltonian,
     full_hamiltonian,
     interpolated_hamiltonian,
     nmr_zz_hamiltonian,
-    number_operator,
     onsite_hamiltonian,
-    pairing_to_qubit,
     realize,
     sector_basis,
 )
@@ -172,12 +168,12 @@ def test_zero_couplings_are_dropped():
 
 def test_full_is_sum_of_parts():
     m = pairing_model("h1")
-    total = realize(build_hamiltonian(m, "onsite"))
-    total = total + realize(build_hamiltonian(m, "xx"))
-    total = total + realize(build_hamiltonian(m, "yy"))
+    total = realize(onsite_hamiltonian(m))
+    total = total + realize(coupling_hamiltonian(m, "X"))
+    total = total + realize(coupling_hamiltonian(m, "Y"))
     assert np.allclose(realize(full_hamiltonian(m)), total, atol=0)
     with pytest.raises(ValueError):
-        build_hamiltonian(m, "zz")
+        coupling_hamiltonian(m, "Z")
 
 
 def test_full_hamiltonian_hermitian_and_real():
@@ -209,14 +205,6 @@ def test_interpolation_midpoint_matrix():
         interpolated_hamiltonian(m, 5, 4)
     with pytest.raises(ValueError):
         interpolated_hamiltonian(m, -1, 4)
-
-
-def test_pairing_to_qubit_shifts_by_diagonal():
-    eps = np.array([1.0, 2.0])
-    v = np.array([[0.5, 3.0], [3.0, -0.25]])
-    m = pairing_to_qubit(FermionicPairingInput(eps, v))
-    assert m.nu == (1.5, 1.75)
-    assert m.coupling[0, 1] == 3.0
 
 
 def test_nmr_zz_coefficients():

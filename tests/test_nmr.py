@@ -2,6 +2,7 @@
 the matrix exponential it is supposed to realize."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import kron_axis_field, kron_realize, kron_rotation_unitary
+from conftest import compile_coupling, compile_onsite, kron_axis_field, kron_realize, kron_rotation_unitary
+from pairgap.adiabatic import AdiabaticityWarning
+from pairgap.config import build_config
 from pairgap.exact import propagator
 from pairgap.hamiltonian import (
     PairingModel,
-    build_hamiltonian,
-    full_hamiltonian,
+    coupling_hamiltonian,
     nmr_zz_hamiltonian,
+    onsite_hamiltonian,
     realize,
 )
 from pairgap.nmr import (
@@ -26,16 +29,13 @@ from pairgap.nmr import (
     PulseProgram,
     RfPulse,
     SpinSystem,
-    compile_coupling,
-    compile_onsite,
     compile_trotter_step,
-    damping_factor,
-    program_from_text,
     program_to_text,
     program_unitary,
     simulate_program,
     wall_time,
 )
+from pairgap.pipeline import run_experiment
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan, symmetric3_step
 
@@ -50,7 +50,7 @@ MACHINE = spin_system()
 
 
 def dense(model, part):
-    return realize(build_hamiltonian(model, part))
+    return realize(onsite_hamiltonian(model) if part == "onsite" else coupling_hamiltonian(model, part))
 
 
 def phase_dist(got, want):
@@ -242,10 +242,10 @@ def test_compile_onsite_composite_identity():
 
 
 def test_compile_coupling_matches_exact_h1():
-    for axis, part in (("X", "xx"), ("Y", "yy")):
+    for axis in ("X", "Y"):
         prog = compile_coupling(H1, axis, 1e-3, MACHINE)
         got = program_unitary(prog, MACHINE, "delta")
-        want = expm(-1j * dense(H1, part) * 1e-3)
+        want = expm(-1j * dense(H1, axis) * 1e-3)
         assert phase_dist(got, want) < 1e-12
 
 
@@ -258,7 +258,7 @@ def test_lone_coupling_block_flips_the_spectator():
     refocus = [e for e in prog.events if isinstance(e, RfPulse) and e.targets == (3,)]
     assert len(refocus) == 1
     got = program_unitary(prog, MACHINE, "delta")
-    want = X3 @ expm(-1j * dense(H2, "xx") * t)
+    want = X3 @ expm(-1j * dense(H2, "X") * t)
     assert phase_dist(got, want) < 1e-12
 
 
@@ -465,55 +465,29 @@ def test_simulate_program_threads_state_and_wall():
 
 
 def test_damping_factor_uses_observed_spin():
-    machine = spin_system(t2=(0.1, 0.2, 0.4))
-    assert math.isclose(damping_factor(0.05, machine, 1), math.exp(-0.5), rel_tol=1e-12)
-    assert math.isclose(damping_factor(0.05, machine, 3), math.exp(-0.125), rel_tol=1e-12)
-    assert damping_factor(0.0, machine, 2) == 1.0
-
-
-def test_program_text_round_trip():
-    prog = compile_trotter_step(H1, TrotterPlan(2e-3, 2), "w2", MACHINE)
-    text = program_to_text(prog, MACHINE.t_pi)
-    assert text.startswith("DELAY") or text.startswith("RF")
-    assert text.rstrip().split("\n")[-1].startswith("WALL")
-    back, t_pi = program_from_text(text, MACHINE.t_pi)
-    assert back.events == prog.events
-    assert t_pi == MACHINE.t_pi
-    # wall line carries full precision
-    assert math.isclose(
-        wall_time(back, t_pi), wall_time(prog, MACHINE.t_pi), rel_tol=1e-15
-    )
-
-
-def test_program_text_infers_pulse_width():
-    prog = PulseProgram(
-        (Delay(1.0e-3), RfPulse((1,), 0.0, PI), RfPulse((2, 3), PI / 2, -PI / 2)),
-        n=3,
-    )
-    text = program_to_text(prog, 8e-6)
-    back, t_pi = program_from_text(text)
-    assert math.isclose(t_pi, 8e-6, rel_tol=1e-9)
-    assert back.events == prog.events
+    # a damped run attenuates sample k by exp(-k * wall / T2) of the observed
+    # spin, with the compiled program's wall time per step
+    t2s = ("machine.t2_1_s=0.1", "machine.t2_2_s=0.2", "machine.t2_3_s=0.4", "run.method=w1")
+    for spin, t2 in ((1, 0.1), (3, 0.4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            off, on = (
+                run_experiment(build_config("h1", None, t2s + (f"run.observed_spin={spin}", f"run.damping={d}")))
+                for d in ("off", "on")
+            )
+        k = np.arange(on.config.q)
+        assert on.wall_per_step == wall_time(compile_trotter_step(H1, on.config.plan, "w1", MACHINE), MACHINE.t_pi)
+        assert np.allclose(on.series.values, off.series.values * np.exp(-k * on.wall_per_step / t2), rtol=1e-12, atol=0)
 
 
 def test_program_text_preserves_ideal_flag():
-    prog = PulseProgram((RfPulse((1,), 0.0, PI, ideal=True),), n=1)
-    text = program_to_text(prog, 5e-6)
-    back, _ = program_from_text(text, 5e-6)
-    assert back.events[0].ideal
-
-
-def test_program_text_rejects_garbage():
-    prog = PulseProgram((Delay(1e-3), RfPulse((1,), 0.0, PI)), n=2)
-    text = program_to_text(prog, 1e-6)
-    with pytest.raises(ValueError):
-        program_from_text(text.replace("WALL", "TOTAL"), 1e-6)
-    with pytest.raises(ValueError):
-        program_from_text(text + "DELAY 1e-3\n", 1e-6)
-    # wall line inconsistent with the stated pulse width
-    with pytest.raises(ValueError):
-        program_from_text(text, 2e-6)
-    lines = text.split("\n")
-    lines[-2] = "WALL 99.0"
-    with pytest.raises(ValueError):
-        program_from_text("\n".join(lines), 1e-6)
+    # the writer keeps every float at repr precision, marks ideal pulses and
+    # closes with the wall time at the given pulse width
+    prog = PulseProgram((Delay(1e-3 / 3), RfPulse((1, 3), PI / 3, -PI), RfPulse((2,), 0.0, PI, ideal=True)), n=3)
+    assert program_to_text(prog, 8e-6).split("\n") == [
+        "DELAY 0.0003333333333333333",
+        "RF 1,3 1.0471975511965976 -3.141592653589793",
+        "RF 2 0.0 3.141592653589793 IDEAL",
+        "WALL 0.0003493333333333333",
+        "",
+    ]

@@ -8,7 +8,6 @@ from pairgap.resources import (
     gate_count,
     grid_to_csv,
     max_feasible_n,
-    precision_cost,
 )
 
 
@@ -46,18 +45,6 @@ def test_max_feasible_n_scan_matches_closed_form():
         assert got == want
     # budget too small for a single mode
     assert max_feasible_n(1e9, 1.0) == 0
-
-
-def test_precision_cost_scaling():
-    assert math.isclose(precision_cost(10, 2, 0.1), 1000.0, rel_tol=1e-12)
-    assert math.isclose(precision_cost(10, 2, 0.1, r=2.0), 10000.0, rel_tol=1e-12)
-    assert precision_cost(2, 3, 1.0) == 8.0
-    with pytest.raises(ValueError):
-        precision_cost(0, 2, 0.1)
-    with pytest.raises(ValueError):
-        precision_cost(2, 2, 0.0)
-    with pytest.raises(ValueError):
-        precision_cost(2, 2, 0.1, r=0.5)
 
 
 def test_grid_csv_layout():

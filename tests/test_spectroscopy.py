@@ -14,15 +14,12 @@ from pairgap.pipeline import run_experiment
 from pairgap.spectroscopy import (
     Spectrum,
     TimeSeries,
-    UnitaryStepper,
     acquire,
     dft,
     epsilon_ft,
     fit_damped_sinusoid,
     fit_record,
-    idft,
     peak_pick,
-    program_stepper,
     series_to_csv,
     spectrum_to_csv,
     systematic_offset,
@@ -37,13 +34,12 @@ def cosine_series(freq_hz, t0, q, amp=0.8, decay=0.0, phase=0.0):
     return TimeSeries(t0, y, np.zeros(q))
 
 
-def x_rotation_stepper(omega, t0, wall=None):
+def x_rotation(omega, t0):
     # H = (omega/2) X on one spin, so <Z(k t0)> = cos(omega k t0) from |0>
     half = omega * t0 / 2
-    u = np.array(
+    return np.array(
         [[math.cos(half), -1j * math.sin(half)], [-1j * math.sin(half), math.cos(half)]]
     )
-    return UnitaryStepper(u, t0 if wall is None else wall)
 
 
 def test_series_validation():
@@ -64,7 +60,7 @@ def test_acquire_single_spin_cosine():
     omega = TWO_PI * 40.0
     t0, q = 1e-3, 32
     psi = np.array([1.0, 0.0], dtype=complex)
-    series = acquire(psi, x_rotation_stepper(omega, t0), q, t0, observed_spin=1)
+    series = acquire(psi, x_rotation(omega, t0), t0, q, t0, observed_spin=1)
     assert np.allclose(series.values, np.cos(omega * np.arange(q) * t0), atol=1e-12)
     assert np.allclose(series.wall_times, np.arange(q) * t0, atol=0)
 
@@ -73,7 +69,7 @@ def test_acquire_damping_uses_wall_clock():
     omega = TWO_PI * 40.0
     t0, q, wall, t2 = 1e-3, 16, 3e-3, 20e-3
     psi = np.array([1.0, 0.0], dtype=complex)
-    series = acquire(psi, x_rotation_stepper(omega, t0, wall=wall), q, t0, 1, t2=t2)
+    series = acquire(psi, x_rotation(omega, t0), wall, q, t0, 1, t2=t2)
     k = np.arange(q)
     expected = np.cos(omega * k * t0) * np.exp(-k * wall / t2)
     expected[0] = 1.0  # the k = 0 sample is taken before any evolution
@@ -90,8 +86,8 @@ def test_acquire_observed_spin_selects_bit():
     u = np.kron(np.eye(2), u1)
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
-    s1 = acquire(psi, UnitaryStepper(u, t0), q, t0, observed_spin=1)
-    s2 = acquire(psi, UnitaryStepper(u, t0), q, t0, observed_spin=2)
+    s1 = acquire(psi, u, t0, q, t0, observed_spin=1)
+    s2 = acquire(psi, u, t0, q, t0, observed_spin=2)
     assert np.allclose(s1.values, 1.0, atol=1e-12)
     assert np.allclose(s2.values, np.cos(omega * np.arange(q) * t0), atol=1e-12)
 
@@ -131,15 +127,6 @@ def test_dft_on_bin_cosine():
     peak_w, peak_mag = peak_pick(spec)
     assert math.isclose(peak_w, TWO_PI * 125.0, rel_tol=1e-12)
     assert math.isclose(peak_mag, 0.6 * q / 2, rel_tol=1e-9)
-
-
-def test_idft_round_trip():
-    rng = np.random.default_rng(9)
-    y = rng.uniform(-1, 1, size=33)
-    series = TimeSeries(1.5e-3, y, np.zeros(33))
-    back = idft(dft(series))
-    assert np.allclose(back.values, y, atol=1e-12)
-    assert back.t0 == series.t0
 
 
 def test_peak_pick_tie_resolves_low():
@@ -352,15 +339,20 @@ def test_default_h1_fit_stops_on_the_rate_bound(monkeypatch):
 
 
 def test_program_stepper_wall_clock():
+    from pairgap.backend import Backend, step
     from pairgap.nmr import compile_trotter_step, wall_time
     from pairgap.presets import pairing_model, spin_system
     from pairgap.trotter import TrotterPlan
 
     machine = spin_system()
-    prog = compile_trotter_step(pairing_model("h2"), TrotterPlan(0.5e-3, 2), "w1", machine)
-    stepper = program_stepper(prog, machine)
-    assert math.isclose(stepper.wall_per_step, wall_time(prog, machine.t_pi), rel_tol=1e-15)
-    assert np.allclose(stepper.u @ stepper.u.conj().T, np.eye(8), atol=1e-12)
+    model, plan = pairing_model("h2"), TrotterPlan(0.5e-3, 2)
+    prog = compile_trotter_step(model, plan, "w1", machine)
+    u, wall, clamps = step(model, plan, Backend("w1", machine))
+    assert math.isclose(wall, wall_time(prog, machine.t_pi), rel_tol=1e-15)
+    assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
+    assert clamps == ()
+    # an ideal step lasts its simulated time
+    assert step(model, plan, Backend())[1] == plan.t0
 
 
 def test_csv_layouts():

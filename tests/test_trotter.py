@@ -7,24 +7,18 @@ from scipy.linalg import expm
 
 from pairgap.config import build_config
 from pairgap.exact import sector_gap
-from pairgap.hamiltonian import build_hamiltonian, full_hamiltonian, realize
+from pairgap.backend import Backend, step
+from pairgap.hamiltonian import coupling_hamiltonian, full_hamiltonian, onsite_hamiltonian, realize
 from pairgap.pipeline import run_experiment
 from pairgap.presets import pairing_model, spin_system
-from pairgap.trotter import (
-    NmrRealizer,
-    SweepResult,
-    TrotterPlan,
-    convergence_sweep,
-    first_order_step,
-    symmetric3_step,
-    sweep_to_csv,
-    trotter_error,
-)
+from pairgap.trotter import TrotterPlan, convergence_sweep, symmetric3_step, trotter_error
 
-from conftest import sector_leak_exponents, step_line
+from conftest import first_order_step, number_operator, sector_leak_exponents, step_line
 
 H1 = pairing_model("h1")
 H1_DENSE = realize(full_hamiltonian(H1))
+# on-site, XX and YY parts
+H1_PARTS = [realize(onsite_hamiltonian(H1))] + [realize(coupling_hamiltonian(H1, a)) for a in "XY"]
 
 
 def exact_u(t):
@@ -51,19 +45,18 @@ def test_trotter_error_closed_forms():
 
 
 def test_first_order_error_scales_linearly():
-    parts = [realize(build_hamiltonian(H1, p)) for p in ("onsite", "xx", "yy")]
     t = 0.2e-3
-    e1 = trotter_error(exact_u(t), first_order_step(parts, t, 1))
+    e1 = trotter_error(exact_u(t), first_order_step(H1_PARTS, t, 1))
     # a single step's defect is quadratic in its duration
-    e2 = trotter_error(exact_u(t / 2), first_order_step(parts, t / 2, 1))
+    e2 = trotter_error(exact_u(t / 2), first_order_step(H1_PARTS, t / 2, 1))
     assert 0.2 < e2 / e1 < 0.3
     # at fixed total time the error is first order in t/k: doubling k halves it
-    ek = trotter_error(exact_u(t), first_order_step(parts, t, 2))
+    ek = trotter_error(exact_u(t), first_order_step(H1_PARTS, t, 2))
     assert 0.4 < ek / e1 < 0.6
 
 
 def test_first_order_exact_for_commuting_parts():
-    z1 = realize(build_hamiltonian(H1, "onsite"))
+    z1 = H1_PARTS[0]
     u = first_order_step([z1, 2.0 * z1], 1e-3, 1)
     assert np.allclose(u, expm(-1j * 3.0 * z1 * 1e-3), atol=1e-12)
 
@@ -73,9 +66,9 @@ def test_symmetric3_unitary_and_palindromic():
     v = symmetric3_step(H1, plan)
     assert np.allclose(v @ v.conj().T, np.eye(8), atol=1e-12)
     # the step is the advertised palindrome A B C B A repeated k times
-    a = expm(-1j * realize(build_hamiltonian(H1, "onsite")) * plan.t0 / plan.k / 2)
-    b = expm(-1j * realize(build_hamiltonian(H1, "xx")) * plan.t0 / plan.k / 2)
-    c = expm(-1j * realize(build_hamiltonian(H1, "yy")) * plan.t0 / plan.k)
+    a = expm(-1j * H1_PARTS[0] * plan.t0 / plan.k / 2)
+    b = expm(-1j * H1_PARTS[1] * plan.t0 / plan.k / 2)
+    c = expm(-1j * H1_PARTS[2] * plan.t0 / plan.k)
     inner = a @ b @ c @ b @ a
     assert np.allclose(v, np.linalg.matrix_power(inner, plan.k), atol=1e-12)
 
@@ -106,8 +99,9 @@ def test_symmetric3_second_order_in_k():
 
 def test_symmetric3_nmr_realizer_matches_ideal():
     plan = TrotterPlan(0.5e-3, 2)
-    ideal = symmetric3_step(H1, plan)
-    via_machine = symmetric3_step(H1, plan, realizer=NmrRealizer("w1", spin_system()))
+    ideal, _, _ = step(H1, plan, Backend())
+    via_machine, _, _ = step(H1, plan, Backend("w1", spin_system()))
+    assert np.array_equal(ideal, symmetric3_step(H1, plan))
     assert np.max(np.abs(ideal - via_machine)) < 1e-12
 
 
@@ -137,16 +131,6 @@ def test_convergence_sweep_input_validation():
         convergence_sweep(H1, [-1e-3, 1e-3], [1, 2])
 
 
-def test_sweep_csv_layout():
-    res = convergence_sweep(H1, [0.5e-3, 1e-3], [1, 2])
-    text = sweep_to_csv(res)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t0_s,k,error"
-    assert len(lines) == 5
-    t0, k, err = lines[1].split(",")
-    assert float(t0) == 0.5e-3 and int(k) == 1 and float(err) > 0
-
-
 def test_step_sector_leakage_by_preset():
     # X_m X_l alone swaps |00> and |11>, changing the pair number; the
     # palindrome cancels that transfer only when the XX and YY blocks commute.
@@ -154,18 +138,16 @@ def test_step_sector_leakage_by_preset():
     # three couplings leave a genuine weight-changing component, part of the
     # third-order step defect (it shrinks as t0^3). Its size at the default
     # plan is pinned as a regression value.
-    from pairgap.hamiltonian import number_operator
-
     num = number_operator(3)
-    u2 = symmetric3_step(pairing_model("h2"), TrotterPlan(0.5e-3, 2), "ideal")
+    u2 = symmetric3_step(pairing_model("h2"), TrotterPlan(0.5e-3, 2))
     assert np.linalg.norm(u2 @ num - num @ u2) < 1e-12
 
-    u1 = symmetric3_step(H1, TrotterPlan(2e-3, 2), "ideal")
+    u1 = symmetric3_step(H1, TrotterPlan(2e-3, 2))
     leak = np.linalg.norm(u1 @ num - num @ u1)
     assert leak == pytest.approx(0.33103250577959575, rel=1e-9)
 
     def leak_at(t0):
-        u = symmetric3_step(H1, TrotterPlan(t0, 2), "ideal")
+        u = symmetric3_step(H1, TrotterPlan(t0, 2))
         return np.linalg.norm(u @ num - num @ u)
 
     ratio = leak_at(0.25e-3) / leak_at(0.125e-3)
@@ -195,8 +177,7 @@ def test_leak_exponent_window_rejects_first_order_step():
     # Criterion 8 bounds h1's pair-number leak by its t0/k order, which the
     # palindromic step meets. The non-palindromic A B C step leaks one order
     # lower and must fall outside the 3 +- 0.3 and 2 +- 0.3 windows.
-    parts = [realize(build_hamiltonian(H1, p)) for p in ("onsite", "xx", "yy")]
     p, q = sector_leak_exponents(
-        lambda t0, k: first_order_step(parts, t0, k), H1.n, [0.25e-3, 0.5e-3, 1e-3, 2e-3], [1, 2, 4]
+        lambda t0, k: first_order_step(H1_PARTS, t0, k), H1.n, [0.25e-3, 0.5e-3, 1e-3, 2e-3], [1, 2, 4]
     )
     assert abs(p - 3.0) > 0.3 and abs(q - 2.0) > 0.3
