@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import Backend, apply_step
+from .backend import Backend, state_stepper
 from .exact import Ramp, _ramp_for, propagator
 from .hamiltonian import PairingModel
 from .nmr import EventTable
@@ -80,7 +80,8 @@ def prepare(
     A run passes its ramp and its pulse-event table, so the ramp's operators
     and each distinct pulse are built once however many preparations share
     them; without them this call builds its own ramp, and a compiled backend
-    a fresh table per step.
+    a fresh table per step. A compiled backend builds each step template once
+    per call and stamps it for every s.
     """
     psi = np.asarray(init, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
@@ -90,13 +91,13 @@ def prepare(
     ramp = _ramp_for(model, pairs, ramp, s_steps)
     if ramp.steps != s_steps:
         raise ValueError("ramp was built for another schedule length")
-    backend = schedule.backend
-    for s in range(s_steps + 1):
-        if backend is None:
+    if schedule.backend is None:
+        for s in range(s_steps + 1):
             psi = propagator(ramp.hamiltonian(s), schedule.t_ad) @ psi
-        elif schedule.t_ad > 0:
-            scaled = model.with_coupling_scale(s / s_steps)
-            psi = apply_step(scaled, TrotterPlan(schedule.t_ad, schedule.k), backend, psi, table)
+    elif schedule.t_ad > 0:
+        step_state = state_stepper(TrotterPlan(schedule.t_ad, schedule.k), schedule.backend, table)
+        for s in range(s_steps + 1):
+            psi = step_state(model.with_coupling_scale(s / s_steps), psi)
     # The gap check reads the sector blocks an exact evolution has just kept.
     if check_adiabaticity and schedule.t_ad > 0 and pairs is not None:
         min_gap = _min_schedule_gap(ramp)

@@ -4,11 +4,13 @@ A Backend realizes the palindromic step either ideally, as the product of
 exact part exponentials (trotter.symmetric3_step), or as a pulse program
 compiled with method "w1" or "w2" and simulated on an NMR machine. This is
 the only module that tells the two apart: acquisition takes the step's
-unitary from ``step``, preparation applies it to a state with ``apply_step``.
+unitary from ``step``, preparation applies it to a state through
+``state_stepper``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,7 @@ from .nmr import (
     W2,
     EventTable,
     SpinSystem,
+    StepCompiler,
     compile_trotter_step,
     program_unitary,
     simulate_program,
@@ -65,16 +68,19 @@ def step(
     return u, wall_time(program, backend.machine.t_pi), program.clamp_warnings
 
 
-def apply_step(
-    model: PairingModel,
-    plan: TrotterPlan,
-    backend: Backend,
-    psi: np.ndarray,
-    table: EventTable | None = None,
-) -> np.ndarray:
-    """The state after one step. A compiled program is applied event by
+def state_stepper(
+    plan: TrotterPlan, backend: Backend, table: EventTable | None = None
+) -> Callable[[PairingModel, np.ndarray], np.ndarray]:
+    """A function giving the state after one step of a model, for the models
+    of one preparation ramp. A compiled stepper keeps one StepCompiler, so the
+    ramp's programs share their templates; each program is applied event by
     event, which rounds differently from applying its composed unitary."""
     if backend.method == IDEAL:
-        return symmetric3_step(model, plan) @ psi
-    program = compile_trotter_step(model, plan, backend.method, backend.machine)
-    return simulate_program(program, backend.machine, psi, backend.pulse_mode, table)[0]
+        return lambda model, psi: symmetric3_step(model, plan) @ psi
+    compiler = StepCompiler(plan, backend.method, backend.machine)
+
+    def apply(model: PairingModel, psi: np.ndarray) -> np.ndarray:
+        program = compiler.compile(model)
+        return simulate_program(program, backend.machine, psi, backend.pulse_mode, table)[0]
+
+    return apply

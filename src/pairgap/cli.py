@@ -187,13 +187,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    n_list = [int(x) for x in args.n.split(",")]
-    ratios = [float(x) for x in args.eps_over_delta.split(",")]
-    body = grid_to_csv(n_list, ratios, args.t_g_over_tau, args.budget)
+    try:
+        n_list = [int(x) for x in args.n.split(",")]
+        ratios = [float(x) for x in args.eps_over_delta.split(",")]
+        body = grid_to_csv(n_list, ratios, args.t_g_over_tau, args.budget)
+        n_max = [max_feasible_n(1.0, ratio, args.t_g_over_tau, args.budget) for ratio in ratios]
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"estimate: {exc}") from None
     _emit(args, "resources.csv", body)
-    for ratio in ratios:
-        n_max = max_feasible_n(1.0, ratio, args.t_g_over_tau, args.budget)
-        print(f"eps/delta = {ratio:g}: max feasible n = {n_max}")
+    for ratio, n in zip(ratios, n_max):
+        print(f"eps/delta = {ratio:g}: max feasible n = {n}")
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ computational basis index (so |011> on three qubits has index 3).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,8 +175,32 @@ def nmr_zz_hamiltonian(j_hz: np.ndarray) -> PauliSum:
     return PauliSum(tuple(terms), n)
 
 
+@functools.lru_cache(maxsize=512)  # a 12-qubit run uses about 250 strings
+def _pauli_pattern(n: int, factors: tuple[tuple[int, str], ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Flat index of each row's entry, rows whose sign flips, and number of
+    Ys of a Pauli string on n qubits; read-only, 20 kB at n = 12."""
+    dim = 2**n
+    rows = np.arange(dim)
+    xmask = 0
+    parity = np.zeros_like(rows)
+    ys = 0
+    for q, p in factors:
+        bit = n - q
+        if p != "Z":
+            xmask |= 1 << bit
+        if p != "X":
+            parity ^= rows >> bit
+        ys += p == "Y"
+    flat = (rows * dim + (rows ^ xmask)).astype(np.min_scalar_type(dim * dim - 1))
+    odd = (parity & 1).astype(bool)
+    flat.flags.writeable = False
+    odd.flags.writeable = False
+    return flat, odd, ys
+
+
 def _add_pauli(out: np.ndarray, coeff: float, factors: tuple[tuple[int, str], ...]) -> None:
-    """Add coeff times a Pauli string to the dense 2^n x 2^n ``out`` in place.
+    """Add coeff times a Pauli string to the dense, C-contiguous 2^n x 2^n
+    ``out`` in place.
 
     Qubit q sits at bit n - q. X and Y flip their bit, so row i holds its one
     entry in column i ^ xmask; Z and Y read their bit and flip the sign when
@@ -183,20 +208,13 @@ def _add_pauli(out: np.ndarray, coeff: float, factors: tuple[tuple[int, str], ..
     the imaginary axis, exactly what the tensor product of the 2 x 2 factors
     gives, so a sum of terms taken in the same order matches it bit for bit.
     """
-    n = out.shape[0].bit_length() - 1
-    rows = np.arange(out.shape[0])
-    xmask = 0
-    parity = np.zeros_like(rows)
+    if not out.flags.c_contiguous:
+        raise ValueError("Pauli strings are added into a C-contiguous matrix")
+    flat, odd, ys = _pauli_pattern(out.shape[0].bit_length() - 1, factors)
     value = complex(coeff)
-    for q, p in factors:
-        bit = n - q
-        if p != "Z":
-            xmask |= 1 << bit
-        if p != "X":
-            parity ^= rows >> bit
-        if p == "Y":
-            value *= -1j
-    out[rows, rows ^ xmask] += np.where(parity & 1, -value, value)
+    for _ in range(ys):
+        value *= -1j
+    out.reshape(-1)[flat] += np.where(odd, -value, value)
 
 
 def realize(op: PauliSum) -> np.ndarray:

@@ -155,20 +155,19 @@ def _onsite_events(model: PairingModel, t: float, parity: dict[int, int], out: l
     out.append(RfPulse(every, _PI / 2, _PI / 2))
 
 
-def _coupling_delay(model: PairingModel, t: float, machine: SpinSystem) -> tuple[float, list[int]]:
-    """Shared ZZ delay realizing angle V_ml * t on every coupled pair, plus the
-    sorted list of spins those pairs touch."""
+def _coupling_delay(model: PairingModel, t: float, machine: SpinSystem) -> tuple[float, tuple]:
+    """Shared ZZ delay realizing angle V_ml * t on every coupled pair, plus
+    those pairs as 0-based (i, j) with i < j."""
     v = model.coupling * model.convention_factor
-    pairs = [
+    pairs = tuple(
         (i, j)
         for i in range(model.n)
         for j in range(i + 1, model.n)
         if v[i, j] != 0.0
-    ]
+    )
     if not pairs:
-        return 0.0, []
+        return 0.0, pairs
     durations = []
-    spins: set[int] = set()
     for i, j in pairs:
         j_hz = machine.j_hz[i, j]
         if j_hz == 0.0:
@@ -179,23 +178,34 @@ def _coupling_delay(model: PairingModel, t: float, machine: SpinSystem) -> tuple
                 f"coupling on spins {i + 1},{j + 1} requires a negative delay"
             )
         durations.append(d)
-        spins.update((i + 1, j + 1))
     if max(durations) - min(durations) > 1e-12 * max(1e-12, max(durations)):
         raise ValueError("coupled pairs demand inconsistent delays; one shared delay realizes them all")
-    return durations[0], sorted(spins)
+    return durations[0], pairs
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """A coupling delay in a step template: its block time t, whole or halved
+    around a refocusing pulse, and its w2 cut alpha (None when not cut)."""
+
+    t: float
+    half: bool
+    alpha: float | None = None
 
 
 def _coupling_events(
-    model: PairingModel,
     axis: str,
     t: float,
     machine: SpinSystem,
+    pairs: tuple[tuple[int, int], ...],
+    delayed: bool,
     parity: dict[int, int],
     out: list,
 ) -> None:
     """One coupling block: basis-change sandwich on the coupled spins around a
-    shared ZZ delay; uncoupled spins get a single X pi pulse at the delay
-    midpoint, which cancels their coupling to the active spins over the block.
+    shared ZZ delay, left as a slot; when the delay is nonzero (``delayed``),
+    uncoupled spins get a single X pi pulse at its midpoint, which cancels
+    their coupling to the active spins over the block.
 
     Spectators are flipped together, so two of them with nonzero mutual J
     would keep that coupling through the block; so would two coupled spins
@@ -208,11 +218,11 @@ def _coupling_events(
         open_phase, close_phase = _PI, 0.0
     else:
         raise ValueError("axis must be 'X' or 'Y'")
-    d, coupled = _coupling_delay(model, t, machine)
+    coupled = sorted({m + 1 for pair in pairs for m in pair})
     if not coupled:
         return
-    idle = tuple(m for m in range(1, model.n + 1) if m not in coupled)
-    if d > 0:
+    idle = tuple(m for m in range(1, machine.n + 1) if m not in coupled)
+    if delayed:
         tied = [
             f"{a},{b}"
             for a in idle
@@ -228,7 +238,7 @@ def _coupling_events(
             f"{a},{b}"
             for a in coupled
             for b in coupled
-            if a < b and model.coupling[a - 1, b - 1] == 0.0 and machine.j_hz[a - 1, b - 1] != 0.0
+            if a < b and (a - 1, b - 1) not in pairs and machine.j_hz[a - 1, b - 1] != 0.0
         ]
         if leaked:
             raise ValueError(
@@ -236,74 +246,93 @@ def _coupling_events(
                 "shared delay leaves their mutual coupling on"
             )
     out.append(RfPulse(tuple(coupled), open_phase, _PI / 2))
-    if idle and d > 0:
-        out.append(Delay(d / 2))
+    if idle and delayed:
+        out.append(_Slot(t, True))
         out.append(RfPulse(idle, 0.0, _PI))
-        out.append(Delay(d / 2))
+        out.append(_Slot(t, True))
         for m in idle:
             parity[m] += 1
     else:
-        out.append(Delay(d))
+        out.append(_Slot(t, False))
     out.append(RfPulse(tuple(coupled), close_phase, _PI / 2))
 
 
-def _compensate_delays(
-    events: tuple[PulseEvent, ...], t_pi: float
-) -> tuple[tuple[PulseEvent, ...], tuple[str, ...]]:
-    """Shorten every delay flanked by RF events by (t_pi/2pi)(|th1| + |th2|).
-
-    Angles enter by magnitude because pulse duration does. Delays that would
-    go negative are clamped to zero and reported.
-    """
-    out = list(events)
+def _stamp(template: tuple, delays: dict[float, float], n: int) -> PulseProgram:
+    """Fill a template's slots with the shared delay of each block time. A
+    cut delay that would go negative is clamped to zero and reported."""
+    events = list(template)
     warnings = []
-    for i, ev in enumerate(events):
-        if not isinstance(ev, Delay):
+    for i, ev in enumerate(template):
+        if not isinstance(ev, _Slot):
             continue
-        prev = events[i - 1] if i > 0 else None
-        nxt = events[i + 1] if i + 1 < len(events) else None
-        if isinstance(prev, RfPulse) and isinstance(nxt, RfPulse):
-            alpha = (t_pi / (2 * _PI)) * (abs(prev.angle) + abs(nxt.angle))
-            cut = ev.duration - alpha
-            if cut < 0:
-                warnings.append(
-                    f"event {i}: compensated delay {cut:.3e} s clamped to 0"
-                )
-                cut = 0.0
-            out[i] = Delay(cut)
-    return tuple(out), tuple(warnings)
+        duration = delays[ev.t] / 2 if ev.half else delays[ev.t]
+        if ev.alpha is not None:
+            duration = float(duration) - ev.alpha
+            if duration < 0:
+                warnings.append(f"event {i}: compensated delay {duration:.3e} s clamped to 0")
+                duration = 0.0
+        events[i] = Delay(duration)
+    return PulseProgram(tuple(events), n, tuple(warnings))
+
+
+class StepCompiler:
+    """Compiles one symmetric Trotter step (see trotter.symmetric3_step) of
+    ``plan`` for ``machine`` with method "w1" or "w2", for any model.
+
+    The event list depends on the model only through its on-site part, its
+    coupled pairs and which block delays are nonzero. It is built once per
+    such key as a template with a slot per coupling delay, which each model
+    stamps with its own delays: a ramp's steps s >= 1 share one template.
+    """
+
+    def __init__(self, plan, method: str, machine: SpinSystem):
+        if method not in (W1, W2):
+            raise ValueError("method must be 'w1' or 'w2'")
+        self.plan = plan
+        self.method = method
+        self.machine = machine
+        self._templates: dict[tuple, tuple] = {}
+
+    def compile(self, model: PairingModel) -> PulseProgram:
+        if self.machine.n != model.n:
+            raise ValueError("machine and model spin counts differ")
+        tau = self.plan.t0 / self.plan.k
+        delays = {}
+        for t in (tau / 2, tau):
+            delays[t], pairs = _coupling_delay(model, t, self.machine)
+        key = (model.nu, model.convention_factor, pairs, tuple(d > 0 for d in delays.values()))
+        if key not in self._templates:
+            self._templates[key] = self._template(model, tau, pairs, delays)
+        return _stamp(self._templates[key], delays, model.n)
+
+    def _template(self, model, tau, pairs, delays) -> tuple:
+        """Refocusing parity is tracked across the whole program: spectator
+        z-angles flip sign while the running flip count is odd, and one
+        restoring X pi pulse ends it when the final count is odd. Method "w2"
+        gives each slot between RF events its alpha (angles by magnitude)."""
+        parity = {m: 0 for m in range(1, model.n + 1)}
+        events: list = []
+        for _ in range(self.plan.k):
+            _onsite_events(model, tau / 2, parity, events)
+            for axis, t in (("X", tau / 2), ("Y", tau), ("X", tau / 2)):
+                _coupling_events(axis, t, self.machine, pairs, delays[t] > 0, parity, events)
+            _onsite_events(model, tau / 2, parity, events)
+        odd = tuple(m for m in range(1, model.n + 1) if parity[m] % 2)
+        if odd:
+            events.append(RfPulse(odd, 0.0, _PI))
+        if self.method == W2:
+            for i in range(1, len(events) - 1):
+                prev, ev, nxt = events[i - 1 : i + 2]
+                if isinstance(ev, _Slot) and isinstance(prev, RfPulse) and isinstance(nxt, RfPulse):
+                    alpha = (self.machine.t_pi / (2 * _PI)) * (abs(prev.angle) + abs(nxt.angle))
+                    events[i] = _Slot(ev.t, ev.half, alpha)
+        return tuple(events)
 
 
 def compile_trotter_step(model, plan, method: str, machine: SpinSystem) -> PulseProgram:
-    """Compile one symmetric Trotter step (see trotter.symmetric3_step) into a
-    pulse program, repeated plan.k times.
-
-    Refocusing parity is tracked across the whole program: spectator z-angles
-    flip sign while the running flip count is odd, and a single restoring X pi
-    pulse is appended at the end when the final count is odd. Method "w2"
-    post-processes all flanked delays; "w1" leaves them untouched.
-    """
-    if method not in (W1, W2):
-        raise ValueError("method must be 'w1' or 'w2'")
-    if machine.n != model.n:
-        raise ValueError("machine and model spin counts differ")
-    tau = plan.t0 / plan.k
-    parity = {m: 0 for m in range(1, model.n + 1)}
-    events: list[PulseEvent] = []
-    for _ in range(plan.k):
-        _onsite_events(model, tau / 2, parity, events)
-        _coupling_events(model, "X", tau / 2, machine, parity, events)
-        _coupling_events(model, "Y", tau, machine, parity, events)
-        _coupling_events(model, "X", tau / 2, machine, parity, events)
-        _onsite_events(model, tau / 2, parity, events)
-    odd = tuple(m for m in range(1, model.n + 1) if parity[m] % 2)
-    if odd:
-        events.append(RfPulse(odd, 0.0, _PI))
-    warnings: tuple[str, ...] = ()
-    if method == W2:
-        events_t, warnings = _compensate_delays(tuple(events), machine.t_pi)
-        return PulseProgram(events_t, model.n, warnings)
-    return PulseProgram(tuple(events), model.n)
+    """Compile one symmetric Trotter step into a pulse program, repeated
+    plan.k times (a fresh StepCompiler's template, stamped once)."""
+    return StepCompiler(plan, method, machine).compile(model)
 
 
 def _rotation_unitary(n: int, targets: tuple[int, ...], phase: float, angle: float) -> np.ndarray:

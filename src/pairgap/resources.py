@@ -49,12 +49,23 @@ def max_feasible_n(
     t_g_over_tau: float = 1e-5,
     budget_in_tau: float = 1.0,
 ) -> int:
-    """Largest qubit count that stays inside the budget, by upward scan.
-
-    Equals floor((budget / (3 (delta/epsilon) t_g_over_tau))^(1/4)); returns 0
-    when even n = 1 does not fit.
+    """Largest qubit count that stays inside the budget; 0 when even n = 1
+    does not fit. The closed form floor((budget / (3 (delta/epsilon)
+    t_g_over_tau))^(1/4)) is stepped by one with ``feasibility`` onto the
+    integer an upward scan stops at. Raises ValueError when every n fits or
+    the answer passes 2^53.
     """
-    n = 0
+    one = feasibility(1, delta, epsilon, t_g_over_tau, budget_in_tau)
+    if not one.feasible:
+        return 0
+    if one.time_in_tau == 0.0:
+        raise ValueError("every qubit count fits the budget")
+    start = (budget_in_tau / one.time_in_tau) ** 0.25
+    if not start < 2.0**53:
+        raise ValueError(f"max feasible n {start:.3g} exceeds 2^53")
+    n = max(int(start), 1)
+    while not feasibility(n, delta, epsilon, t_g_over_tau, budget_in_tau).feasible:
+        n -= 1
     while feasibility(n + 1, delta, epsilon, t_g_over_tau, budget_in_tau).feasible:
         n += 1
     return n

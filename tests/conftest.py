@@ -2,14 +2,15 @@
 as a dedicated section at the end of the pytest run, two step oracles that
 need no DFT and no fit (the step's own spectral line and the t0/k order of its
 pair-number leak), test-only operators and pulse blocks, reference builders
-for the dense operators and the reference damped-cosine fit."""
+for the dense operators, the reference step compiler and the reference
+damped-cosine fit."""
 
 import math
 
 import numpy as np
 
 from pairgap.exact import propagator, sector_matrix
-from pairgap.nmr import PulseProgram, _coupling_events, _onsite_events
+from pairgap.nmr import Delay, PulseProgram, RfPulse, _coupling_delay, _coupling_events, _onsite_events, _stamp
 from pairgap.spectroscopy import FitResult, TimeSeries
 
 _LINES: list[str] = []
@@ -87,9 +88,84 @@ def compile_onsite(model, t: float) -> PulseProgram:
 def compile_coupling(model, axis: str, t: float, machine) -> PulseProgram:
     """The compiler's coupling block alone (axis 'X' or 'Y', time t). It
     leaves a spectator spin net-flipped; a full step program restores it."""
+    d, pairs = _coupling_delay(model, t, machine)
     events = []
-    _coupling_events(model, axis, t, machine, {m: 0 for m in range(1, model.n + 1)}, events)
-    return PulseProgram(tuple(events), model.n)
+    _coupling_events(axis, t, machine, pairs, d > 0, {m: 0 for m in range(1, model.n + 1)}, events)
+    return _stamp(tuple(events), {t: d}, model.n)
+
+
+# Reference compiler: the step compiler as it stood before templates, which
+# builds every event of every program afresh and compensates w2 delays in a
+# second pass. The package's templates, stamped per model, must give programs
+# equal to these, clamp warnings and errors included.
+
+
+def _reference_coupling_events(model, axis, t, machine, parity, out):
+    open_phase, close_phase = (math.pi / 2, -math.pi / 2) if axis == "X" else (math.pi, 0.0)
+    d, pairs = _coupling_delay(model, t, machine)
+    coupled = sorted({m + 1 for pair in pairs for m in pair})
+    if not coupled:
+        return
+    idle = tuple(m for m in range(1, model.n + 1) if m not in coupled)
+    if d > 0:
+        tied = [f"{a},{b}" for a in idle for b in idle if a < b and machine.j_hz[a - 1, b - 1] != 0.0]
+        if tied:
+            raise ValueError(
+                f"spectator spins {'; '.join(tied)} have J != 0: the shared "
+                "refocusing pulse leaves their mutual coupling on"
+            )
+        leaked = [
+            f"{a},{b}"
+            for a in coupled
+            for b in coupled
+            if a < b and model.coupling[a - 1, b - 1] == 0.0 and machine.j_hz[a - 1, b - 1] != 0.0
+        ]
+        if leaked:
+            raise ValueError(
+                f"coupled spins {'; '.join(leaked)} have V = 0 but J != 0: the "
+                "shared delay leaves their mutual coupling on"
+            )
+    out.append(RfPulse(tuple(coupled), open_phase, math.pi / 2))
+    if idle and d > 0:
+        out.append(Delay(d / 2))
+        out.append(RfPulse(idle, 0.0, math.pi))
+        out.append(Delay(d / 2))
+        for m in idle:
+            parity[m] += 1
+    else:
+        out.append(Delay(d))
+    out.append(RfPulse(tuple(coupled), close_phase, math.pi / 2))
+
+
+def reference_compile_step(model, plan, method, machine) -> PulseProgram:
+    """One palindromic step compiled event by event, as before templates."""
+    if machine.n != model.n:
+        raise ValueError("machine and model spin counts differ")
+    tau = plan.t0 / plan.k
+    parity = {m: 0 for m in range(1, model.n + 1)}
+    events = []
+    for _ in range(plan.k):
+        _onsite_events(model, tau / 2, parity, events)
+        _reference_coupling_events(model, "X", tau / 2, machine, parity, events)
+        _reference_coupling_events(model, "Y", tau, machine, parity, events)
+        _reference_coupling_events(model, "X", tau / 2, machine, parity, events)
+        _onsite_events(model, tau / 2, parity, events)
+    odd = tuple(m for m in range(1, model.n + 1) if parity[m] % 2)
+    if odd:
+        events.append(RfPulse(odd, 0.0, math.pi))
+    if method == "w1":
+        return PulseProgram(tuple(events), model.n)
+    warnings = []
+    for i, ev in enumerate(events):
+        prev = events[i - 1] if i > 0 else None
+        nxt = events[i + 1] if i + 1 < len(events) else None
+        if isinstance(ev, Delay) and isinstance(prev, RfPulse) and isinstance(nxt, RfPulse):
+            cut = ev.duration - (machine.t_pi / (2 * math.pi)) * (abs(prev.angle) + abs(nxt.angle))
+            if cut < 0:
+                warnings.append(f"event {i}: compensated delay {cut:.3e} s clamped to 0")
+                cut = 0.0
+            events[i] = Delay(cut)
+    return PulseProgram(tuple(events), model.n, tuple(warnings))
 
 
 # Reference builders: every operator as an n-fold np.kron chain of 2 x 2

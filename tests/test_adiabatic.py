@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import pairgap.backend
 import pairgap.exact
 import pairgap.nmr
 from pairgap.adiabatic import (
@@ -217,3 +218,17 @@ def test_run_builds_each_distinct_pulse_once(monkeypatch):
         built.clear()
         run_experiment(cfg)
     assert built == first
+
+
+def test_run_compiles_each_template_once(monkeypatch):
+    # the ramp's s = 0 step is on-site only and its s >= 1 steps share one
+    # coupling pattern: two preparation templates, plus one for acquisition
+    templates = counting(monkeypatch, pairgap.nmr.StepCompiler, "_template")
+    compiled = counting(monkeypatch, pairgap.nmr, "compile_trotter_step")
+    monkeypatch.setattr(pairgap.backend, "compile_trotter_step", pairgap.nmr.compile_trotter_step)
+    cfg = build_config(preset="h1", overrides=("run.method=w2", "run.pulse_mode=finite"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        run_experiment(cfg)
+    assert len(templates) == 3
+    assert len(compiled) == 1

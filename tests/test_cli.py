@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pairgap.cli import main
 from pairgap.config import build_config
 from pairgap.nmr import compile_trotter_step, program_to_text
 
@@ -161,6 +162,23 @@ def test_estimate_table_and_summary(tmp_path):
     assert table[("10", "1.0")][-1] == "1"
     assert "eps/delta = 0.01: max feasible n = 4" in proc.stdout
     assert "eps/delta = 1: max feasible n = 13" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "3,x"], "invalid literal for int()"),
+        (["--eps-over-delta", "0"], "epsilon must be positive"),
+        (["--n", "0"], "n must be >= 1"),
+        (["--t-g-over-tau", "0"], "must be positive"),
+        (["--eps-over-delta", "inf"], "every qubit count fits"),
+        (["--n", "1" + "0" * 80], "too large to convert to float"),
+    ],
+)
+def test_estimate_bad_input_exit_2(argv, message, capsys):
+    assert main(["estimate", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_compile_program_round_trips(tmp_path):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_realize, number_operator
+from conftest import kron_axis_field, kron_realize, number_operator
 from pairgap.hamiltonian import (
+    _add_pauli,
+    _pauli_pattern,
     PairingModel,
     PauliSum,
     PauliTerm,
@@ -18,6 +20,7 @@ from pairgap.hamiltonian import (
     realize,
     sector_basis,
 )
+from pairgap.nmr import _axis_field
 from pairgap.presets import pairing_model
 
 PI = math.pi
@@ -129,6 +132,26 @@ def pauli_sums(draw):
 @given(pauli_sums())
 def test_realize_matches_kron_oracle_exactly(op):
     assert np.array_equal(realize(op), kron_realize(op))
+
+
+def test_pauli_patterns_are_cached_read_only_and_bounded():
+    assert _pauli_pattern.cache_info().maxsize is not None
+    op = full_hamiltonian(pairing_model("h1"))
+    first = realize(op)
+    hits = _pauli_pattern.cache_info().hits
+    again = realize(op)
+    assert _pauli_pattern.cache_info().hits == hits + len(op.terms)
+    assert np.array_equal(first, again) and np.array_equal(again, kron_realize(op))
+    for n in (1, 3, 12):
+        flat, odd, _ = _pauli_pattern(n, ((1, "Y"), (n, "X")))
+        assert not flat.flags.writeable and not odd.flags.writeable
+        assert flat.itemsize < np.dtype(np.intp).itemsize and odd.dtype == bool
+        with pytest.raises(ValueError):
+            flat[0] = 0
+    for _ in range(2):
+        assert np.array_equal(_axis_field(3, (1, 3), 0.7), kron_axis_field(3, (1, 3), 0.7))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _add_pauli(np.zeros((8, 8), dtype=complex).T, 1.0, ((1, "X"),))
 
 
 def test_realize_qubit_guard():

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import compile_coupling, compile_onsite, kron_axis_field, kron_realize, kron_rotation_unitary
+from conftest import (
+    compile_coupling,
+    compile_onsite,
+    kron_axis_field,
+    kron_realize,
+    kron_rotation_unitary,
+    reference_compile_step,
+)
 from pairgap.adiabatic import AdiabaticityWarning
 from pairgap.config import build_config
 from pairgap.exact import propagator
@@ -29,6 +36,7 @@ from pairgap.nmr import (
     PulseProgram,
     RfPulse,
     SpinSystem,
+    StepCompiler,
     compile_trotter_step,
     program_to_text,
     program_unitary,
@@ -321,6 +329,109 @@ def test_coupled_pair_without_v_but_with_j_raises():
     u = program_unitary(compile_trotter_step(model, plan, "w1", machine), machine, "delta")
     want = symmetric3_step(model, plan)
     assert 1 - abs(np.trace(want.conj().T @ u)) / 8 < 1e-9
+
+
+RAMP_STEPS = 4
+
+
+def ramp_outcomes(compile_one, model):
+    """The program, or the ValueError text, of each ramp step s = 0..S."""
+    out = []
+    for s in range(RAMP_STEPS + 1):
+        try:
+            out.append(compile_one(model.with_coupling_scale(s / RAMP_STEPS)))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def assert_ramp_matches_fresh_and_reference(model, plan, method, machine):
+    """One shared StepCompiler across the ramp gives, at every s, the fresh
+    compile's and the reference compiler's program or error."""
+    shared = StepCompiler(plan, method, machine)
+    got = ramp_outcomes(shared.compile, model)
+    assert got == ramp_outcomes(lambda m: compile_trotter_step(m, plan, method, machine), model)
+    assert got == ramp_outcomes(lambda m: reference_compile_step(m, plan, method, machine), model)
+    return got, shared
+
+
+@st.composite
+def realizable_layouts(draw):
+    """A model and machine the compiler can realize: every coupled pair has
+    J != 0 and V = c pi J for one c > 0, so all pairs share one delay;
+    spectators have no mutual J, coupled spins without V have no J, and
+    spectator-to-coupled J is arbitrary (the midpoint pulse refocuses it)."""
+    n = draw(st.integers(2, 4))
+    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(all_pairs), min_size=1))
+    coupled = {m for pair in chosen for m in pair}
+    c = draw(st.floats(0.05, 2.0))
+    hz = st.floats(20.0, 400.0).flatmap(lambda x: st.sampled_from([x, -x]))
+    v = np.zeros((n, n))
+    j = np.zeros((n, n))
+    for a, b in all_pairs:
+        if (a, b) in chosen:
+            j[a, b] = draw(hz)
+            v[a, b] = c * PI * j[a, b]
+        elif (a in coupled) != (b in coupled):
+            j[a, b] = draw(st.sampled_from([0.0, 35.0, -120.0]))
+    nu = tuple(draw(st.lists(st.floats(-2000.0, 2000.0), min_size=n, max_size=n)))
+    factor = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    t_pi = draw(st.sampled_from([0.0, 20e-6, 1e-3]))
+    return PairingModel(nu, v + v.T, factor), SpinSystem(j + j.T, t_pi, (0.25,) * n)
+
+
+@settings(deadline=None, max_examples=80)
+@given(realizable_layouts(), st.sampled_from(["w1", "w2"]), st.integers(1, 3))
+def test_stamped_ramp_equals_fresh_and_reference_compiles(layout, method, k):
+    model, machine = layout
+    got, _ = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, k), method, machine)
+    assert all(isinstance(p, PulseProgram) for p in got)
+
+
+@pytest.mark.parametrize("method", ["w1", "w2"])
+@pytest.mark.parametrize("model", [H1, H2], ids=["h1", "h2"])
+def test_stamped_preset_ramp_equals_fresh_and_reference_compiles(model, method):
+    # a 1 ms pulse is longer than most delays, so w2 clamps fire
+    machine = spin_system(t_pi=1e-3)
+    got, shared = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), method, machine)
+    assert (method == "w2") == any(p.clamp_warnings for p in got)
+    assert len(shared._templates) == 2  # s = 0, on-site only, and s >= 1
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ((H1, SpinSystem(np.zeros((3, 3)))), "spins 1,2 have J = 0"),
+        (spectator_pair_case(150.0), "spectator spins 3,4"),
+        (open_pair_case(50.0), "coupled spins 1,3 have V = 0 but J != 0"),
+    ],
+    ids=["zero-j", "spectator-j", "v0-j"],
+)
+def test_unrealizable_ramp_raises_at_the_same_steps(case, message):
+    model, machine = case
+    got, _ = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), "w1", machine)
+    assert isinstance(got[0], PulseProgram)
+    assert all(message in text for text in got[1:])
+
+
+@pytest.mark.parametrize(
+    "v12, templates",
+    [
+        # 5e-324 * s/4 underflows to 0 at s = 1, 2 and rounds back to 5e-324
+        # at s = 3: the coupled pairs change twice along the ramp
+        (5e-324, 2),
+        # the pair stays coupled for s >= 1, but at s = 1 only the tau block's
+        # delay is nonzero, so only it refocuses the spectator
+        (1e-317, 3),
+    ],
+)
+def test_templates_follow_the_coupling_pattern(v12, templates):
+    v = np.zeros((3, 3))
+    v[0, 1] = v[1, 0] = v12
+    model = PairingModel(H1.nu, v)
+    got, shared = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), "w2", MACHINE)
+    assert len(shared._templates) == templates
 
 
 def test_compiled_angles_stay_in_range():

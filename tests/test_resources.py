@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -45,6 +46,41 @@ def test_max_feasible_n_scan_matches_closed_form():
         assert got == want
     # budget too small for a single mode
     assert max_feasible_n(1e9, 1.0) == 0
+
+
+def scan_max_feasible_n(delta, epsilon, t_g_over_tau, budget_in_tau):
+    """The upward scan the closed form replaced."""
+    n = 0
+    while feasibility(n + 1, delta, epsilon, t_g_over_tau, budget_in_tau).feasible:
+        n += 1
+    return n
+
+
+def test_max_feasible_n_equals_the_scan():
+    for ratio in (0.3, 1.0, 7.0, 100.0, 1234.5):
+        for t_g in (1e-9, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4, 0.1):
+            for budget in (0.5, 1.0, 2.0):
+                want = scan_max_feasible_n(1.0, ratio, t_g, budget)
+                assert max_feasible_n(1.0, ratio, t_g, budget) == want, (ratio, t_g, budget)
+    # at exact fourth powers the closed form sits on the boundary
+    for n in (1, 2, 3, 7, 10, 31):
+        t_g = 1.0 / (3.0 * n**4)
+        assert max_feasible_n(1.0, 1.0, t_g) == scan_max_feasible_n(1.0, 1.0, t_g, 1.0)
+
+
+def test_max_feasible_n_at_tiny_gate_times_returns_at_once():
+    start = time.perf_counter()
+    n = max_feasible_n(100.0, 1.0, t_g_over_tau=1e-40)
+    assert time.perf_counter() - start < 0.05
+    assert feasibility(n, 100.0, 1.0, 1e-40).feasible
+    assert not feasibility(n + 1, 100.0, 1.0, 1e-40).feasible
+
+
+def test_max_feasible_n_without_a_bound_raises():
+    with pytest.raises(ValueError, match="every qubit count fits"):
+        max_feasible_n(0.0, 1.0)
+    with pytest.raises(ValueError, match="exceeds 2\\^53"):
+        max_feasible_n(1.0, 1.0, budget_in_tau=math.inf)
 
 
 def test_grid_csv_layout():
