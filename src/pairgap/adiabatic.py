@@ -70,18 +70,17 @@ def prepare(
     ramp: Ramp | None = None,
     table: EventTable | None = None,
 ) -> np.ndarray:
-    """Evolve ``init`` under the interpolated Hamiltonian for t_ad at each
-    s = 0..S and return the final state.
-
-    Scaling the model's couplings by s/S realizes the interpolation, because
-    (1 - s/S) H_free + (s/S) H_full = H_free + (s/S) (H_full - H_free).
-    Warns when the minimum sector gap along the path is below 1/(S * t_ad).
+    """Evolve ``init`` for t_ad under each ramp step's model, s = 0..S, and
+    return the final state: exactly through the ramp's Hamiltonians when the
+    schedule has no backend, else by one backend step of each
+    ``ramp.step_model(s)``. Warns when the minimum sector gap along the path
+    is below 1/(S * t_ad).
 
     A run passes its ramp and its pulse-event table, so the ramp's operators
-    and each distinct pulse are built once however many preparations share
-    them; without them this call builds its own ramp, and a compiled backend
-    a fresh table per step. A compiled backend builds each step template once
-    per call and stamps it for every s.
+    and each distinct pulse are built once and shared with the run's other
+    stages; without them this call builds its own ramp, and a compiled
+    backend a fresh table per step. A compiled backend builds each step
+    template once per call and stamps it for every s.
     """
     psi = np.asarray(init, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
@@ -97,8 +96,9 @@ def prepare(
     elif schedule.t_ad > 0:
         step_state = state_stepper(TrotterPlan(schedule.t_ad, schedule.k), schedule.backend, table)
         for s in range(s_steps + 1):
-            psi = step_state(model.with_coupling_scale(s / s_steps), psi)
-    # The gap check reads the sector blocks an exact evolution has just kept.
+            psi = step_state(ramp.step_model(s), psi)
+    # The gap check reads the ramp's sector blocks: an exact evolution has
+    # just kept them, a stepped one has them realized here.
     if check_adiabaticity and schedule.t_ad > 0 and pairs is not None:
         min_gap = _min_schedule_gap(ramp)
         if min_gap < 1.0 / (s_steps * schedule.t_ad):

@@ -178,11 +178,10 @@ def _matrix_entries(entries: dict[str, str], prefix: str, n: int) -> np.ndarray 
 def _build_model(entries: dict[str, str], preset_name: str | None) -> PairingModel:
     factor = _float(entries, "model.convention_factor") if "model.convention_factor" in entries else None
     if preset_name is not None:
-        base = presets.pairing_model(preset_name, factor)
+        base = presets.pairing_model(preset_name)
         nu: tuple[float, ...] = base.nu
         coupling = np.array(base.coupling)
-        n = base.n
-        factor = base.convention_factor
+        default_factor = base.convention_factor
     else:
         if "model.nu_hz" in entries:
             nu = tuple(x * _TWO_PI for x in _float_list(entries, "model.nu_hz"))
@@ -194,7 +193,9 @@ def _build_model(entries: dict[str, str], preset_name: str | None) -> PairingMod
         if "model.n" in entries and _int(entries, "model.n") != n:
             raise ConfigError("model.n: disagrees with the nu list length")
         coupling = np.zeros((n, n))
-        factor = factor or 1.0
+        default_factor = 1.0
+    if factor is None:
+        factor = default_factor
     explicit = _matrix_entries(entries, "model.v", len(nu))
     if explicit is not None:
         coupling = explicit
@@ -231,7 +232,12 @@ def _build_machine(entries: dict[str, str], preset_name: str | None, n: int) -> 
         raise ConfigError(str(exc)) from None
 
 
-_KNOWN_SCALARS = {
+def _text(entries: dict[str, str], key: str) -> str:
+    return entries[key]
+
+
+# Keys the model, machine and plan builders read.
+_BUILDER_KEYS = {
     "model.preset",
     "model.n",
     "model.nu_hz",
@@ -239,22 +245,28 @@ _KNOWN_SCALARS = {
     "model.convention_factor",
     "machine.t_pi_s",
     "machine.t2_s",
-    "schedule.steps",
-    "schedule.t_ad_s",
-    "schedule.evolver",
     "plan.t0_s",
     "plan.k",
-    "run.method",
-    "run.pulse_mode",
-    "run.q",
-    "run.observed_spin",
-    "run.damping",
-    "run.exclude_dc",
-    "run.init",
-    "run.population_floor",
-    "noise.amplitude",
-    "noise.seed",
 }
+
+# Run keys as (key, ExperimentConfig field, parser), parsed in this order; an
+# absent key leaves the field at its dataclass default.
+_RUN_KEYS = (
+    ("schedule.steps", "schedule_steps", _int),
+    ("schedule.t_ad_s", "t_ad", _float),
+    ("schedule.evolver", "evolver", _text),
+    ("run.method", "method", _text),
+    ("run.pulse_mode", "pulse_mode", _text),
+    ("run.q", "q", _int),
+    ("run.observed_spin", "observed_spin", _int),
+    ("run.damping", "damping", _flag),
+    ("run.exclude_dc", "exclude_dc", _flag),
+    ("run.init", "init_bits", _text),
+    ("run.population_floor", "population_floor", _float),
+    ("noise.amplitude", "noise_amplitude", _float),
+    ("noise.seed", "noise_seed", _int),
+)
+_KNOWN_SCALARS = _BUILDER_KEYS | {key for key, _, _ in _RUN_KEYS}
 
 
 def _check_keys(entries: dict[str, str]) -> None:
@@ -292,26 +304,11 @@ def build_config(
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    init_default = presets.INIT_BITS if model.n == 3 else "0" * model.n
+    fields = {field: parse(entries, key) for key, field, parse in _RUN_KEYS if key in entries}
+    fields.setdefault("q", defaults["q"])
+    fields.setdefault("init_bits", presets.INIT_BITS if model.n == 3 else "0" * model.n)
     try:
-        return ExperimentConfig(
-            model=model,
-            machine=machine,
-            plan=plan,
-            schedule_steps=_int(entries, "schedule.steps") if "schedule.steps" in entries else presets.SCHEDULE_STEPS,
-            t_ad=_float(entries, "schedule.t_ad_s") if "schedule.t_ad_s" in entries else presets.SCHEDULE_T_AD,
-            evolver=entries.get("schedule.evolver", "default"),
-            method=entries.get("run.method", "ideal"),
-            pulse_mode=entries.get("run.pulse_mode", "delta"),
-            q=_int(entries, "run.q") if "run.q" in entries else defaults["q"],
-            observed_spin=_int(entries, "run.observed_spin") if "run.observed_spin" in entries else presets.OBSERVED_SPIN,
-            damping=_flag(entries, "run.damping") if "run.damping" in entries else False,
-            exclude_dc=_flag(entries, "run.exclude_dc") if "run.exclude_dc" in entries else True,
-            init_bits=entries.get("run.init", init_default),
-            population_floor=_float(entries, "run.population_floor") if "run.population_floor" in entries else 0.02,
-            noise_amplitude=_float(entries, "noise.amplitude") if "noise.amplitude" in entries else 0.0,
-            noise_seed=_int(entries, "noise.seed") if "noise.seed" in entries else 0,
-        )
+        return ExperimentConfig(model=model, machine=machine, plan=plan, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

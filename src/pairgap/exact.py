@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import PairingModel, full_hamiltonian, interpolated_hamiltonian, realize, sector_basis
+from .hamiltonian import PairingModel, full_hamiltonian, realize, sector_basis
 
 _HERMITICITY_TOL = 1e-9
 # Eigenvalues closer than this (relative to the spectral scale) are treated as
@@ -66,20 +66,25 @@ def sector_matrix(model: PairingModel, pairs: int) -> tuple[np.ndarray, np.ndarr
 
 
 class Ramp:
-    """Operators of one preparation ramp in one pair sector: the dense
-    H_s = realize(interpolated_hamiltonian(model, s, S)), s = 0..S, the
-    sector block of each and the eigensystem of the final (s = S) block,
-    whose Hamiltonian is the model's own.
+    """Operators of one preparation ramp in one pair sector. Step s = 0..S
+    runs the model with its couplings scaled by s/S (``step_model``); the
+    ramp realizes the dense H_s = realize(full_hamiltonian(step_model(s))),
+    keeps the sector block of each and the eigensystem of the final (s = S)
+    block, whose Hamiltonian is the model's own.
 
+    Scaling the couplings realizes the interpolation, because
+    (1 - s/S) H_free + (s/S) H_full = H_free + (s/S) (H_full - H_free).
     Realizing H_s keeps its sector block, not the dense matrix, so a ramp
     holds (S + 1) blocks of C(n, pairs)^2 entries and one eigensystem. A run
-    builds one ramp and hands it to every stage: the exact evolution realizes
-    each H_s once, and the schedule gap, the reachable level and the
-    population report read the blocks it kept. ``pairs`` None (a state
-    spread over sectors) keeps no blocks.
+    builds one ramp and hands it to every stage: the preparation steps its
+    models, the schedule gap, the reachable level and the population report
+    read the blocks, each realized once. ``pairs`` None (a state spread over
+    sectors) keeps no blocks.
     """
 
     def __init__(self, model: PairingModel, steps: int, pairs: int | None):
+        if steps < 1:
+            raise ValueError("schedule.steps: must be >= 1")
         self.model = model
         self.steps = steps
         self.pairs = pairs
@@ -87,8 +92,16 @@ class Ramp:
         self._blocks: dict[int, np.ndarray] = {}
         self._final: EigenSystem | None = None
 
+    def step_model(self, s: int) -> PairingModel:
+        """The model of ramp step s: couplings scaled by s/S, nu kept. Zero
+        couplings are dropped from its Hamiltonian, so step 0 is the on-site
+        part and step S the full Hamiltonian, term for term."""
+        if not 0 <= s <= self.steps:
+            raise ValueError("schedule step index out of range")
+        return self.model.with_coupling_scale(s / self.steps)
+
     def hamiltonian(self, s: int) -> np.ndarray:
-        h = realize(interpolated_hamiltonian(self.model, s, self.steps))
+        h = realize(full_hamiltonian(self.step_model(s)))
         if self.idx is not None:
             self._blocks[s] = h[np.ix_(self.idx, self.idx)]
         return h

@@ -62,11 +62,8 @@ class PairingModel:
         return len(self.nu)
 
     def with_coupling_scale(self, scale: float) -> "PairingModel":
-        """Model with every off-diagonal coupling multiplied by ``scale``.
-
-        Used for stepwise interpolation schedules: scaling the coupling by
-        s/S while keeping nu realizes the interpolated Hamiltonian.
-        """
+        """Model with every off-diagonal coupling multiplied by ``scale``;
+        ``exact.Ramp.step_model`` builds each preparation step's model with it."""
         return PairingModel(self.nu, self.coupling * float(scale), self.convention_factor)
 
 
@@ -140,22 +137,6 @@ def full_hamiltonian(model: PairingModel) -> PauliSum:
     b = coupling_hamiltonian(model, "X")
     c = coupling_hamiltonian(model, "Y")
     return PauliSum(a.terms + b.terms + c.terms, model.n)
-
-
-def interpolated_hamiltonian(model: PairingModel, s: int, steps: int) -> PauliSum:
-    """Schedule Hamiltonian (1 - s/S) * onsite + (s/S) * full, built as the
-    full Hamiltonian of the model with its couplings scaled by s/S. The two
-    agree because the onsite part is common to both ends; this is the ramp
-    the preparation runs.
-
-    Zero couplings are dropped, so the endpoints return the onsite and full
-    term lists verbatim.
-    """
-    if steps == 0:
-        raise ValueError("schedule.steps: must be >= 1")
-    if not 0 <= s <= steps:
-        raise ValueError("schedule step index out of range")
-    return full_hamiltonian(model.with_coupling_scale(s / steps))
 
 
 def nmr_zz_hamiltonian(j_hz: np.ndarray) -> PauliSum:

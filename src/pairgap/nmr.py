@@ -72,14 +72,11 @@ class Delay:
 @dataclass(frozen=True)
 class RfPulse:
     """Simultaneous rotation R_phase(angle) = exp[+i (angle/2)(X cos(phase) +
-    Y sin(phase))] on every target spin. ``ideal`` marks a pulse simulated as a
-    perfect rotation even in finite mode; its duration still counts toward the
-    wall clock."""
+    Y sin(phase))] on every target spin."""
 
     targets: tuple[int, ...]
     phase: float
     angle: float
-    ideal: bool = False
 
     def __post_init__(self):
         targets = tuple(sorted(int(t) for t in self.targets))
@@ -373,7 +370,7 @@ def _axis_field(n: int, targets: tuple[int, ...], phase: float) -> np.ndarray:
 
 
 def _pulse_unitary(ev: RfPulse, n: int, machine: SpinSystem, pulse_mode: str, zz: np.ndarray) -> np.ndarray:
-    if pulse_mode == DELTA or ev.ideal:
+    if pulse_mode == DELTA:
         return _rotation_unitary(n, ev.targets, ev.phase, ev.angle)
     if machine.t_pi <= 0:
         raise ValueError("finite pulse mode needs machine.t_pi > 0")
@@ -479,7 +476,7 @@ def simulate_program(
 
 
 def program_to_text(program: PulseProgram, t_pi: float) -> str:
-    """Line format: DELAY <s> | RF <spins> <phase_rad> <angle_rad> [IDEAL],
+    """Line format: DELAY <s> | RF <spins> <phase_rad> <angle_rad>,
     closed by WALL <s> computed at the given t_pi."""
     lines = []
     for ev in program.events:
@@ -487,8 +484,7 @@ def program_to_text(program: PulseProgram, t_pi: float) -> str:
             lines.append(f"DELAY {ev.duration!r}")
         else:
             spins = ",".join(str(t) for t in ev.targets)
-            tail = " IDEAL" if ev.ideal else ""
-            lines.append(f"RF {spins} {ev.phase!r} {ev.angle!r}{tail}")
+            lines.append(f"RF {spins} {ev.phase!r} {ev.angle!r}")
     lines.append(f"WALL {wall_time(program, t_pi)!r}")
     return "\n".join(lines) + "\n"
 

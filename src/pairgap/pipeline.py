@@ -74,27 +74,17 @@ def _preparation_backend(cfg: ExperimentConfig) -> Backend | None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
+    """Prepare once with ``schedule.evolver``, take the reachable level and
+    its exact gap from that prepared state, then acquire, transform and fit."""
     init = computational_state(cfg.model.n, cfg.init_index)
     pairs = cfg.init_bits.count("1")
     # One ramp and one pulse-event table serve every stage of this run.
     ramp = Ramp(cfg.model, cfg.schedule_steps, pairs)
     table = EventTable(cfg.machine, cfg.model.n, cfg.pulse_mode)
 
-    # The exact preparation runs first: its ramp Hamiltonians leave the
-    # sector blocks that the other preparation's gap check then reads.
-    backend = _preparation_backend(cfg)
-    prepared_exact = prepare(
-        cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad),
-        check_adiabaticity=backend is None, ramp=ramp,
-    )
-    if backend is None:
-        prepared = prepared_exact
-    else:
-        prepared = prepare(
-            cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, backend, cfg.plan.k),
-            ramp=ramp, table=table,
-        )
-    level, delta_exact = reachable_gap(cfg.model, pairs, prepared_exact, cfg.population_floor, ramp)
+    schedule = AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, _preparation_backend(cfg), cfg.plan.k)
+    prepared = prepare(cfg.model, init, schedule, ramp=ramp, table=table)
+    level, delta_exact = reachable_gap(cfg.model, pairs, prepared, cfg.population_floor, ramp)
 
     u, wall_per_step, clamp_warnings = step(
         cfg.model, cfg.plan, Backend(cfg.method, cfg.machine, cfg.pulse_mode), table

@@ -48,13 +48,14 @@ OBSERVED_SPIN = 1
 
 
 def pairing_model(name: str, convention_factor: float | None = None) -> PairingModel:
+    """Preset model; ``convention_factor`` None takes the preset's own factor."""
     if name == "h1":
         coupling = _PI * _J_HZ
-        return PairingModel(_NU, coupling, convention_factor or 1.0)
+        return PairingModel(_NU, coupling, 1.0 if convention_factor is None else convention_factor)
     if name == "h2":
         coupling = np.zeros((3, 3))
         coupling[0, 1] = coupling[1, 0] = _PI * 224.0
-        return PairingModel(_NU, coupling, convention_factor or 2.0)
+        return PairingModel(_NU, coupling, 2.0 if convention_factor is None else convention_factor)
     raise ValueError(f"unknown preset {name!r} (choose from {PRESET_NAMES})")
 
 

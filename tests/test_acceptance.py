@@ -19,8 +19,8 @@ import warnings
 import numpy as np
 
 from pairgap.config import build_config
-from pairgap.exact import propagator, sector_gap
-from pairgap.hamiltonian import full_hamiltonian, interpolated_hamiltonian, realize
+from pairgap.exact import Ramp, propagator, sector_gap
+from pairgap.hamiltonian import full_hamiltonian, realize
 from pairgap.nmr import compile_trotter_step, program_unitary
 from pairgap.pipeline import run_experiment, sweep_t0
 from pairgap.presets import pairing_model, spin_system
@@ -207,7 +207,7 @@ def test_criterion_8_property_battery():
             h = realize(full_hamiltonian(model))
             if np.linalg.norm(h - h.conj().T) > 1e-12:
                 failures.append(f"{name} Hamiltonian not Hermitian")
-            hs = realize(interpolated_hamiltonian(model, 1, 4))
+            hs = Ramp(model, 4, 2).hamiltonian(1)
             if np.linalg.norm(hs - hs.conj().T) > 1e-12:
                 failures.append(f"{name} ramp Hamiltonian not Hermitian")
             num = number_operator(model.n)

@@ -7,6 +7,7 @@ import pytest
 import pairgap.backend
 import pairgap.exact
 import pairgap.nmr
+import pairgap.pipeline
 from pairgap.adiabatic import (
     AdiabaticityWarning,
     AdiabaticSchedule,
@@ -185,6 +186,17 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def test_run_prepares_once_and_reads_its_level_from_that_state(monkeypatch):
+    prepared = counting(monkeypatch, pairgap.pipeline, "prepare")
+    cfg = build_config(preset="h1", overrides=("run.method=w1", "run.pulse_mode=finite"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        result = run_experiment(cfg)
+    assert len(prepared) == 1
+    first = next(i for i, _, p in result.populations[1:] if p >= cfg.population_floor)
+    assert result.reachable_level == first
 
 
 @pytest.mark.parametrize("method", ["ideal", "w1"])

@@ -181,6 +181,14 @@ def test_estimate_bad_input_exit_2(argv, message, capsys):
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize("factor", ["0", "-0.0", "-1", "nan"])
+@pytest.mark.parametrize("model", [("--preset", "h1"), ("--override", "model.nu_hz=10,20", "--override", "run.init=01")])
+def test_invalid_convention_factor_exit_2(model, factor, capsys):
+    assert main(["gap-exact", *model, "--override", f"model.convention_factor={factor}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "model.convention_factor" in err
+
+
 def test_compile_program_round_trips(tmp_path):
     proc = run_cli("compile", "--preset", "h2", "--override", "run.method=w2",
                    "--out", str(tmp_path))

@@ -29,8 +29,9 @@ def test_grid_covers_gap_exact_on_both_presets(tool):
     assert len(cases) == len(set(cases)) == 34
 
 
-def result_json(delta, residual, converged):
-    record = {"delta_exp_rad_s": delta, "epsilon_ft_rad_s": 2.0, "residual_norm": residual, "converged": converged}
+def result_json(delta, residual, converged, level=1, delta_exact=100.0):
+    record = {"delta_exp_rad_s": delta, "epsilon_ft_rad_s": 2.0, "residual_norm": residual, "converged": converged,
+              "reachable_level": level, "delta_exact_rad_s": delta_exact}
     return json.dumps(record).encode()
 
 
@@ -46,7 +47,18 @@ def test_run_difference_names_files_shift_and_flip(describe):
     assert describe(base, head) == [
         "exit 3 -> 0",
         "files differ: result.json",
-        "|d delta_exp|/eps_ft 5.00e-04; residual_norm -2.50e-01 rel; converged False -> True",
+        "|d delta_exp|/eps_ft 5.00e-04; residual_norm -2.50e-01 rel; converged False -> True; "
+        "reachable_level 1 -> 1; |d delta_exact| 0.00e+00 rad/s",
+    ]
+
+
+def test_run_difference_names_a_moved_reachable_level(describe):
+    base = (0, "", {"result.json": result_json(100.0, 2.0, True)})
+    head = (0, "", {"result.json": result_json(100.0, 2.0, True, level=2, delta_exact=250.5)})
+    assert describe(base, head) == [
+        "files differ: result.json",
+        "|d delta_exp|/eps_ft 0.00e+00; residual_norm +0.00e+00 rel; "
+        "reachable_level 1 -> 2; |d delta_exact| 1.50e+02 rad/s",
     ]
 
 

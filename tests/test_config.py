@@ -184,3 +184,14 @@ def test_with_plan_replaces_only_the_plan():
     assert alt.model is cfg.model and alt.machine is cfg.machine
     with pytest.raises(ValueError):
         with_plan(cfg, -1e-3)
+
+
+@pytest.mark.parametrize("factor", ["0", "-0.0", "-1", "nan"])
+@pytest.mark.parametrize("preset", ["h1", None])
+def test_invalid_convention_factor_is_a_config_error(preset, factor):
+    text = None if preset else "model.nu_hz = 10, 20\nrun.init = 01\n"
+    with pytest.raises(ConfigError, match="model.convention_factor"):
+        build_config(preset, text, (f"model.convention_factor={factor}",))
+    if preset:
+        with pytest.raises(ValueError, match="model.convention_factor"):
+            pairing_model(preset, float(factor))

@@ -14,12 +14,12 @@ from pairgap.hamiltonian import (
     PauliTerm,
     coupling_hamiltonian,
     full_hamiltonian,
-    interpolated_hamiltonian,
     nmr_zz_hamiltonian,
     onsite_hamiltonian,
     realize,
     sector_basis,
 )
+from pairgap.exact import Ramp
 from pairgap.nmr import _axis_field
 from pairgap.presets import pairing_model
 
@@ -214,20 +214,24 @@ def test_convention_factor_scales_everything():
 
 def test_interpolation_endpoints_verbatim():
     m = pairing_model("h1")
-    assert interpolated_hamiltonian(m, 0, 4).terms == onsite_hamiltonian(m).terms
-    assert interpolated_hamiltonian(m, 4, 4).terms == full_hamiltonian(m).terms
+    ramp = Ramp(m, 4, 2)
+    assert full_hamiltonian(ramp.step_model(0)).terms == onsite_hamiltonian(m).terms
+    assert full_hamiltonian(ramp.step_model(4)).terms == full_hamiltonian(m).terms
 
 
 def test_interpolation_midpoint_matrix():
     m = pairing_model("h1")
+    ramp = Ramp(m, 4, 2)
     h0 = realize(onsite_hamiltonian(m))
     h1 = realize(full_hamiltonian(m))
-    got = realize(interpolated_hamiltonian(m, 1, 4))
+    got = realize(full_hamiltonian(ramp.step_model(1)))
     assert np.allclose(got, 0.75 * h0 + 0.25 * h1, rtol=1e-15, atol=1e-9)
-    with pytest.raises(ValueError):
-        interpolated_hamiltonian(m, 5, 4)
-    with pytest.raises(ValueError):
-        interpolated_hamiltonian(m, -1, 4)
+    assert np.array_equal(ramp.hamiltonian(1), got)
+    for s in (5, -1):
+        with pytest.raises(ValueError, match="step index out of range"):
+            ramp.step_model(s)
+    with pytest.raises(ValueError, match="schedule.steps"):
+        Ramp(m, 0, 2)
 
 
 def test_nmr_zz_coefficients():

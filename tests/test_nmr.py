@@ -152,7 +152,7 @@ def oracle_program_unitary(program, machine, pulse_mode):
             step = np.diag(np.exp(-1j * zz_diag * ev.duration))
         elif ev.angle == 0.0:
             step = np.eye(2**n, dtype=complex)
-        elif pulse_mode == "delta" or ev.ideal:
+        elif pulse_mode == "delta":
             step = kron_rotation_unitary(n, ev.targets, ev.phase, ev.angle)
         else:
             omega1 = -math.copysign(PI / machine.t_pi, ev.angle)
@@ -533,16 +533,6 @@ def test_finite_mode_needs_a_pulse_width():
         program_unitary(prog, machine, "finite", table)
 
 
-def test_ideal_flag_is_exact_in_finite_mode():
-    # an ideal pulse is a perfect rotation even with couplings on; only its
-    # duration differs from the delta picture
-    prog = PulseProgram((RfPulse((2,), 0.0, PI, ideal=True),), n=3)
-    uf = program_unitary(prog, MACHINE, "finite")
-    ud = program_unitary(prog, MACHINE, "delta")
-    assert np.allclose(uf, ud, atol=0)
-    assert wall_time(prog, MACHINE.t_pi) == MACHINE.t_pi
-
-
 def test_finite_pulse_calibration_without_coupling():
     # with J = 0 the driven pulse is calibrated to land exactly on R_0(pi)
     machine = SpinSystem(np.zeros((2, 2)), t_pi=20e-6)
@@ -591,14 +581,14 @@ def test_damping_factor_uses_observed_spin():
         assert np.allclose(on.series.values, off.series.values * np.exp(-k * on.wall_per_step / t2), rtol=1e-12, atol=0)
 
 
-def test_program_text_preserves_ideal_flag():
-    # the writer keeps every float at repr precision, marks ideal pulses and
-    # closes with the wall time at the given pulse width
-    prog = PulseProgram((Delay(1e-3 / 3), RfPulse((1, 3), PI / 3, -PI), RfPulse((2,), 0.0, PI, ideal=True)), n=3)
+def test_program_text_keeps_repr_precision_and_wall():
+    # the writer keeps every float at repr precision and closes with the wall
+    # time at the given pulse width
+    prog = PulseProgram((Delay(1e-3 / 3), RfPulse((1, 3), PI / 3, -PI), RfPulse((2,), 0.0, PI)), n=3)
     assert program_to_text(prog, 8e-6).split("\n") == [
         "DELAY 0.0003333333333333333",
         "RF 1,3 1.0471975511965976 -3.141592653589793",
-        "RF 2 0.0 3.141592653589793 IDEAL",
+        "RF 2 0.0 3.141592653589793",
         "WALL 0.0003493333333333333",
         "",
     ]

@@ -15,8 +15,9 @@ Under each case that differs, the tool names what differs (exit code, stdout,
 artifact files) and, from both sides' result.json, sweep.csv and
 sweep_summary.json, how far the fit moved: the largest |delta_exp change| in
 units of epsilon_ft (in rad/s on generic sweeps, which record no epsilon_ft),
-the relative change of residual_norm, the change of the offset exponent, and
-every flip of `converged`.
+the relative change of residual_norm, the change of the offset exponent,
+every flip of `converged`, and a run's reachable level on both sides with the
+change of its exact gap.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ def _fit_moves(base: dict[str, bytes], head: dict[str, bytes]) -> list[str]:
             moves.append(f"residual_norm {change:+.2e} rel")
         if h["converged"] != b["converged"]:
             moves.append(f"converged {b['converged']} -> {h['converged']}")
+        moves.append(f"reachable_level {b['reachable_level']} -> {h['reachable_level']}")
+        moves.append(f"|d delta_exact| {abs(h['delta_exact_rad_s'] - b['delta_exact_rad_s']):.2e} rad/s")
     if "sweep.csv" in base and "sweep.csv" in head:
         b_rows, h_rows = _sweep_rows(base["sweep.csv"]), _sweep_rows(head["sweep.csv"])
         shifts, flips = [], []
