@@ -7,8 +7,8 @@ from .backend import Backend, step
 from .config import ConfigError, ExperimentConfig, build_config
 from .exact import computational_state, propagator, reachable_gap, sector_gap
 from .hamiltonian import PairingModel, full_hamiltonian, realize
-from .nmr import PulseProgram, SpinSystem, compile_trotter_step, program_to_text, wall_time
-from .pipeline import RunResult, run_experiment, sweep_t0, write_run_artifacts
+from .nmr import PulseProgram, SpinSystem, compile_trotter_step, wall_time
+from .pipeline import RunResult, program_to_text, run_experiment, sweep_t0, write_run_artifacts
 from .presets import pairing_model, spin_system
 from .resources import feasibility, gate_count, max_feasible_n
 from .spectroscopy import TimeSeries, acquire, dft, epsilon_ft, fit_damped_sinusoid, peak_pick

@@ -125,10 +125,3 @@ def sector_population_report(
     es = ramp.final_eigensystem()
     pops = np.abs(es.vectors.conj().T @ state[ramp.idx]) ** 2
     return [(i, float(es.values[i]), float(pops[i])) for i in range(len(pops))]
-
-
-def report_to_csv(rows: list[tuple[int, float, float]]) -> str:
-    lines = ["eigenindex,energy_rad_per_s,population"]
-    for i, e, p in rows:
-        lines.append(f"{i},{e!r},{p!r}")
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 fit did not converge,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import os
 import sys
@@ -24,18 +24,22 @@ import numpy as np
 
 from . import presets
 from .adiabatic import AdiabaticSchedule, prepare
-from .config import ConfigError, ExperimentConfig, build_config
+from .config import ConfigError, ExperimentConfig, build_config, check_key
 from .exact import Ramp, computational_state, reachable_gap
-from .nmr import compile_trotter_step, program_to_text, wall_time
+from .nmr import compile_trotter_step, wall_time
 from .pipeline import (
-    _write,
-    run_experiment,
+    grid_to_csv,
+    json_text,
+    program_to_text,
     result_record,
+    run_experiment,
+    sweep_points_to_csv,
     sweep_rows_to_csv,
     sweep_t0,
     write_run_artifacts,
+    write_text,
 )
-from .resources import grid_to_csv, max_feasible_n
+from .resources import max_feasible_n
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,7 +77,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def _emit(args: argparse.Namespace, filename: str, body: str) -> None:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, filename), body)
+        write_text(os.path.join(args.out, filename), body)
     else:
         sys.stdout.write(body)
 
@@ -121,7 +125,7 @@ def _cmd_gap_exact(args: argparse.Namespace) -> int:
         "reachable_gap_over_2pi_hz": gap / (2 * math.pi),
         "convention_factor": cfg.model.convention_factor,
     }
-    _emit(args, "gap.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _emit(args, "gap.json", json_text(record))
     return EXIT_OK
 
 
@@ -153,6 +157,7 @@ def _parse_vary(vary: str) -> tuple[str, list[str]]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     key, points = _parse_vary(args.vary)
+    check_key(key)
     base_text = _config_text(args)
     cfg = build_config(args.preset, base_text, tuple(args.override))
     if key == "plan.t0_s":
@@ -167,22 +172,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "offset_exponent": result.offset_exponent,
             "hold_epsilon_ft": not args.no_hold_epsilon_ft,
         }
-        _emit(args, "sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _emit(args, "sweep_summary.json", json_text(summary))
         return EXIT_OK
     # Generic axis: rebuild the config per point through the override path.
-    rows = ["point,delta_exact_rad_s,delta_exp_rad_s,systematic_offset_rad_s,converged,error"]
+    runs = []
     for p in points:
         try:
-            point_cfg = build_config(
-                args.preset, base_text, tuple(args.override) + (f"{key}={p}",)
-            )
-            r = run_experiment(point_cfg)
-            rows.append(
-                f"{p},{r.delta_exact!r},{r.delta_exp!r},{r.systematic_offset!r},{int(r.fit.converged)},"
-            )
+            point_cfg = build_config(args.preset, base_text, tuple(args.override) + (f"{key}={p}",))
+            runs.append((p, run_experiment(point_cfg)))
         except Exception as exc:  # noqa: BLE001 - recorded per row
-            rows.append(f"{p},,,,0,\"{str(exc).replace(chr(34), chr(39))}\"")
-    _emit(args, "sweep.csv", "\n".join(rows) + "\n")
+            runs.append((p, exc))
+    _emit(args, "sweep.csv", sweep_points_to_csv(runs))
     return EXIT_OK
 
 
@@ -258,9 +258,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process: a parse copies the --override default list."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -8,8 +8,9 @@ defines them); _rad_s values pass through; _s values are seconds.
 Recognized keys:
 
     model.preset              h1 | h2 (fills every default below)
-    model.n                   mode count (explicit models only)
+    model.n                   mode count; must match the nu list
     model.nu_hz | model.nu_rad_s          comma list of on-site frequencies
+                                          (one of the two; replaces a preset's)
     model.v_<i>_<j>_hz | ..._rad_s        coupling entries, i < j
     model.convention_factor   overall coefficient multiplier
     machine.j_<i>_<j>_hz      scalar coupling entries
@@ -176,29 +177,32 @@ def _matrix_entries(entries: dict[str, str], prefix: str, n: int) -> np.ndarray 
 
 
 def _build_model(entries: dict[str, str], preset_name: str | None) -> PairingModel:
-    factor = _float(entries, "model.convention_factor") if "model.convention_factor" in entries else None
-    if preset_name is not None:
-        base = presets.pairing_model(preset_name)
-        nu: tuple[float, ...] = base.nu
-        coupling = np.array(base.coupling)
-        default_factor = base.convention_factor
+    """The preset's model (or an empty one) with every explicit model entry
+    replacing its part: the nu list, the coupling table, the factor."""
+    if "model.nu_hz" in entries and "model.nu_rad_s" in entries:
+        raise ConfigError("model.nu_hz: give model.nu_hz or model.nu_rad_s, not both")
+    base = presets.pairing_model(preset_name) if preset_name is not None else None
+    if "model.nu_hz" in entries:
+        nu = tuple(x * _TWO_PI for x in _float_list(entries, "model.nu_hz"))
+    elif "model.nu_rad_s" in entries:
+        nu = tuple(_float_list(entries, "model.nu_rad_s"))
+    elif base is not None:
+        nu = base.nu
     else:
-        if "model.nu_hz" in entries:
-            nu = tuple(x * _TWO_PI for x in _float_list(entries, "model.nu_hz"))
-        elif "model.nu_rad_s" in entries:
-            nu = tuple(_float_list(entries, "model.nu_rad_s"))
-        else:
-            raise ConfigError("model.nu_hz: required when no preset is chosen")
-        n = len(nu)
-        if "model.n" in entries and _int(entries, "model.n") != n:
-            raise ConfigError("model.n: disagrees with the nu list length")
-        coupling = np.zeros((n, n))
-        default_factor = 1.0
-    if factor is None:
-        factor = default_factor
-    explicit = _matrix_entries(entries, "model.v", len(nu))
+        raise ConfigError("model.nu_hz: required when no preset is chosen")
+    n = len(nu)
+    if "model.n" in entries and _int(entries, "model.n") != n:
+        raise ConfigError("model.n: disagrees with the nu list length")
+    if base is not None and n != base.n:
+        key = "model.nu_hz" if "model.nu_hz" in entries else "model.nu_rad_s"
+        raise ConfigError(f"{key}: preset {preset_name} has {base.n} modes, got {n} frequencies")
+    coupling = np.array(base.coupling) if base is not None else np.zeros((n, n))
+    explicit = _matrix_entries(entries, "model.v", n)
     if explicit is not None:
         coupling = explicit
+    factor = base.convention_factor if base is not None else 1.0
+    if "model.convention_factor" in entries:
+        factor = _float(entries, "model.convention_factor")
     try:
         return PairingModel(nu, coupling, factor)
     except ValueError as exc:
@@ -269,10 +273,9 @@ _RUN_KEYS = (
 _KNOWN_SCALARS = _BUILDER_KEYS | {key for key, _, _ in _RUN_KEYS}
 
 
-def _check_keys(entries: dict[str, str]) -> None:
-    for key in entries:
-        if key in _KNOWN_SCALARS or _MATRIX_KEY.match(key) or re.match(r"^machine\.t2_\d+_s$", key):
-            continue
+def check_key(key: str) -> None:
+    """Raise ConfigError unless ``key`` is a recognized configuration key."""
+    if not (key in _KNOWN_SCALARS or _MATRIX_KEY.match(key) or re.match(r"^machine\.t2_\d+_s$", key)):
         raise ConfigError(f"{key}: unknown configuration key")
 
 
@@ -292,7 +295,8 @@ def build_config(
     if preset_name is not None and preset_name not in presets.PRESET_NAMES:
         raise ConfigError(f"model.preset: unknown preset {preset_name!r}")
 
-    _check_keys(entries)
+    for key in entries:
+        check_key(key)
     model = _build_model(entries, preset_name)
     machine = _build_machine(entries, preset_name, model.n)
 
@@ -313,13 +317,9 @@ def build_config(
         raise ConfigError(str(exc)) from None
 
 
-def with_plan(cfg: ExperimentConfig, t0: float, k: int | None = None, q: int | None = None) -> ExperimentConfig:
-    """Derived config with a different sampling point (used by sweeps)."""
+def with_plan(cfg: ExperimentConfig, t0: float, q: int | None = None) -> ExperimentConfig:
+    """Derived config with a different sampling step t0 (used by sweeps)."""
     try:
-        return replace(
-            cfg,
-            plan=TrotterPlan(t0, k if k is not None else cfg.plan.k),
-            q=q if q is not None else cfg.q,
-        )
+        return replace(cfg, plan=TrotterPlan(t0, cfg.plan.k), q=q if q is not None else cfg.q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -473,18 +473,3 @@ def simulate_program(
     for ev in program.events:
         psi = table.unitary(ev) @ psi
     return psi, wall_time(program, machine.t_pi)
-
-
-def program_to_text(program: PulseProgram, t_pi: float) -> str:
-    """Line format: DELAY <s> | RF <spins> <phase_rad> <angle_rad>,
-    closed by WALL <s> computed at the given t_pi."""
-    lines = []
-    for ev in program.events:
-        if isinstance(ev, Delay):
-            lines.append(f"DELAY {ev.duration!r}")
-        else:
-            spins = ",".join(str(t) for t in ev.targets)
-            lines.append(f"RF {spins} {ev.phase!r} {ev.angle!r}")
-    lines.append(f"WALL {wall_time(program, t_pi)!r}")
-    return "\n".join(lines) + "\n"
-

@@ -1,8 +1,11 @@
-"""End-to-end gap estimation: prepare, step, measure, transform, fit.
+"""End-to-end gap estimation: prepare, step, measure, transform, fit; and the
+one writer of every artifact the CLI produces.
 
 The run record always carries both the fitted gap and the exact oracle gap of
 the level the preparation actually populated, so systematic offsets can be
-read off without re-running anything.
+read off without re-running anything. Every CSV header and row format, the
+JSON layout and the atomic file write live at the end of this module; the
+compute modules return data only.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import AdiabaticSchedule, prepare, report_to_csv, sector_population_report
+from .adiabatic import AdiabaticSchedule, prepare, sector_population_report
 from .backend import Backend, step
 from .config import ConfigError, ExperimentConfig, with_plan
 from .exact import Ramp, computational_state, reachable_gap
-from .nmr import EventTable
+from .nmr import Delay, EventTable, PulseProgram, wall_time
+from .resources import feasibility, gate_count
 from .spectroscopy import (
     FitResult,
     Spectrum,
@@ -27,10 +31,7 @@ from .spectroscopy import (
     dft,
     epsilon_ft,
     fit_damped_sinusoid,
-    fit_record,
     peak_pick,
-    series_to_csv,
-    spectrum_to_csv,
     systematic_offset,
 )
 from .trotter import _log_slope
@@ -119,59 +120,37 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 
 def result_record(result: RunResult) -> dict:
-    cfg = result.config
-    record = fit_record(result.fit)
-    record.update(
-        {
-            "delta_exact_rad_s": result.delta_exact,
-            "delta_exact_over_2pi_hz": result.delta_exact / (2 * math.pi),
-            "reachable_level": result.reachable_level,
-            "epsilon_ft_rad_s": result.epsilon_ft,
-            "systematic_offset_rad_s": result.systematic_offset,
-            "method": cfg.method,
-            "pulse_mode": cfg.pulse_mode,
-            "evolver": cfg.evolver,
-            "t0_s": cfg.plan.t0,
-            "k": cfg.plan.k,
-            "q": cfg.q,
-            "observed_spin": cfg.observed_spin,
-            "damping": cfg.damping,
-            "init": cfg.init_bits,
-            "schedule_steps": cfg.schedule_steps,
-            "t_ad_s": cfg.t_ad,
-            "convention_factor": cfg.model.convention_factor,
-            "wall_per_step_s": result.wall_per_step,
-            "wall_total_s": result.wall_total,
-            "clamp_warnings": list(result.clamp_warnings),
-        }
-    )
-    return record
-
-
-def write_run_artifacts(result: RunResult, out_dir: str) -> dict[str, str]:
-    """Write timeseries.csv, spectrum.csv, populations.csv and result.json;
-    returns the paths. Output bytes are a pure function of the config."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "timeseries": os.path.join(out_dir, "timeseries.csv"),
-        "spectrum": os.path.join(out_dir, "spectrum.csv"),
-        "populations": os.path.join(out_dir, "populations.csv"),
-        "result": os.path.join(out_dir, "result.json"),
+    """The result.json record: the fit's fields first, then the run's."""
+    cfg, fit = result.config, result.fit
+    return {
+        "delta_exp_rad_s": fit.delta_exp,
+        "delta_exp_over_2pi_hz": fit.delta_exp / (2 * math.pi),
+        "tau_e_s": fit.tau_e,
+        "amplitude": fit.amplitude,
+        "phase_rad": fit.phase,
+        "residual_norm": fit.residual_norm,
+        "converged": fit.converged,
+        "delta_exact_rad_s": result.delta_exact,
+        "delta_exact_over_2pi_hz": result.delta_exact / (2 * math.pi),
+        "reachable_level": result.reachable_level,
+        "epsilon_ft_rad_s": result.epsilon_ft,
+        "systematic_offset_rad_s": result.systematic_offset,
+        "method": cfg.method,
+        "pulse_mode": cfg.pulse_mode,
+        "evolver": cfg.evolver,
+        "t0_s": cfg.plan.t0,
+        "k": cfg.plan.k,
+        "q": cfg.q,
+        "observed_spin": cfg.observed_spin,
+        "damping": cfg.damping,
+        "init": cfg.init_bits,
+        "schedule_steps": cfg.schedule_steps,
+        "t_ad_s": cfg.t_ad,
+        "convention_factor": cfg.model.convention_factor,
+        "wall_per_step_s": result.wall_per_step,
+        "wall_total_s": result.wall_total,
+        "clamp_warnings": list(result.clamp_warnings),
     }
-    _write(paths["timeseries"], series_to_csv(result.series))
-    _write(paths["spectrum"], spectrum_to_csv(result.spectrum))
-    _write(paths["populations"], report_to_csv(result.populations))
-    _write(paths["result"], json.dumps(result_record(result), indent=2, sort_keys=True) + "\n")
-    return paths
-
-
-def _write(path: str, body: str) -> None:
-    """Write through a sibling .tmp file and os.replace, so a reader never
-    sees a partly written artifact."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -213,19 +192,10 @@ def sweep_t0(
         try:
             point = with_plan(cfg, t0, q=q)
             result = run_experiment(point)
-            rows.append(
-                SweepRow(
-                    t0=t0,
-                    k=point.plan.k,
-                    q=point.q,
-                    delta_exact=result.delta_exact,
-                    delta_exp=result.delta_exp,
-                    epsilon_ft=result.epsilon_ft,
-                    offset=result.systematic_offset,
-                    tau_e=result.fit.tau_e,
-                    converged=result.fit.converged,
-                )
-            )
+            rows.append(SweepRow(
+                t0, point.plan.k, point.q, result.delta_exact, result.delta_exp, result.epsilon_ft,
+                result.systematic_offset, result.fit.tau_e, result.fit.converged,
+            ))
         except Exception as exc:  # noqa: BLE001 - per-point failures become rows
             rows.append(SweepRow(t0, cfg.plan.k, q, None, None, None, None, None, False, str(exc)))
     done = [r for r in rows if r.offset is not None]
@@ -233,26 +203,115 @@ def sweep_t0(
     return SweepT0Result(tuple(rows), exponent)
 
 
+# Artifacts. Each file has one row format over plain Python values (numpy
+# arrays go through .tolist() first, which also keeps abs() of a complex bin
+# to the last bit of the per-element value).
+
+
+def write_text(path: str, body: str) -> None:
+    """Write through a sibling .tmp file and os.replace, so a reader never
+    sees a partly written artifact."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(body)
+    os.replace(tmp, path)
+
+
+def json_text(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _error_cell(message: str) -> str:
+    """A per-row error, quoted, with its own double quotes made single."""
+    return '"' + message.replace('"', "'") + '"'
+
+
+def write_run_artifacts(result: RunResult, out_dir: str) -> dict[str, str]:
+    """Write timeseries.csv, spectrum.csv, populations.csv and result.json;
+    returns the paths. Output bytes are a pure function of the config."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {
+        "timeseries": os.path.join(out_dir, "timeseries.csv"),
+        "spectrum": os.path.join(out_dir, "spectrum.csv"),
+        "populations": os.path.join(out_dir, "populations.csv"),
+        "result": os.path.join(out_dir, "result.json"),
+    }
+    write_text(paths["timeseries"], series_to_csv(result.series))
+    write_text(paths["spectrum"], spectrum_to_csv(result.spectrum))
+    write_text(paths["populations"], report_to_csv(result.populations))
+    write_text(paths["result"], json_text(result_record(result)))
+    return paths
+
+
+def series_to_csv(series: TimeSeries) -> str:
+    t0 = float(series.t0)
+    rows = zip(series.values.tolist(), series.wall_times.tolist())
+    return _csv("k,t_s,value,wall_s", (f"{k},{k * t0!r},{v!r},{w!r}" for k, (v, w) in enumerate(rows)))
+
+
+def spectrum_to_csv(spectrum: Spectrum) -> str:
+    rows = zip(spectrum.omega.tolist(), spectrum.amp.tolist())
+    return _csv("omega_rad_s,re,im,abs", (f"{w!r},{a.real!r},{a.imag!r},{abs(a)!r}" for w, a in rows))
+
+
+def report_to_csv(rows: list[tuple[int, float, float]]) -> str:
+    return _csv("eigenindex,energy_rad_per_s,population", (f"{i},{e!r},{p!r}" for i, e, p in rows))
+
+
 def sweep_rows_to_csv(rows: tuple[SweepRow, ...]) -> str:
     def fmt(x):
         return "" if x is None else repr(float(x))
 
-    lines = ["t0_s,k,q,delta_exact_rad_s,delta_exp_rad_s,epsilon_ft_rad_s,systematic_offset_rad_s,tau_e_s,converged,error"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    repr(float(r.t0)),
-                    str(r.k),
-                    str(r.q),
-                    fmt(r.delta_exact),
-                    fmt(r.delta_exp),
-                    fmt(r.epsilon_ft),
-                    fmt(r.offset),
-                    fmt(r.tau_e),
-                    str(int(r.converged)),
-                    '"' + r.error.replace('"', "'") + '"' if r.error else "",
-                ]
-            )
-        )
+    header = "t0_s,k,q,delta_exact_rad_s,delta_exp_rad_s,epsilon_ft_rad_s,systematic_offset_rad_s,tau_e_s,converged,error"
+    return _csv(header, (
+        f"{float(r.t0)!r},{r.k},{r.q},{fmt(r.delta_exact)},{fmt(r.delta_exp)},{fmt(r.epsilon_ft)},"
+        f"{fmt(r.offset)},{fmt(r.tau_e)},{int(r.converged)},{_error_cell(r.error) if r.error else ''}"
+        for r in rows
+    ))
+
+
+def sweep_points_to_csv(points: list[tuple[str, RunResult | Exception]]) -> str:
+    """Generic sweep table: one row per (point, its run or the error it raised)."""
+
+    def row(p: str, r: RunResult | Exception) -> str:
+        if isinstance(r, Exception):
+            return f"{p},,,,0,{_error_cell(str(r))}"
+        return f"{p},{r.delta_exact!r},{r.delta_exp!r},{r.systematic_offset!r},{int(r.fit.converged)},"
+
+    return _csv("point,delta_exact_rad_s,delta_exp_rad_s,systematic_offset_rad_s,converged,error",
+                (row(p, r) for p, r in points))
+
+
+def grid_to_csv(
+    n_list: list[int],
+    eps_over_delta_list: list[float],
+    t_g_over_tau: float = 1e-5,
+    budget_in_tau: float = 1.0,
+) -> str:
+    """Feasibility table over (n, epsilon/delta); delta scales out of the
+    gate count, so only the ratio matters."""
+    rows = []
+    for n in n_list:
+        for ratio in eps_over_delta_list:
+            gates = gate_count(n, 1.0, ratio)
+            fz = feasibility(n, 1.0, ratio, t_g_over_tau, budget_in_tau)
+            rows.append(f"{n},{float(ratio)!r},{gates!r},{fz.time_in_tau!r},{int(fz.feasible)}")
+    return _csv("n,eps_over_delta,gates,time_in_tau,feasible", rows)
+
+
+def program_to_text(program: PulseProgram, t_pi: float) -> str:
+    """Line format: DELAY <s> | RF <spins> <phase_rad> <angle_rad>,
+    closed by WALL <s> computed at the given t_pi."""
+    lines = []
+    for ev in program.events:
+        if isinstance(ev, Delay):
+            lines.append(f"DELAY {ev.duration!r}")
+        else:
+            spins = ",".join(str(t) for t in ev.targets)
+            lines.append(f"RF {spins} {ev.phase!r} {ev.angle!r}")
+    lines.append(f"WALL {wall_time(program, t_pi)!r}")
     return "\n".join(lines) + "\n"

@@ -69,22 +69,3 @@ def max_feasible_n(
     while feasibility(n + 1, delta, epsilon, t_g_over_tau, budget_in_tau).feasible:
         n += 1
     return n
-
-
-def grid_to_csv(
-    n_list: list[int],
-    eps_over_delta_list: list[float],
-    t_g_over_tau: float = 1e-5,
-    budget_in_tau: float = 1.0,
-) -> str:
-    """Feasibility table over (n, epsilon/delta); delta scales out of the
-    gate count, so only the ratio matters."""
-    lines = ["n,eps_over_delta,gates,time_in_tau,feasible"]
-    for n in n_list:
-        for ratio in eps_over_delta_list:
-            gates = gate_count(n, 1.0, ratio)
-            fz = feasibility(n, 1.0, ratio, t_g_over_tau, budget_in_tau)
-            lines.append(
-                f"{n},{float(ratio)!r},{gates!r},{fz.time_in_tau!r},{int(fz.feasible)}"
-            )
-    return "\n".join(lines) + "\n"

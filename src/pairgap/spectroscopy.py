@@ -254,31 +254,3 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
         residual_norm=math.sqrt(cost),
         converged=converged,
     )
-
-
-def series_to_csv(series: TimeSeries) -> str:
-    lines = ["k,t_s,value,wall_s"]
-    for k in range(series.q):
-        lines.append(
-            f"{k},{float(k * series.t0)!r},{float(series.values[k])!r},{float(series.wall_times[k])!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def spectrum_to_csv(spectrum: Spectrum) -> str:
-    lines = ["omega_rad_s,re,im,abs"]
-    for w, a in zip(spectrum.omega, spectrum.amp):
-        lines.append(f"{float(w)!r},{float(a.real)!r},{float(a.imag)!r},{float(abs(a))!r}")
-    return "\n".join(lines) + "\n"
-
-
-def fit_record(fit: FitResult) -> dict:
-    return {
-        "delta_exp_rad_s": fit.delta_exp,
-        "delta_exp_over_2pi_hz": fit.delta_exp / (2 * math.pi),
-        "tau_e_s": fit.tau_e,
-        "amplitude": fit.amplitude,
-        "phase_rad": fit.phase,
-        "residual_norm": fit.residual_norm,
-        "converged": fit.converged,
-    }

@@ -12,7 +12,6 @@ from pairgap.adiabatic import (
     AdiabaticityWarning,
     AdiabaticSchedule,
     prepare,
-    report_to_csv,
     sector_population_report,
 )
 from pairgap.backend import Backend
@@ -20,7 +19,7 @@ from pairgap.config import build_config
 from pairgap.exact import Ramp, computational_state, reachable_gap
 from pairgap.hamiltonian import sector_basis
 from pairgap.nmr import RfPulse, compile_trotter_step, simulate_program
-from pairgap.pipeline import run_experiment
+from pairgap.pipeline import report_to_csv, run_experiment
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan
 

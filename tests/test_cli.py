@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import pairgap.cli as cli
 from pairgap.cli import main
 from pairgap.config import build_config
-from pairgap.nmr import compile_trotter_step, program_to_text
+from pairgap.nmr import compile_trotter_step
+from pairgap.pipeline import program_to_text
 
 
 def run_cli(*argv, cwd=None):
@@ -228,6 +230,35 @@ def test_sweep_generic_axis(tmp_path):
     assert len(lines) == 3
     for line in lines[1:]:
         assert line.split(",")[4] == "1"  # converged flag
+
+
+def test_sweep_unknown_vary_key_exit_2(tmp_path, capsys):
+    assert main(["sweep", "--preset", "h1", "--vary", "foo=1,2", "--out", str(tmp_path)]) == 2
+    assert "foo: unknown configuration key" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_bad_value_of_a_known_key_is_an_error_row(tmp_path):
+    argv = ["sweep", "--preset", "h2", "--vary", "plan.k=1,x", "--override", "run.q=32", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[1].startswith("1,") and lines[1].endswith(",")
+    assert lines[2] == "x,,,,0,\"plan.k: not an integer: 'x'\""
+
+
+def test_both_nu_keys_exit_2(capsys):
+    argv = ["gap-exact", "--preset", "h1", "--override", "model.nu_hz=1,2,3", "--override", "model.nu_rad_s=1,2,3"]
+    assert main(argv) == 2
+    assert "model.nu_hz or model.nu_rad_s" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    assert main(["presets"]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["presets"]) == 0
+    parser = cli._parser()
+    assert parser.parse_args(["run", "--override", "a=1", "--override", "b=2"]).override == ["a=1", "b=2"]
+    assert parser.parse_args(["run"]).override == []
 
 
 def test_missing_vary_value_exit_2():

@@ -26,7 +26,20 @@ def test_grid_covers_gap_exact_on_both_presets(tool):
     cases = tool.grid()
     assert ("gap-exact", "--preset", "h1") in cases
     assert ("gap-exact", "--preset", "h2") in cases
-    assert len(cases) == len(set(cases)) == 34
+    assert len(cases) == len(set(cases)) == 40
+
+
+def test_grid_covers_every_artifact_writer(tool):
+    cases = tool.grid()
+    for case in [
+        ("compile", "--preset", "h1", "--override", "run.method=w1"),
+        ("compile", "--preset", "h2", "--override", "run.method=w2"),
+        ("estimate",),
+        ("estimate", "--n", "3,4,5", "--eps-over-delta", "1,0.01,1e-4"),
+        ("sweep", "--preset", "h2", "--vary", "plan.k=1,2,x"),
+        ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
+    ]:
+        assert case in cases, case
 
 
 def result_json(delta, residual, converged, level=1, delta_exact=100.0):

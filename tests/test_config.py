@@ -122,6 +122,26 @@ def test_model_n_must_agree_with_nu_length():
         build_config(config_text="model.nu_hz = 1, 2, 3\nmodel.n = 4\n")
 
 
+def test_explicit_nu_replaces_the_presets_and_model_n_is_checked():
+    base = build_config("h1").model
+    cfg = build_config("h1", overrides=("model.nu_hz=1,2,3",))
+    assert cfg.model.nu == pytest.approx((TWO_PI, 2 * TWO_PI, 3 * TWO_PI))
+    assert np.array_equal(cfg.model.coupling, base.coupling)
+    assert cfg.model.convention_factor == base.convention_factor
+    assert build_config("h2", overrides=("model.nu_rad_s=1,2,3",)).model.nu == (1.0, 2.0, 3.0)
+    assert build_config("h1", overrides=("model.n=3",)).model.n == 3
+    with pytest.raises(ConfigError, match="model.n:"):
+        build_config("h1", overrides=("model.n=5",))
+    with pytest.raises(ConfigError, match="model.nu_rad_s: preset h1 has 3 modes"):
+        build_config("h1", overrides=("model.nu_rad_s=1,2",))
+
+
+@pytest.mark.parametrize("preset", ["h1", None])
+def test_both_nu_keys_are_a_config_error(preset):
+    with pytest.raises(ConfigError, match="model.nu_hz or model.nu_rad_s, not both"):
+        build_config(preset, overrides=("model.nu_hz=1,2,3", "model.nu_rad_s=1,2,3"))
+
+
 def test_t2_scalar_then_per_spin():
     cfg = build_config(preset="h1", overrides=("machine.t2_s=0.5", "machine.t2_2_s=0.1"))
     assert cfg.machine.t2 == (0.5, 0.1, 0.5)
@@ -179,8 +199,8 @@ def test_with_plan_replaces_only_the_plan():
     cfg = build_config(preset="h1")
     alt = with_plan(cfg, 1e-3)
     assert alt.plan.t0 == 1e-3 and alt.plan.k == cfg.plan.k and alt.q == cfg.q
-    alt = with_plan(cfg, 1e-3, k=8, q=512)
-    assert (alt.plan.t0, alt.plan.k, alt.q) == (1e-3, 8, 512)
+    alt = with_plan(cfg, 1e-3, q=512)
+    assert (alt.plan.t0, alt.plan.k, alt.q) == (1e-3, cfg.plan.k, 512)
     assert alt.model is cfg.model and alt.machine is cfg.machine
     with pytest.raises(ValueError):
         with_plan(cfg, -1e-3)

@@ -38,12 +38,11 @@ from pairgap.nmr import (
     SpinSystem,
     StepCompiler,
     compile_trotter_step,
-    program_to_text,
     program_unitary,
     simulate_program,
     wall_time,
 )
-from pairgap.pipeline import run_experiment
+from pairgap.pipeline import program_to_text, run_experiment
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan, symmetric3_step
 

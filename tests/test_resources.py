@@ -7,9 +7,9 @@ from pairgap.resources import (
     Feasibility,
     feasibility,
     gate_count,
-    grid_to_csv,
     max_feasible_n,
 )
+from pairgap.pipeline import grid_to_csv
 
 
 def test_gate_count_formula():

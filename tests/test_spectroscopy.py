@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pairgap.spectroscopy as spectroscopy
 from conftest import capped_lm_fit
 from pairgap.config import build_config
-from pairgap.pipeline import run_experiment
+from pairgap.pipeline import RunResult, result_record, run_experiment, series_to_csv, spectrum_to_csv
 from pairgap.spectroscopy import (
     Spectrum,
     TimeSeries,
@@ -18,10 +18,7 @@ from pairgap.spectroscopy import (
     dft,
     epsilon_ft,
     fit_damped_sinusoid,
-    fit_record,
     peak_pick,
-    series_to_csv,
-    spectrum_to_csv,
     systematic_offset,
 )
 
@@ -368,11 +365,24 @@ def test_csv_layouts():
     assert stext.startswith("omega_rad_s,re,im,abs\n")
     assert len(stext.strip().split("\n")) == 3
 
+    # every cell is the repr of the per-element float, |a| included, to the last bit
+    rng = np.random.default_rng(3)
+    series = TimeSeries(1e-3, rng.uniform(-1, 1, 4096), rng.uniform(0, 1, 4096))
+    spec = dft(series)
+    rows = [f"{k},{float(k * series.t0)!r},{float(v)!r},{float(w)!r}"
+            for k, (v, w) in enumerate(zip(series.values, series.wall_times))]
+    assert series_to_csv(series) == "\n".join(["k,t_s,value,wall_s", *rows]) + "\n"
+    rows = [f"{float(w)!r},{float(a.real)!r},{float(a.imag)!r},{float(abs(a))!r}" for w, a in zip(spec.omega, spec.amp)]
+    assert spectrum_to_csv(spec) == "\n".join(["omega_rad_s,re,im,abs", *rows]) + "\n"
+
 
 def test_fit_record_keys_and_json():
+    # the fit's fields lead the result.json record
     series = cosine_series(100.0, 1e-3, 64, amp=0.5, decay=2.0)
-    rec = fit_record(fit_damped_sinusoid(series, TWO_PI * 100))
-    assert list(rec) == [
+    fit = fit_damped_sinusoid(series, TWO_PI * 100)
+    result = RunResult(build_config("h1"), 1.0, 1, fit.delta_exp, 1.0, 0.0, fit, series, dft(series), [], 1e-3, ())
+    rec = result_record(result)
+    assert list(rec)[:7] == [
         "delta_exp_rad_s",
         "delta_exp_over_2pi_hz",
         "tau_e_s",

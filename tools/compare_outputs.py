@@ -1,8 +1,10 @@
 """Check that two source trees of pairgap give byte-identical CLI results.
 
 For every op of the benchmark workloads at one seed, plus a fixed grid of
-runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, two
-sweeps and gap-exact on both presets), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
+runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, a t0
+sweep and gap-exact on both presets) and of every other artifact the CLI
+writes (a t0 sweep without held epsilon_ft, a generic sweep with an error
+row, compile, estimate), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
 process. The exit code, stdout and the bytes of every file written must agree.
 
     python tools/compare_outputs.py --base ../parent --seed 5151
@@ -55,6 +57,14 @@ def grid() -> list[tuple[str, ...]]:
                     cases.append(tuple(argv))
         cases.append(("sweep", "--preset", preset, "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3"))
         cases.append(("gap-exact", "--preset", preset))
+    cases += [
+        ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
+        ("sweep", "--preset", "h2", "--vary", "plan.k=1,2,x"),
+        ("compile", "--preset", "h1", "--override", "run.method=w1"),
+        ("compile", "--preset", "h2", "--override", "run.method=w2"),
+        ("estimate",),
+        ("estimate", "--n", "3,4,5", "--eps-over-delta", "1,0.01,1e-4"),
+    ]
     return cases
 
 
