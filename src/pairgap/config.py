@@ -7,7 +7,8 @@ defines them); _rad_s values pass through; _s values are seconds.
 
 Recognized keys:
 
-    model.preset              h1 | h2 (fills every default below)
+    model.preset              h1 | h2 (fills every default below; must
+                              agree with a preset given as an argument)
     model.n                   mode count; must match the nu list
     model.nu_hz | model.nu_rad_s          comma list of on-site frequencies
                                           (one of the two; replaces a preset's)
@@ -285,13 +286,18 @@ def build_config(
     overrides: tuple[str, ...] = (),
 ) -> ExperimentConfig:
     """Assemble a config from (in increasing precedence) preset defaults, a
-    config file body and repeatable 'key=value' override strings."""
+    config file body and repeatable 'key=value' override strings. A preset
+    argument and a model.preset entry that name different presets are a
+    ConfigError."""
     entries: dict[str, str] = {}
     if config_text is not None:
         entries.update(parse_config_text(config_text))
     for item in overrides:
         entries.update(parse_config_text(item))
-    preset_name = preset or entries.get("model.preset")
+    entry = entries.get("model.preset")
+    if preset and entry is not None and entry != preset:
+        raise ConfigError(f"model.preset: the preset argument is {preset} but model.preset = {entry}; give one")
+    preset_name = preset or entry
     if preset_name is not None and preset_name not in presets.PRESET_NAMES:
         raise ConfigError(f"model.preset: unknown preset {preset_name!r}")
 

@@ -95,23 +95,33 @@ def acquire(
     duration. When t2 is given, sample k is attenuated by
     exp(-k * wall_per_step / t2), modelling dephasing of the observed spin
     over accumulated physical time; the k = 0 sample is untouched.
+
+    The Q states are stepped into one (Q, 2^n) complex array, Q * 2^n * 16
+    bytes, and every <Z_r> is taken from it in one batched dot. Each row is
+    contiguous, so each sample has the bits of np.vdot on that state; only
+    the k = 0 sample of a strided (non-contiguous) ``prepared`` may differ
+    from np.vdot on it in the last bit.
     """
     if q < 2:
         raise ValueError("need at least two samples")
     psi = np.asarray(prepared, dtype=complex)
-    n = int(round(math.log2(psi.shape[0])))
-    zdiag = _z_diagonal(n, observed_spin)
-    values = np.empty(q)
-    walls = np.empty(q)
-    for k in range(q):
-        expectation = float(np.real(np.vdot(psi, zdiag * psi)))
-        if t2 is not None:
-            expectation *= math.exp(-k * wall_per_step / t2)
-        values[k] = expectation
-        walls[k] = k * wall_per_step
-        if k + 1 < q:
-            psi = u @ psi
-    return TimeSeries(t0, values, walls)
+    u = np.asarray(u)
+    dim = psi.shape[0] if psi.ndim == 1 else 0
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"prepared state has shape {psi.shape}; need a vector of length 2^n")
+    if u.shape != (dim, dim):
+        raise ValueError(f"step unitary has shape {u.shape}; need {(dim, dim)} for a state of length {dim}")
+    zdiag = _z_diagonal(dim.bit_length() - 1, observed_spin)
+    states = np.empty((q, dim), dtype=complex)
+    states[0] = psi
+    for k in range(q - 1):
+        np.matmul(u, states[k], out=states[k + 1])
+    # One vector dot per row, the reduction np.vdot makes; einsum sums in
+    # another order.
+    values = np.ascontiguousarray(np.matmul(states.conj()[:, None, :], (zdiag * states)[:, :, None])[:, 0, 0].real)
+    if t2 is not None:
+        values *= [math.exp(-k * wall_per_step / t2) for k in range(q)]
+    return TimeSeries(t0, values, np.arange(q) * wall_per_step)
 
 
 def dft(series: TimeSeries) -> Spectrum:
@@ -158,16 +168,26 @@ def systematic_offset(delta_exp: float, delta_exact: float) -> float:
     return delta_exp - delta_exact
 
 
-def _model_and_jacobian(beta: np.ndarray, t: np.ndarray):
+def _model_and_jacobian(beta: np.ndarray, t: np.ndarray, neg_t: np.ndarray | None = None,
+                        jac: np.ndarray | None = None):
+    """Model values and their (Q, 4) Jacobian, written into ``jac`` when a
+    C-contiguous buffer is given; ``neg_t`` is -t, computed when absent."""
     a, rate, omega, phi = beta
+    if neg_t is None:
+        neg_t = -t
+    if jac is None:
+        jac = np.empty((len(t), 4))
     envelope = np.exp(-rate * t)
-    c = np.cos(omega * t + phi)
-    s = np.sin(omega * t + phi)
-    f = a * envelope * c
-    jac = np.column_stack(
-        (envelope * c, -t * a * envelope * c, -t * a * envelope * s, -a * envelope * s)
-    )
-    return f, jac
+    arg = omega * t + phi
+    c = np.cos(arg)
+    s = np.sin(arg)
+    ae = a * envelope
+    tae = neg_t * a * envelope
+    np.multiply(envelope, c, out=jac[:, 0])
+    np.multiply(tae, c, out=jac[:, 1])
+    np.multiply(tae, s, out=jac[:, 2])
+    np.multiply(-ae, s, out=jac[:, 3])
+    return ae * c, jac
 
 
 def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
@@ -189,6 +209,7 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
     if np.ptp(y) == 0.0:
         raise ValueError("degenerate flat series")
     t = series.times
+    neg_t = -t
     q = series.q
 
     x = np.fft.fft(y)
@@ -200,7 +221,10 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
     phi0 = float(np.angle(x[bin_index]))
     beta = np.array([a0, 1.0 / (q * series.t0), float(seed), phi0])
 
-    f, jac = _model_and_jacobian(beta, t)
+    # The accepted point's Jacobian and a spare that each trial writes into;
+    # they swap when a trial is accepted.
+    f, jac = _model_and_jacobian(beta, t, neg_t)
+    spare = np.empty((q, 4))
     residual = f - y
     cost = float(residual @ residual)
     lam = 1e-3
@@ -211,10 +235,14 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
         # Rate on its bound with the gradient pushing it out: hold it there.
         free = _FREE_OF_RATE if beta[1] == 0.0 and g[1] >= 0.0 else slice(None)
         sub = jtj[free][:, free]
+        sub_diag = np.diag(np.diag(sub))
+        tiny = 1e-300 * np.eye(len(sub))
+        rhs = -g[free]
+        scale = np.maximum(np.abs(beta), 1e-12)
         step = None
         for _ in range(50):
             try:
-                solved = np.linalg.solve(sub + lam * np.diag(np.diag(sub)) + 1e-300 * np.eye(len(sub)), -g[free])
+                solved = np.linalg.solve(sub + lam * sub_diag + tiny, rhs)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
@@ -222,13 +250,13 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
             step[free] = solved
             trial = beta + step
             trial[1] = max(trial[1], 0.0)  # decay rates stay physical
-            rel = float(np.max(np.abs(trial - beta) / np.maximum(np.abs(beta), 1e-12)))
+            rel = float(np.max(np.abs(trial - beta) / scale))
             if rel < _STEP_TOL:
                 # Parameters have stopped moving (possibly pinned at the
                 # rate >= 0 boundary); that is convergence, not failure.
                 converged = True
                 break
-            f_t, jac_t = _model_and_jacobian(trial, t)
+            f_t, jac_t = _model_and_jacobian(trial, t, neg_t, spare)
             r_t = f_t - y
             cost_t = float(r_t @ r_t)
             if cost_t <= cost:
@@ -237,7 +265,8 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
             step = None
         if converged or step is None:
             break
-        beta, f, jac, residual, cost = trial, f_t, jac_t, r_t, cost_t
+        beta, f, residual, cost = trial, f_t, r_t, cost_t
+        jac, spare = jac_t, jac
         lam = max(lam / 3, 1e-12)
 
     a, rate, omega, phi = beta

@@ -2,8 +2,8 @@
 as a dedicated section at the end of the pytest run, two step oracles that
 need no DFT and no fit (the step's own spectral line and the t0/k order of its
 pair-number leak), test-only operators and pulse blocks, reference builders
-for the dense operators, the reference step compiler and the reference
-damped-cosine fit."""
+for the dense operators, the reference step compiler, the reference
+acquisition loop and two reference damped-cosine fits."""
 
 import math
 
@@ -226,6 +226,28 @@ def kron_axis_field(n: int, targets: tuple[int, ...], phase: float) -> np.ndarra
     return out
 
 
+# Reference acquisition: one state at a time, each sample its own np.vdot. The
+# package steps every state into one array and takes the samples in one
+# batched dot; on contiguous states the series must be equal to these bits.
+
+
+def loop_acquire(prepared, u, wall_per_step, q, t0, observed_spin, t2=None) -> TimeSeries:
+    psi = np.asarray(prepared, dtype=complex)
+    n = int(round(math.log2(psi.shape[0])))
+    zdiag = 1.0 - 2.0 * ((np.arange(2**n) >> (n - observed_spin)) & 1)
+    values = np.empty(q)
+    walls = np.empty(q)
+    for k in range(q):
+        expectation = float(np.real(np.vdot(psi, zdiag * psi)))
+        if t2 is not None:
+            expectation *= math.exp(-k * wall_per_step / t2)
+        values[k] = expectation
+        walls[k] = k * wall_per_step
+        if k + 1 < q:
+            psi = u @ psi
+    return TimeSeries(t0, values, walls)
+
+
 # Reference fit: the damped-cosine Levenberg fit as it stood before the rate
 # bound became an active constraint. On an undamped series the clamped rate
 # sits at 0 and the relative-step stop cannot fire, so it runs to the
@@ -294,6 +316,85 @@ def capped_lm_fit(series: TimeSeries, seed: float) -> FitResult:
             if rel < _STEP_TOL:
                 # Parameters have stopped moving (possibly pinned at the
                 # rate >= 0 boundary); that is convergence, not failure.
+                converged = True
+                break
+            f_t, jac_t = _model_and_jacobian(trial, t)
+            r_t = f_t - y
+            cost_t = float(r_t @ r_t)
+            if cost_t <= cost:
+                break
+            lam *= 2
+            step = None
+        if converged or step is None:
+            break
+        beta, f, jac, residual, cost = trial, f_t, jac_t, r_t, cost_t
+        lam = max(lam / 3, 1e-12)
+
+    a, rate, omega, phi = beta
+    if a < 0:
+        a, phi = -a, phi + math.pi
+    if omega < 0:
+        omega, phi = -omega, -phi
+    phi = math.remainder(phi, 2 * math.pi)
+    return FitResult(
+        delta_exp=float(omega),
+        tau_e=1.0 / max(rate, _MIN_DECAY_RATE),
+        amplitude=float(a),
+        phase=float(phi),
+        residual_norm=math.sqrt(cost),
+        converged=converged,
+    )
+
+
+# Reference fit: the rate-bounded fit with a freshly column-stacked Jacobian
+# per evaluation and every inner-loop operand rebuilt on each try. The
+# package reuses two Jacobian buffers and hoists those operands; its
+# FitResult must equal this one field for field.
+
+_FREE_OF_RATE = np.array([0, 2, 3])
+
+
+def column_stack_fit(series: TimeSeries, seed: float) -> FitResult:
+    if series.q < 8:
+        raise ValueError("need at least eight samples to fit four parameters")
+    y = series.values
+    if np.ptp(y) == 0.0:
+        raise ValueError("degenerate flat series")
+    t = series.times
+    q = series.q
+
+    x = np.fft.fft(y)
+    bin_index = int(round(seed * q * series.t0 / (2 * math.pi)))
+    bin_index = min(max(bin_index, 0), q // 2)
+    a0 = 2.0 * abs(x[bin_index]) / q
+    if a0 == 0.0:
+        a0 = np.ptp(y) / 2
+    phi0 = float(np.angle(x[bin_index]))
+    beta = np.array([a0, 1.0 / (q * series.t0), float(seed), phi0])
+
+    f, jac = _model_and_jacobian(beta, t)
+    residual = f - y
+    cost = float(residual @ residual)
+    lam = 1e-3
+    converged = False
+    for _ in range(_MAX_FIT_ITERATIONS):
+        jtj = jac.T @ jac
+        g = jac.T @ residual
+        free = _FREE_OF_RATE if beta[1] == 0.0 and g[1] >= 0.0 else slice(None)
+        sub = jtj[free][:, free]
+        step = None
+        for _ in range(50):
+            try:
+                solved = np.linalg.solve(sub + lam * np.diag(np.diag(sub)) + 1e-300 * np.eye(len(sub)), -g[free])
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            step = np.zeros(4)
+            step[free] = solved
+            trial = beta + step
+            trial[1] = max(trial[1], 0.0)
+            rel = float(np.max(np.abs(trial - beta) / np.maximum(np.abs(beta), 1e-12)))
+            if rel < _STEP_TOL:
                 converged = True
                 break
             f_t, jac_t = _model_and_jacobian(trial, t)

@@ -252,6 +252,22 @@ def test_both_nu_keys_exit_2(capsys):
     assert "model.nu_hz or model.nu_rad_s" in capsys.readouterr().err
 
 
+def test_preset_flag_conflicting_with_model_preset_exit_2(tmp_path, capsys):
+    argv = ["run", "--preset", "h1", "--override", "model.preset=h2", "--override", "run.q=32", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "preset argument is h1 but model.preset = h2" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")  # h1's default ramp
+def test_sweep_over_model_preset_records_the_conflicting_point(tmp_path):
+    argv = ["sweep", "--preset", "h1", "--vary", "model.preset=h1,h2", "--override", "run.q=32", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[1].startswith("h1,") and lines[1].endswith(",")
+    assert lines[2] == 'h2,,,,0,"model.preset: the preset argument is h1 but model.preset = h2; give one"'
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert main(["presets"]) == 0
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))

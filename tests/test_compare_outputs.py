@@ -55,8 +55,8 @@ def sweep_csv(deltas, converged):
 
 
 def test_run_difference_names_files_shift_and_flip(describe):
-    base = (3, "line\n", {"result.json": result_json(100.0, 2.0, False), "timeseries.csv": b"same"})
-    head = (0, "line\n", {"result.json": result_json(100.001, 1.5, True), "timeseries.csv": b"same"})
+    base = (3, "line\n", "", {"result.json": result_json(100.0, 2.0, False), "timeseries.csv": b"same"})
+    head = (0, "line\n", "", {"result.json": result_json(100.001, 1.5, True), "timeseries.csv": b"same"})
     assert describe(base, head) == [
         "exit 3 -> 0",
         "files differ: result.json",
@@ -66,8 +66,8 @@ def test_run_difference_names_files_shift_and_flip(describe):
 
 
 def test_run_difference_names_a_moved_reachable_level(describe):
-    base = (0, "", {"result.json": result_json(100.0, 2.0, True)})
-    head = (0, "", {"result.json": result_json(100.0, 2.0, True, level=2, delta_exact=250.5)})
+    base = (0, "", "", {"result.json": result_json(100.0, 2.0, True)})
+    head = (0, "", "", {"result.json": result_json(100.0, 2.0, True, level=2, delta_exact=250.5)})
     assert describe(base, head) == [
         "files differ: result.json",
         "|d delta_exp|/eps_ft 0.00e+00; residual_norm +0.00e+00 rel; "
@@ -76,8 +76,8 @@ def test_run_difference_names_a_moved_reachable_level(describe):
 
 
 def test_sweep_difference_reports_the_largest_shift(describe):
-    base = (0, "", {"sweep.csv": sweep_csv([10.0, 20.0], [0, 1])})
-    head = (0, "", {"sweep.csv": sweep_csv([10.004, 20.0], [1, 1])})
+    base = (0, "", "", {"sweep.csv": sweep_csv([10.0, 20.0], [0, 1])})
+    head = (0, "", "", {"sweep.csv": sweep_csv([10.004, 20.0], [1, 1])})
     assert describe(base, head) == [
         "files differ: sweep.csv",
         "max |d delta_exp|/eps_ft 1.00e-03; t0_s 0.001: converged 0 -> 1",
@@ -85,6 +85,24 @@ def test_sweep_difference_reports_the_largest_shift(describe):
 
 
 def test_missing_file_and_stdout_are_named(describe):
-    base = (0, "a\n", {"gap.json": b"{}"})
-    head = (0, "b\n", {})
+    base = (0, "a\n", "", {"gap.json": b"{}"})
+    head = (0, "b\n", "", {})
     assert describe(base, head) == ["stdout differs", "files differ: gap.json"]
+
+
+def test_stderr_difference_is_named(describe):
+    base = (0, "", "w1 program: 77 events, wall = 0.0123 s\n", {})
+    head = (0, "", "w1 program: 78 events, wall = 0.0123 s\n", {})
+    assert describe(base, head) == ["stderr differs"]
+
+
+def test_run_reads_the_source_and_output_paths_as_placeholders(tool):
+    src = TOOL.parent.parent / "src"
+    code, stdout, stderr, files = tool.run(src, ("run", "--preset", "h1", "--override", "run.q=32"))
+    assert code == 0
+    assert "<src>/pairgap/pipeline.py:" in stderr  # the quasiadiabatic ramp's warning
+    assert str(src.resolve()) not in stderr
+    assert set(files) == {"populations.csv", "result.json", "spectrum.csv", "timeseries.csv"}
+    code, _, stderr, files = tool.run(src, ("compile", "--preset", "h1"))
+    assert code == 0 and stderr.startswith("w1 program: ")
+    assert list(files) == ["program.txt"]

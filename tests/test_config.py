@@ -142,6 +142,17 @@ def test_both_nu_keys_are_a_config_error(preset):
         build_config(preset, overrides=("model.nu_hz=1,2,3", "model.nu_rad_s=1,2,3"))
 
 
+def test_preset_argument_and_entry_must_agree():
+    with pytest.raises(ConfigError, match="preset argument is h1 but model.preset = h2"):
+        build_config("h1", overrides=("model.preset=h2",))
+    with pytest.raises(ConfigError, match="preset argument is h2 but model.preset = h1"):
+        build_config("h2", "model.preset = h1\n")
+    agreeing, flag_only = build_config("h1", overrides=("model.preset=h1",)), build_config("h1")
+    assert agreeing.model.nu == flag_only.model.nu
+    assert np.array_equal(agreeing.model.coupling, flag_only.model.coupling)
+    assert (agreeing.plan, agreeing.q) == (flag_only.plan, flag_only.q)
+
+
 def test_t2_scalar_then_per_spin():
     cfg = build_config(preset="h1", overrides=("machine.t2_s=0.5", "machine.t2_2_s=0.1"))
     assert cfg.machine.t2 == (0.5, 0.1, 0.5)

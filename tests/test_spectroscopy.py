@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pairgap.pipeline as pipeline
 import pairgap.spectroscopy as spectroscopy
-from conftest import capped_lm_fit
+from conftest import capped_lm_fit, column_stack_fit, loop_acquire
 from pairgap.config import build_config
 from pairgap.pipeline import RunResult, result_record, run_experiment, series_to_csv, spectrum_to_csv
 from pairgap.spectroscopy import (
@@ -87,6 +88,69 @@ def test_acquire_observed_spin_selects_bit():
     s2 = acquire(psi, u, t0, q, t0, observed_spin=2)
     assert np.allclose(s1.values, 1.0, atol=1e-12)
     assert np.allclose(s2.values, np.cos(omega * np.arange(q) * t0), atol=1e-12)
+
+
+def test_acquire_names_mismatched_shapes():
+    # q this large would fail to allocate: the shapes are checked first
+    with pytest.raises(ValueError, match=r"prepared state has shape \(3,\)"):
+        acquire(np.ones(3), np.eye(3), 1e-3, 10**12, 1e-3, 1)
+    with pytest.raises(ValueError, match=r"prepared state has shape \(2, 2\)"):
+        acquire(np.ones((2, 2)), np.eye(4), 1e-3, 8, 1e-3, 1)
+    with pytest.raises(ValueError, match=r"step unitary has shape \(2, 2\); need \(4, 4\)"):
+        acquire(np.ones(4) / 2, np.eye(2), 1e-3, 10**12, 1e-3, 1)
+    with pytest.raises(ValueError, match=r"step unitary has shape \(4,\)"):
+        acquire(np.ones(4) / 2, np.ones(4), 1e-3, 8, 1e-3, 1)
+
+
+def random_unitary(dim, rng):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    qm, r = np.linalg.qr(z)
+    return qm * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 5), st.integers(2, 80), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_acquire_matches_the_loop_on_random_unitaries(n, q, seed, damped, data):
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    u = random_unitary(dim, rng)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    spin = data.draw(st.integers(1, n))
+    wall, t2 = 1.7e-3, (0.05 if damped else None)
+    series = acquire(psi, u, wall, q, 1e-3, spin, t2)
+    reference = loop_acquire(psi, u, wall, q, 1e-3, spin, t2)
+    assert np.array_equal(series.values, reference.values)
+    assert np.array_equal(series.wall_times, reference.wall_times)
+
+
+@pytest.mark.parametrize("damping", ["on", "off"])
+@pytest.mark.parametrize("mode", ["delta", "finite"])
+@pytest.mark.parametrize("method", ["ideal", "w1", "w2"])
+@pytest.mark.parametrize("preset", ["h1", "h2"])
+def test_pipeline_acquire_and_fit_match_the_references(monkeypatch, preset, method, mode, damping):
+    # The pipeline's own inputs: its prepared state and step, its series.
+    seen = []
+
+    def recording(real, reference):
+        def call(*args):
+            result = real(*args)
+            seen.append((result, reference(*args)))
+            return result
+        return call
+
+    monkeypatch.setattr(pipeline, "acquire", recording(acquire, loop_acquire))
+    monkeypatch.setattr(pipeline, "fit_damped_sinusoid", recording(fit_damped_sinusoid, column_stack_fit))
+    overrides = (f"run.method={method}", f"run.pulse_mode={mode}", f"run.damping={damping}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the default ramps are quasiadiabatic
+        pipeline.run_experiment(build_config(preset, None, overrides))
+    (series, loop_series), (fit, reference_fit) = seen
+    assert np.array_equal(series.values, loop_series.values)
+    assert np.array_equal(series.wall_times, loop_series.wall_times)
+    assert fit == reference_fit
+    if preset == "h1" and method == "ideal" and damping == "off":
+        assert fit.tau_e == 1e12  # ends on the rate bound
 
 
 def test_dft_bin_layout_even():
@@ -273,6 +337,14 @@ def test_fit_off_the_rate_bound_matches_reference_exactly(case, decay_per_window
     assert peak_fit(fit_damped_sinusoid, series) == peak_fit(capped_lm_fit, series)
 
 
+@settings(deadline=None, max_examples=80)
+@given(tone(), st.sampled_from([0.0, 0.5, 5.0, 20.0]), st.sampled_from([0.0, 1e-3, 0.05]), st.integers(0, 2**32 - 1))
+def test_fit_matches_the_column_stack_reference(case, decay_per_window, noise, noise_seed):
+    q, t0, omega, a, phi = case
+    series = tone_series(q, t0, [(a, decay_per_window / (q * t0), omega, phi)], noise, noise_seed)
+    assert peak_fit(fit_damped_sinusoid, series) == peak_fit(column_stack_fit, series)
+
+
 @settings(deadline=None, max_examples=40)
 @given(tone(), st.floats(1e-3, 0.05), st.integers(0, 2**32 - 1))
 def test_fit_of_noisy_undamped_tone_converges_no_worse(case, noise, noise_seed):
@@ -329,7 +401,7 @@ def test_default_h1_fit_stops_on_the_rate_bound(monkeypatch):
         series = run_experiment(build_config("h1", None, ())).series
     calls = []
     model = spectroscopy._model_and_jacobian
-    monkeypatch.setattr(spectroscopy, "_model_and_jacobian", lambda beta, t: calls.append(1) or model(beta, t))
+    monkeypatch.setattr(spectroscopy, "_model_and_jacobian", lambda *args: calls.append(1) or model(*args))
     fit = peak_fit(fit_damped_sinusoid, series)
     assert fit.converged and fit.tau_e == 1e12
     assert len(calls) <= 60  # 532 when the fit ran to its iteration cap

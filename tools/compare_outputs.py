@@ -5,7 +5,10 @@ runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, a t0
 sweep and gap-exact on both presets) and of every other artifact the CLI
 writes (a t0 sweep without held epsilon_ft, a generic sweep with an error
 row, compile, estimate), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
-process. The exit code, stdout and the bytes of every file written must agree.
+process. The exit code, stdout, stderr and the bytes of every file written
+must agree. Each side's output directory reads `<out>` and its source
+directory `<src>` in both streams, so warning lines, which name the file that
+raised them, compare across trees.
 
     python tools/compare_outputs.py --base ../parent --seed 5151
 
@@ -14,7 +17,7 @@ process. The exit code, stdout and the bytes of every file written must agree.
 thread in both, as in the benchmark. Exit status is 0 when every case agrees.
 
 Under each case that differs, the tool names what differs (exit code, stdout,
-artifact files) and, from both sides' result.json, sweep.csv and
+stderr, artifact files) and, from both sides' result.json, sweep.csv and
 sweep_summary.json, how far the fit moved: the largest |delta_exp change| in
 units of epsilon_ft (in rad/s on generic sweeps, which record no epsilon_ft),
 the relative change of residual_norm, the change of the offset exponent,
@@ -41,7 +44,7 @@ from workloads import generate  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-Outcome = tuple[int, str, dict[str, bytes]]  # exit code, stdout, file bytes by name
+Outcome = tuple[int, str, str, dict[str, bytes]]  # exit code, stdout, stderr, file bytes by name
 
 
 def grid() -> list[tuple[str, ...]]:
@@ -69,6 +72,7 @@ def grid() -> list[tuple[str, ...]]:
 
 
 def run(src: Path, argv: tuple[str, ...]) -> Outcome:
+    src = src.resolve()
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
     with tempfile.TemporaryDirectory() as out:
         proc = subprocess.run(
@@ -76,7 +80,11 @@ def run(src: Path, argv: tuple[str, ...]) -> Outcome:
             capture_output=True, text=True, env=env,
         )
         files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(Path(out).rglob("*")) if p.is_file()}
-    return proc.returncode, proc.stdout.replace(out, "<out>"), files
+
+    def scrub(text: str) -> str:
+        return text.replace(out, "<out>").replace(str(src), "<src>")
+
+    return proc.returncode, scrub(proc.stdout), scrub(proc.stderr), files
 
 
 def _sweep_rows(body: bytes) -> list[dict[str, str]]:
@@ -126,11 +134,13 @@ def describe(base: Outcome, head: Outcome) -> list[str]:
         lines.append(f"exit {base[0]} -> {head[0]}")
     if base[1] != head[1]:
         lines.append("stdout differs")
-    names = sorted(set(base[2]) | set(head[2]))
-    changed = [n for n in names if base[2].get(n) != head[2].get(n)]
+    if base[2] != head[2]:
+        lines.append("stderr differs")
+    names = sorted(set(base[3]) | set(head[3]))
+    changed = [n for n in names if base[3].get(n) != head[3].get(n)]
     if changed:
         lines.append("files differ: " + ", ".join(changed))
-    moves = _fit_moves(base[2], head[2])
+    moves = _fit_moves(base[3], head[3])
     if moves:
         lines.append("; ".join(moves))
     return lines
@@ -153,7 +163,7 @@ def main() -> int:
         head = run(HERE / "src", argv)
         same = base == head
         differ += not same
-        print(f"{'same  ' if same else 'DIFFER'} exit {head[0]} files {len(head[2])}  {label}")
+        print(f"{'same  ' if same else 'DIFFER'} exit {head[0]} files {len(head[3])}  {label}")
         if not same:
             for line in describe(base, head):
                 print(f"        {line}")
