@@ -56,7 +56,7 @@ def _single_sector(state: np.ndarray) -> int | None:
 def _min_schedule_gap(ramp: Ramp) -> float:
     gaps = []
     for s in range(ramp.steps + 1):
-        values = np.linalg.eigvalsh(ramp.block(s))
+        values = ramp.eigensystem(s).values
         if len(values) > 1:
             gaps.append(float(values[1] - values[0]))
     return min(gaps) if gaps else math.inf
@@ -71,10 +71,15 @@ def prepare(
     table: EventTable | None = None,
 ) -> np.ndarray:
     """Evolve ``init`` for t_ad under each ramp step's model, s = 0..S, and
-    return the final state: exactly through the ramp's Hamiltonians when the
-    schedule has no backend, else by one backend step of each
-    ``ramp.step_model(s)``. Warns when the minimum sector gap along the path
-    is below 1/(S * t_ad).
+    return the final state: exactly when the schedule has no backend, else by
+    one backend step of each ``ramp.step_model(s)``. Warns when the minimum
+    sector gap along the path is below 1/(S * t_ad).
+
+    The exact evolution of a state in one pair sector (every amplitude above
+    1e-12 at one Hamming weight) runs inside that sector: only ``psi[idx]``
+    is evolved, through the ramp's step eigensystems, and the returned state
+    holds exact zeros outside it. A state spread over sectors evolves under
+    the dense ``ramp.hamiltonian(s)``.
 
     A run passes its ramp and its pulse-event table, so the ramp's operators
     and each distinct pulse are built once and shared with the run's other
@@ -90,15 +95,22 @@ def prepare(
     ramp = _ramp_for(model, pairs, ramp, s_steps)
     if ramp.steps != s_steps:
         raise ValueError("ramp was built for another schedule length")
-    if schedule.backend is None:
+    if schedule.backend is None and pairs is None:
         for s in range(s_steps + 1):
             psi = propagator(ramp.hamiltonian(s), schedule.t_ad) @ psi
+    elif schedule.backend is None:
+        sub = psi[ramp.idx]
+        for s in range(s_steps + 1):
+            es = ramp.eigensystem(s)
+            sub = es.vectors @ (np.exp(-1j * es.values * schedule.t_ad) * (es.vectors.conj().T @ sub))
+        psi = np.zeros_like(psi)
+        psi[ramp.idx] = sub
     elif schedule.t_ad > 0:
         step_state = state_stepper(TrotterPlan(schedule.t_ad, schedule.k), schedule.backend, table)
         for s in range(s_steps + 1):
             psi = step_state(ramp.step_model(s), psi)
-    # The gap check reads the ramp's sector blocks: an exact evolution has
-    # just kept them, a stepped one has them realized here.
+    # The gap check reads the ramp's step eigensystems: an exact evolution
+    # has just kept them, a stepped one has them computed here.
     if check_adiabaticity and schedule.t_ad > 0 and pairs is not None:
         min_gap = _min_schedule_gap(ramp)
         if min_gap < 1.0 / (s_steps * schedule.t_ad):

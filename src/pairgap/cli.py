@@ -112,7 +112,8 @@ def _cmd_gap_exact(args: argparse.Namespace) -> int:
         cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad),
         check_adiabaticity=False, ramp=ramp,
     )
-    # The preparation kept the final sector block: the model's own.
+    # The listed eigenvalues are eigvalsh's of the model's own (final) block;
+    # the ramp's eigensystem holds eigh's, which differ in the last bits.
     values = np.linalg.eigvalsh(ramp.block(ramp.steps))
     level, gap = reachable_gap(cfg.model, pairs, prepared, cfg.population_floor, ramp)
     record = {

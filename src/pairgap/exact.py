@@ -4,6 +4,7 @@ superposition."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,31 +56,82 @@ def computational_state(n: int, index: int) -> np.ndarray:
     return psi
 
 
+@functools.lru_cache(maxsize=64)
+def _hop_list(n: int, pairs: int) -> tuple[np.ndarray, ...]:
+    """Layout of the sector block on n qubits, read-only: the sector basis;
+    whether Z_m reads -1 on each basis state (row m); the flat index of
+    V_ml in an n x n matrix for each pair m < l, in row-major order; and
+    the in-sector hops, as the flat block index of each entry that a 01 <->
+    10 swap on one pair fills, with the number of that pair."""
+    idx = sector_basis(n, pairs)
+    pos = np.full(2**n, -1)
+    pos[idx] = np.arange(len(idx))
+    odd = ((idx[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(bool)
+    upper = [m * n + l for m in range(n) for l in range(m + 1, n)]
+    at, pair = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for j, ml in enumerate(upper):
+        m, l = divmod(ml, n)
+        rows = np.flatnonzero(odd[m] != odd[l])
+        at.append(rows * len(idx) + pos[idx[rows] ^ ((1 << (n - 1 - m)) | (1 << (n - 1 - l)))])
+        pair.append(np.full(len(rows), j))
+    layout = (idx, odd, np.array(upper, dtype=int), np.concatenate(at), np.concatenate(pair))
+    for x in layout:
+        x.flags.writeable = False
+    return layout
+
+
+def _sector_block(model: PairingModel, pairs: int) -> np.ndarray:
+    """realize(full_hamiltonian(model))[np.ix_(idx, idx)], built from the hop
+    list at dimension C(n, pairs) without the dense matrix, bit for bit.
+
+    The diagonal sums the on-site terms in their Pauli-sum order from 0.0,
+    as the dense accumulation does. The XX and YY terms of pair (m, l), with
+    c = 0.5 f V_ml, each put c on a 01 <-> 10 hop (on 00 <-> 11 they cancel,
+    outside the sector), so the hop entry is (0.0 + c) + c, which is also
+    the 0.0 a dropped zero coupling leaves (c = -0.0 included). Every
+    imaginary part is +0.0, as in the dense sum.
+    """
+    idx, odd, upper, hop_at, hop_pair = _hop_list(model.n, pairs)
+    f = model.convention_factor
+    dim = len(idx)
+    diag = np.zeros(dim)
+    for m, nu in enumerate(model.nu):
+        a = -0.5 * f * nu
+        diag += np.where(odd[m], -a, a)
+    c = 0.5 * f * model.coupling.take(upper)
+    block = np.zeros((dim, dim), dtype=complex)
+    flat = block.reshape(-1)
+    flat[:: dim + 1] = diag
+    flat[hop_at] = ((0.0 + c) + c)[hop_pair]
+    return block
+
+
 def sector_matrix(model: PairingModel, pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full Hamiltonian restricted to the fixed-pair-number subspace.
+    """Full Hamiltonian restricted to the fixed-pair-number subspace, built
+    inside the sector from the hop list (equal to the dense slice bit for
+    bit).
 
     Returns (matrix, basis indices); basis order follows sector_basis.
     """
-    idx = sector_basis(model.n, pairs)
-    h = realize(full_hamiltonian(model))
-    return h[np.ix_(idx, idx)], idx
+    return _sector_block(model, pairs), sector_basis(model.n, pairs)
 
 
 class Ramp:
     """Operators of one preparation ramp in one pair sector. Step s = 0..S
-    runs the model with its couplings scaled by s/S (``step_model``); the
-    ramp realizes the dense H_s = realize(full_hamiltonian(step_model(s))),
-    keeps the sector block of each and the eigensystem of the final (s = S)
-    block, whose Hamiltonian is the model's own.
+    runs the model with its couplings scaled by s/S (``step_model``).
 
     Scaling the couplings realizes the interpolation, because
     (1 - s/S) H_free + (s/S) H_full = H_free + (s/S) (H_full - H_free).
-    Realizing H_s keeps its sector block, not the dense matrix, so a ramp
-    holds (S + 1) blocks of C(n, pairs)^2 entries and one eigensystem. A run
-    builds one ramp and hands it to every stage: the preparation steps its
-    models, the schedule gap, the reachable level and the population report
-    read the blocks, each realized once. ``pairs`` None (a state spread over
-    sectors) keeps no blocks.
+    The pairing Hamiltonian conserves pair number, so the ramp works inside
+    the sector: ``block(s)`` is the C(n, pairs)-dimensional sector block of
+    H_s, built from the hop list without the dense 2^n matrix, and
+    ``eigensystem(s)`` its eigensystem, computed once per step and kept. A
+    run builds one ramp and hands it to every stage: the exact preparation
+    evolves the in-sector amplitudes with the step eigensystems, the
+    schedule gap reads their eigenvalues, and the reachable level and the
+    population report read the final one (s = S), whose Hamiltonian is the
+    model's own. ``pairs`` None (a state spread over sectors) has no blocks;
+    its exact preparation evolves under the dense ``hamiltonian(s)``.
     """
 
     def __init__(self, model: PairingModel, steps: int, pairs: int | None):
@@ -89,8 +141,7 @@ class Ramp:
         self.steps = steps
         self.pairs = pairs
         self.idx = None if pairs is None else sector_basis(model.n, pairs)
-        self._blocks: dict[int, np.ndarray] = {}
-        self._final: EigenSystem | None = None
+        self._systems: dict[int, EigenSystem] = {}
 
     def step_model(self, s: int) -> PairingModel:
         """The model of ramp step s: couplings scaled by s/S, nu kept. Zero
@@ -101,20 +152,19 @@ class Ramp:
         return self.model.with_coupling_scale(s / self.steps)
 
     def hamiltonian(self, s: int) -> np.ndarray:
-        h = realize(full_hamiltonian(self.step_model(s)))
-        if self.idx is not None:
-            self._blocks[s] = h[np.ix_(self.idx, self.idx)]
-        return h
+        """Dense H_s on all 2^n states."""
+        return realize(full_hamiltonian(self.step_model(s)))
 
     def block(self, s: int) -> np.ndarray:
-        if s not in self._blocks:
-            self.hamiltonian(s)
-        return self._blocks[s]
+        return _sector_block(self.step_model(s), self.pairs)
+
+    def eigensystem(self, s: int) -> EigenSystem:
+        if s not in self._systems:
+            self._systems[s] = eigendecompose(self.block(s))
+        return self._systems[s]
 
     def final_eigensystem(self) -> EigenSystem:
-        if self._final is None:
-            self._final = eigendecompose(self.block(self.steps))
-        return self._final
+        return self.eigensystem(self.steps)
 
 
 def _ramp_for(model: PairingModel, pairs: int | None, ramp: Ramp | None, steps: int = 1) -> Ramp:

@@ -67,6 +67,11 @@ class Delay:
         # numpy scalars sneak in from delay arithmetic; keep plain floats so
         # repr-based serialization stays portable
         object.__setattr__(self, "duration", float(self.duration))
+        object.__setattr__(self, "_hash", hash((self.duration,)))
+
+    def __hash__(self) -> int:
+        # hashed once: an EventTable looks every event up on each use
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,10 @@ class RfPulse:
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "phase", float(self.phase))
         object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "_hash", hash((targets, self.phase, self.angle)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 PulseEvent = Delay | RfPulse

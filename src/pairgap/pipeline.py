@@ -60,6 +60,35 @@ class RunResult:
         return float(self.series.wall_times[-1])
 
 
+@dataclass(frozen=True)
+class _Preparation:
+    """What a preparation hands the measurement: the run's ramp and pulse
+    table, the prepared state, its reachable level and that level's exact
+    gap."""
+
+    ramp: Ramp
+    table: EventTable
+    state: np.ndarray
+    level: int
+    delta_exact: float
+
+
+def _prepare(cfg: ExperimentConfig) -> _Preparation:
+    """Prepare once with ``schedule.evolver`` and take the reachable level
+    and its exact gap from that state. Neither t0 nor Q enters, so the points
+    of a t0 sweep share one preparation."""
+    init = computational_state(cfg.model.n, cfg.init_index)
+    pairs = cfg.init_bits.count("1")
+    # One ramp and one pulse-event table serve every stage of this run.
+    ramp = Ramp(cfg.model, cfg.schedule_steps, pairs)
+    table = EventTable(cfg.machine, cfg.model.n, cfg.pulse_mode)
+
+    schedule = AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, _preparation_backend(cfg), cfg.plan.k)
+    prepared = prepare(cfg.model, init, schedule, ramp=ramp, table=table)
+    level, delta_exact = reachable_gap(cfg.model, pairs, prepared, cfg.population_floor, ramp)
+    return _Preparation(ramp, table, prepared, level, delta_exact)
+
+
 def _preparation_backend(cfg: ExperimentConfig) -> Backend | None:
     """Backend of the preparation ramp's steps; None evolves it exactly.
     schedule.evolver "default" means exact for an ideal run and the run's
@@ -74,24 +103,14 @@ def _preparation_backend(cfg: ExperimentConfig) -> Backend | None:
     return Backend(cfg.compile_method, cfg.machine, cfg.pulse_mode)
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Prepare once with ``schedule.evolver``, take the reachable level and
-    its exact gap from that prepared state, then acquire, transform and fit."""
-    init = computational_state(cfg.model.n, cfg.init_index)
-    pairs = cfg.init_bits.count("1")
-    # One ramp and one pulse-event table serve every stage of this run.
-    ramp = Ramp(cfg.model, cfg.schedule_steps, pairs)
-    table = EventTable(cfg.machine, cfg.model.n, cfg.pulse_mode)
-
-    schedule = AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, _preparation_backend(cfg), cfg.plan.k)
-    prepared = prepare(cfg.model, init, schedule, ramp=ramp, table=table)
-    level, delta_exact = reachable_gap(cfg.model, pairs, prepared, cfg.population_floor, ramp)
-
+def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
+    """Acquire, transform and fit from a preparation of ``cfg``'s model,
+    schedule and initial state."""
     u, wall_per_step, clamp_warnings = step(
-        cfg.model, cfg.plan, Backend(cfg.method, cfg.machine, cfg.pulse_mode), table
+        cfg.model, cfg.plan, Backend(cfg.method, cfg.machine, cfg.pulse_mode), prep.table
     )
     t2 = cfg.machine.t2[cfg.observed_spin - 1] if cfg.damping else None
-    series = acquire(prepared, u, wall_per_step, cfg.q, cfg.plan.t0, cfg.observed_spin, t2)
+    series = acquire(prep.state, u, wall_per_step, cfg.q, cfg.plan.t0, cfg.observed_spin, t2)
 
     if cfg.noise_amplitude > 0:
         rng = np.random.default_rng(cfg.noise_seed)
@@ -105,18 +124,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     eps = epsilon_ft(cfg.q, cfg.plan.t0)
     return RunResult(
         config=cfg,
-        delta_exact=delta_exact,
-        reachable_level=level,
+        delta_exact=prep.delta_exact,
+        reachable_level=prep.level,
         delta_exp=fit.delta_exp,
         epsilon_ft=eps,
-        systematic_offset=systematic_offset(fit.delta_exp, delta_exact),
+        systematic_offset=systematic_offset(fit.delta_exp, prep.delta_exact),
         fit=fit,
         series=series,
         spectrum=spectrum,
-        populations=sector_population_report(cfg.model, pairs, prepared, ramp),
+        populations=sector_population_report(cfg.model, prep.ramp.pairs, prep.state, prep.ramp),
         wall_per_step=wall_per_step,
         clamp_warnings=clamp_warnings,
     )
+
+
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
+    """Prepare once with ``schedule.evolver``, take the reachable level and
+    its exact gap from that prepared state, then acquire, transform and fit."""
+    return _measure(cfg, _prepare(cfg))
 
 
 def result_record(result: RunResult) -> dict:
@@ -182,22 +207,31 @@ def sweep_t0(
     precision of the base config, isolating the systematic offset. The
     exponent is the log-log slope of |offset| against t0 (None if fewer than
     two usable points). Failures are recorded per row and do not stop the sweep.
+    The points share one preparation, which neither t0 nor Q enters; when it
+    fails, every point whose plan is valid gets its error.
     """
     if not t0_values:
         raise ConfigError("sweep: need at least one t0 value")
     eps_ref = epsilon_ft(cfg.q, cfg.plan.t0)
+    try:
+        prep: _Preparation | Exception = _prepare(cfg)
+    except Exception as exc:  # noqa: BLE001 - a failed preparation fails every row
+        prep = exc
     rows = []
     for t0 in t0_values:
         q = int(round(2 * math.pi / (eps_ref * t0))) if hold_epsilon_ft else cfg.q
         try:
             point = with_plan(cfg, t0, q=q)
-            result = run_experiment(point)
+            result = prep if isinstance(prep, Exception) else _measure(point, prep)
+        except Exception as exc:  # noqa: BLE001 - per-point failures become rows
+            result = exc
+        if isinstance(result, Exception):
+            rows.append(SweepRow(t0, cfg.plan.k, q, None, None, None, None, None, False, str(result)))
+        else:
             rows.append(SweepRow(
                 t0, point.plan.k, point.q, result.delta_exact, result.delta_exp, result.epsilon_ft,
                 result.systematic_offset, result.fit.tau_e, result.fit.converged,
             ))
-        except Exception as exc:  # noqa: BLE001 - per-point failures become rows
-            rows.append(SweepRow(t0, cfg.plan.k, q, None, None, None, None, None, False, str(exc)))
     done = [r for r in rows if r.offset is not None]
     exponent = _log_slope([r.t0 for r in done], [abs(r.offset) for r in done], _OFFSET_FLOOR)
     return SweepT0Result(tuple(rows), exponent)

@@ -2,14 +2,16 @@
 as a dedicated section at the end of the pytest run, two step oracles that
 need no DFT and no fit (the step's own spectral line and the t0/k order of its
 pair-number leak), test-only operators and pulse blocks, reference builders
-for the dense operators, the reference step compiler, the reference
-acquisition loop and two reference damped-cosine fits."""
+for the dense operators, the dense exact side (sector blocks sliced from the
+full Hamiltonian, the dense exact preparation), the reference step compiler,
+the reference acquisition loop and two reference damped-cosine fits."""
 
 import math
 
 import numpy as np
 
-from pairgap.exact import propagator, sector_matrix
+from pairgap.exact import propagator
+from pairgap.hamiltonian import full_hamiltonian, realize, sector_basis
 from pairgap.nmr import Delay, PulseProgram, RfPulse, _coupling_delay, _coupling_events, _onsite_events, _stamp
 from pairgap.spectroscopy import FitResult, TimeSeries
 
@@ -36,12 +38,32 @@ def step_line(model, u: np.ndarray, t0: float, pairs: int) -> float:
     line is their eigenphase difference over t0, the frequency a noiseless
     stroboscopic series would oscillate at.
     """
-    sub, idx = sector_matrix(model, pairs)
+    sub, idx = dense_sector_block(model, pairs), sector_basis(model.n, pairs)
     levels = np.zeros((u.shape[0], 2), dtype=complex)
     levels[idx, :] = np.linalg.eigh(sub)[1][:, :2]
     phases, vectors = np.linalg.eig(u)
     ground, excited = (int(np.argmax(np.abs(vectors.conj().T @ levels[:, j]))) for j in range(2))
     return float(-np.angle(phases[excited] * np.conj(phases[ground])) / t0)
+
+
+# Dense exact side: every ramp Hamiltonian realized on all 2^n states. The
+# package builds each sector block from the hop list and evolves a
+# single-sector preparation inside its sector; the blocks must equal these
+# slices bit for bit and the preparation this loop within rounding.
+
+
+def dense_sector_block(model, pairs: int) -> np.ndarray:
+    idx = sector_basis(model.n, pairs)
+    return realize(full_hamiltonian(model))[np.ix_(idx, idx)]
+
+
+def dense_prepare(model, init: np.ndarray, steps: int, t_ad: float) -> np.ndarray:
+    """The exact preparation through dense propagators of each ramp step's
+    full Hamiltonian, s = 0..S."""
+    psi = np.asarray(init, dtype=complex)
+    for s in range(steps + 1):
+        psi = propagator(realize(full_hamiltonian(model.with_coupling_scale(s / steps))), t_ad) @ psi
+    return psi
 
 
 def sector_leak_exponents(step, n: int, t0_list, k_list) -> tuple[float, float]:

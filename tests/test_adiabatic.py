@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import dense_prepare
 import pairgap.backend
 import pairgap.exact
 import pairgap.nmr
@@ -15,11 +18,11 @@ from pairgap.adiabatic import (
     sector_population_report,
 )
 from pairgap.backend import Backend
-from pairgap.config import build_config
+from pairgap.config import build_config, with_plan
 from pairgap.exact import Ramp, computational_state, reachable_gap
-from pairgap.hamiltonian import sector_basis
+from pairgap.hamiltonian import PairingModel, sector_basis
 from pairgap.nmr import RfPulse, compile_trotter_step, simulate_program
-from pairgap.pipeline import report_to_csv, run_experiment
+from pairgap.pipeline import SweepRow, report_to_csv, run_experiment, sweep_t0
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan
 
@@ -56,6 +59,31 @@ def test_prepare_stays_in_sector():
     outside = np.delete(np.arange(8), sector_basis(3, 2))
     assert np.max(np.abs(psi[outside])) < 1e-12
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_in_sector_preparation_matches_the_dense_one(n, seed, data):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-300, 300, (n, n)) * (rng.random((n, n)) < 0.7)
+    model = PairingModel(tuple(rng.uniform(-200, 200, n) * math.pi), (v + v.T) * math.pi, rng.choice([1.0, 2.0]))
+    pairs = data.draw(st.integers(0, n))
+    idx = sector_basis(n, pairs)
+    init = np.zeros(2**n, dtype=complex)
+    init[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    init /= np.linalg.norm(init)
+    steps, t_ad = data.draw(st.integers(1, 6)), data.draw(st.floats(0.0, 3e-3))
+    psi = prepare(model, init, AdiabaticSchedule(steps, t_ad), check_adiabaticity=False)
+    assert np.max(np.abs(psi - dense_prepare(model, init, steps, t_ad))) < 1e-13
+    assert not np.any(np.delete(psi, idx))
+
+
+def test_state_spread_over_sectors_takes_the_dense_path(monkeypatch):
+    dense = counting(monkeypatch, Ramp, "hamiltonian")
+    init = (computational_state(3, 3) + computational_state(3, 1)) / math.sqrt(2)
+    psi = prepare(H1, init, fast_schedule(), check_adiabaticity=False)
+    assert len(dense) == 5
+    assert np.array_equal(psi, dense_prepare(H1, init, 4, 1 / 700))
 
 
 def test_prepare_h1_populations_frozen():
@@ -199,13 +227,64 @@ def test_run_prepares_once_and_reads_its_level_from_that_state(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["ideal", "w1"])
-def test_run_realizes_each_ramp_hamiltonian_once(monkeypatch, method):
+def test_run_builds_no_dense_ramp_and_one_eigensystem_per_step(monkeypatch, method):
+    # the ramp works inside the pair sector: no dense H_s, and one sector
+    # eigensystem per step shared by the evolution, the gap check and the
+    # reachable level (the step's own dense eigensolves are 8 x 8)
     realized = counting(monkeypatch, pairgap.exact, "realize")
+    solved = counting(monkeypatch, pairgap.exact, "eigendecompose")
     cfg = build_config(preset="h1", overrides=(f"run.method={method}",))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
         run_experiment(cfg)
-    assert len(realized) == cfg.schedule_steps + 1
+    assert realized == []
+    assert [h.shape for h in solved if h.shape != (8, 8)] == [(3, 3)] * (cfg.schedule_steps + 1)
+
+
+def sweep_row(cfg, t0, q):
+    """The row of one t0 point, from a standalone run of its config."""
+    point = with_plan(cfg, t0, q=q)
+    r = run_experiment(point)
+    return SweepRow(t0, point.plan.k, point.q, r.delta_exact, r.delta_exp, r.epsilon_ft,
+                    r.systematic_offset, r.fit.tau_e, r.fit.converged)
+
+
+@pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
+@pytest.mark.parametrize("method", ["ideal", "w1"])
+def test_sweep_prepares_once_and_gives_the_standalone_rows(monkeypatch, method):
+    prepared = counting(monkeypatch, pairgap.pipeline, "prepare")
+    cfg = build_config(preset="h1", overrides=(f"run.method={method}",))
+    result = sweep_t0(cfg, [0.5e-3, 1e-3, 2e-3, 4e-3])
+    assert len(prepared) == 1
+    assert [r.q for r in result.rows] == [800, 400, 200, 100]
+    for row in result.rows:
+        assert row == sweep_row(cfg, row.t0, row.q)
+
+
+@pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
+def test_sweep_point_with_a_bad_plan_gets_its_own_error_row():
+    cfg = build_config(preset="h1")
+    rows = sweep_t0(cfg, [1e-3, -1e-3, 2e-3]).rows
+    with pytest.raises(ValueError) as bad:
+        with_plan(cfg, -1e-3)
+    assert rows[1].error == str(bad.value) and rows[1].delta_exp is None
+    assert rows[0] == sweep_row(cfg, 1e-3, rows[0].q) and rows[2] == sweep_row(cfg, 2e-3, rows[2].q)
+
+
+@pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
+def test_failed_preparation_puts_its_error_on_every_row(monkeypatch):
+    prepared = counting(monkeypatch, pairgap.pipeline, "prepare")
+    cfg = build_config(preset="h1", overrides=("run.population_floor=0.99",))
+    rows = sweep_t0(cfg, [1e-3, 2e-3, -1e-3]).rows
+    assert len(prepared) == 1
+    with pytest.raises(ValueError) as failed:
+        run_experiment(with_plan(cfg, 1e-3))
+    assert "population floor" in str(failed.value)
+    assert [r.error for r in rows[:2]] == [str(failed.value)] * 2
+    assert all(r.delta_exact is None and not r.converged for r in rows)
+    with pytest.raises(ValueError) as bad:
+        with_plan(cfg, -1e-3)
+    assert rows[2].error == str(bad.value)
 
 
 def test_run_builds_each_distinct_pulse_once(monkeypatch):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import dense_sector_block
 from pairgap.exact import (
+    Ramp,
     computational_state,
     eigendecompose,
     propagator,
@@ -12,7 +16,7 @@ from pairgap.exact import (
     sector_gap,
     sector_matrix,
 )
-from pairgap.hamiltonian import full_hamiltonian, realize
+from pairgap.hamiltonian import PairingModel, full_hamiltonian, realize, sector_basis
 from pairgap.presets import pairing_model
 
 PI = math.pi
@@ -87,6 +91,52 @@ def test_sector_matrix_h1_block():
     # independent route: restrict the dense 8x8 matrix built from scratch
     h = realize(full_hamiltonian(pairing_model("h1")))
     assert np.allclose(sub, h[np.ix_(idx, idx)], atol=0)
+
+
+@st.composite
+def ramp_models(draw):
+    """Models of 1..8 modes with signed, zero and negative-zero frequencies
+    and couplings, any convention factor, and a ramp length."""
+    n = draw(st.integers(1, 8))
+    value = st.floats(-1e4, 1e4, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    nu = draw(st.lists(value, min_size=n, max_size=n))
+    v = np.zeros((n, n))
+    for m in range(n):
+        for l in range(m + 1, n):
+            v[m, l] = v[l, m] = draw(value)
+    factor = draw(st.sampled_from([1.0, 2.0, 0.5]) | st.floats(1e-3, 1e3))
+    return PairingModel(tuple(nu), v, factor), draw(st.integers(1, 4))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(ramp_models())
+def test_hop_list_block_equals_the_dense_slice_bit_for_bit(drawn):
+    model, steps = drawn
+    for pairs in range(model.n + 1):
+        ramp = Ramp(model, steps, pairs)
+        for s in range(steps + 1):
+            assert same_bits(ramp.block(s), dense_sector_block(ramp.step_model(s), pairs)), (pairs, s)
+    for pairs in range(model.n + 1):
+        sub, idx = sector_matrix(model, pairs)
+        assert same_bits(sub, dense_sector_block(model, pairs))
+        assert idx.tolist() == sector_basis(model.n, pairs).tolist()
+
+
+def test_ramp_keeps_one_eigensystem_per_step():
+    ramp = Ramp(pairing_model("h1"), 4, 2)
+    for s in range(5):
+        es = ramp.eigensystem(s)
+        assert ramp.eigensystem(s) is es
+        assert np.array_equal(es.values, eigendecompose(ramp.block(s)).values)
+    assert ramp.final_eigensystem() is ramp.eigensystem(4)
 
 
 def test_h1_block_characteristic_cubic():

@@ -213,6 +213,21 @@ def test_table_bound_to_another_machine_size_or_mode_raises():
         EventTable(MACHINE, 2, "delta")
 
 
+def test_equal_events_hash_alike_and_share_one_unitary():
+    # each event hashes once, when it is built; equality still compares fields
+    a, b = RfPulse((2, 1), 0.5, 1.0), RfPulse((1, 2), np.float64(0.5), 1.0)
+    assert a == b and hash(a) == hash(b) == hash(((1, 2), 0.5, 1.0))
+    assert a != RfPulse((1, 2), 0.5, -1.0) and a != RfPulse((1,), 0.5, 1.0)
+    d, e = Delay(1e-3), Delay(np.float64(1e-3))
+    assert d == e and hash(d) == hash(e) and hash(Delay(0.0)) == hash(Delay(-0.0))
+    assert d != Delay(2e-3)
+    table = EventTable(MACHINE, 3, "delta")
+    assert table.unitary(a) is table.unitary(b)
+    assert table.unitary(d) is table.unitary(e)
+    assert table.unitary(RfPulse((1, 2), 0.5, -1.0)) is not table.unitary(a)
+    assert len(table._unitaries) == 3
+
+
 def test_zero_angle_pulse_is_a_no_op():
     machine = spin_system()
     prog = PulseProgram((RfPulse((1,), 0.3, 0.0),), n=3)
