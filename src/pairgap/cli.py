@@ -19,6 +19,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -265,10 +266,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """One stderr line per warning, as clamp warnings are printed: no source
+    path or line, so stderr does not depend on where the warning was raised."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # The warning filters still decide what shows: by default each
+        # distinct warning once per invocation.
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -43,7 +43,11 @@ def eigendecompose(h: np.ndarray) -> EigenSystem:
 
 def propagator(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) through the eigendecomposition of Hermitian h."""
-    es = eigendecompose(h)
+    return evolve(eigendecompose(h), t)
+
+
+def evolve(es: EigenSystem, t: float) -> np.ndarray:
+    """exp(-i h t) from the eigensystem of h."""
     phases = np.exp(-1j * es.values * t)
     return (es.vectors * phases) @ es.vectors.conj().T
 

@@ -96,11 +96,15 @@ def acquire(
     exp(-k * wall_per_step / t2), modelling dephasing of the observed spin
     over accumulated physical time; the k = 0 sample is untouched.
 
-    The Q states are stepped into one (Q, 2^n) complex array, Q * 2^n * 16
-    bytes, and every <Z_r> is taken from it in one batched dot. Each row is
-    contiguous, so each sample has the bits of np.vdot on that state; only
-    the k = 0 sample of a strided (non-contiguous) ``prepared`` may differ
-    from np.vdot on it in the last bit.
+    The Q states fill one (Q, 2^n) complex array, Q * 2^n * 16 bytes, by
+    doubling: with rows 0..f-1 filled and P = (u^f)^T, rows f..2f-1 are
+    rows 0..f-1 times P, then P is squared. That is about 2 log2(Q) matrix
+    products instead of Q - 1 matrix-vector ones. Row k went through the
+    binary powers of u that make up k, each carrying the rounding of its
+    squarings, so it differs from stepping one state k times by a rounding
+    error that grows about linearly in k: within (k + 1) 2^-52 in <Z_r> on
+    random unitaries up to n = 5 and Q = 4096. Every <Z_r> is taken in one
+    batched dot, each row's the reduction np.vdot makes.
     """
     if q < 2:
         raise ValueError("need at least two samples")
@@ -114,8 +118,13 @@ def acquire(
     zdiag = _z_diagonal(dim.bit_length() - 1, observed_spin)
     states = np.empty((q, dim), dtype=complex)
     states[0] = psi
-    for k in range(q - 1):
-        np.matmul(u, states[k], out=states[k + 1])
+    power, filled = u.T, 1
+    while filled < q:
+        m = min(filled, q - filled)
+        np.matmul(states[:m], power, out=states[filled : filled + m])
+        filled += m
+        if filled < q:
+            power = power @ power
     # One vector dot per row, the reduction np.vdot makes; einsum sums in
     # another order.
     values = np.ascontiguousarray(np.matmul(states.conj()[:, None, :], (zdiag * states)[:, :, None])[:, 0, 0].real)

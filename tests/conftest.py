@@ -1,17 +1,18 @@
 """Shared test helpers: the one-line verdicts that the acceptance tests print
 as a dedicated section at the end of the pytest run, two step oracles that
 need no DFT and no fit (the step's own spectral line and the t0/k order of its
-pair-number leak), test-only operators and pulse blocks, reference builders
-for the dense operators, the dense exact side (sector blocks sliced from the
-full Hamiltonian, the dense exact preparation), the reference step compiler,
-the reference acquisition loop and two reference damped-cosine fits."""
+pair-number leak), the step built from dense eigendecompositions, test-only
+operators and pulse blocks, reference builders for the dense operators, the
+dense exact side (sector blocks sliced from the full Hamiltonian, the dense
+exact preparation), the reference step compiler, the reference acquisition
+loop and two reference damped-cosine fits."""
 
 import math
 
 import numpy as np
 
 from pairgap.exact import propagator
-from pairgap.hamiltonian import full_hamiltonian, realize, sector_basis
+from pairgap.hamiltonian import coupling_hamiltonian, full_hamiltonian, onsite_hamiltonian, realize, sector_basis
 from pairgap.nmr import Delay, PulseProgram, RfPulse, _coupling_delay, _coupling_events, _onsite_events, _stamp
 from pairgap.spectroscopy import FitResult, TimeSeries
 
@@ -78,6 +79,17 @@ def sector_leak_exponents(step, n: int, t0_list, k_list) -> tuple[float, float]:
     p = np.mean([np.polyfit(log_t, log_leak[:, j], 1)[0] for j in range(len(k_list))])
     q = -np.mean([np.polyfit(log_k, log_leak[i], 1)[0] for i in range(len(t0_list))])
     return float(p), float(q)
+
+
+def eigh_step(model, plan) -> np.ndarray:
+    """The palindromic step [A(tau/2) B(tau/2) C(tau) B(tau/2) A(tau/2)]^k
+    with each part exponentiated through its dense eigendecomposition, as
+    the package built it before the Walsh-basis step; its oracle."""
+    tau = plan.t0 / plan.k
+    ua = propagator(realize(onsite_hamiltonian(model)), tau / 2)
+    ub = propagator(realize(coupling_hamiltonian(model, "X")), tau / 2)
+    uc = propagator(realize(coupling_hamiltonian(model, "Y")), tau)
+    return np.linalg.matrix_power(ua @ ub @ uc @ ub @ ua, plan.k)
 
 
 def number_operator(n: int) -> np.ndarray:
@@ -249,8 +261,9 @@ def kron_axis_field(n: int, targets: tuple[int, ...], phase: float) -> np.ndarra
 
 
 # Reference acquisition: one state at a time, each sample its own np.vdot. The
-# package steps every state into one array and takes the samples in one
-# batched dot; on contiguous states the series must be equal to these bits.
+# package fills every state by doubling (binary powers of the step) and takes
+# the samples in one batched dot; sample k must agree with this loop to a
+# rounding error that grows linearly in k.
 
 
 def loop_acquire(prepared, u, wall_per_step, q, t0, observed_spin, t2=None) -> TimeSeries:

@@ -30,6 +30,16 @@ def test_presets_lists_both_instances():
     assert "convention_factor" in proc.stdout
 
 
+def test_run_prints_the_adiabaticity_warning_as_one_line(tmp_path):
+    # Printed like a clamp warning: no source path or line, so stderr does
+    # not move when the code that warns does.
+    proc = run_cli("run", "--preset", "h1", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: AdiabaticityWarning: minimum schedule gap ")
+    assert ".py:" not in proc.stderr
+
+
 def test_gap_exact_h1(tmp_path):
     proc = run_cli("gap-exact", "--preset", "h1", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr

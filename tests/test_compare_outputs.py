@@ -100,9 +100,36 @@ def test_run_reads_the_source_and_output_paths_as_placeholders(tool):
     src = TOOL.parent.parent / "src"
     code, stdout, stderr, files = tool.run(src, ("run", "--preset", "h1", "--override", "run.q=32"))
     assert code == 0
-    assert "<src>/pairgap/pipeline.py:" in stderr  # the quasiadiabatic ramp's warning
-    assert str(src.resolve()) not in stderr
+    assert stderr.startswith("warning: AdiabaticityWarning: ")  # the quasiadiabatic ramp
     assert set(files) == {"populations.csv", "result.json", "spectrum.csv", "timeseries.csv"}
+    code, _, stderr, files = tool.run(src, ("run", "--config", str(src / "missing.cfg")))
+    assert code == 2 and "cannot read <src>/missing.cfg" in stderr
+    assert str(src.resolve()) not in stderr and not files
     code, _, stderr, files = tool.run(src, ("compile", "--preset", "h1"))
     assert code == 0 and stderr.startswith("w1 program: ")
     assert list(files) == ["program.txt"]
+
+
+def test_summary_line_names_the_worst_cases_and_counts_changes(tool):
+    def summary_json(exponent):
+        return json.dumps({"offset_exponent": exponent}).encode()
+
+    differing = [
+        ("run a", (0, "", "w\n", {"result.json": result_json(100.0, 2.0, True)}),
+         (3, "", "v\n", {"result.json": result_json(100.001, 2.0, False, level=2)})),
+        ("run b", (0, "", "", {"result.json": result_json(100.0, 2.0, True)}),
+         (0, "", "", {"result.json": result_json(100.01, 2.0, True)})),
+        ("sweep c", (0, "", "", {"sweep.csv": sweep_csv([10.0], [1]), "sweep_summary.json": summary_json(1.97)}),
+         (0, "", "", {"sweep.csv": sweep_csv([10.0], [0]), "sweep_summary.json": summary_json(1.98)})),
+        ("gap d", (0, "", "", {"gap.json": json.dumps({"reachable_level": 1}).encode()}),
+         (0, "", "", {"gap.json": json.dumps({"reachable_level": 2}).encode()})),
+    ]
+    assert tool.summarize(differing) == (
+        "summary of 4 differing: worst |d delta_exp|/eps_ft 5.00e-03 (run b); "
+        "worst |d offset_exponent| 1.00e-02 (sweep c); "
+        "changed: exit 1, converged 2, reachable_level 2, stderr 1"
+    )
+    assert tool.summarize([]) == (
+        "summary of 0 differing: worst |d delta_exp|/eps_ft 0.00e+00; worst |d offset_exponent| 0.00e+00; "
+        "changed: exit 0, converged 0, reachable_level 0, stderr 0"
+    )

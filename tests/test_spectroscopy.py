@@ -108,8 +108,22 @@ def random_unitary(dim, rng):
     return qm * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def within_doubling_rounding(values: np.ndarray, reference: np.ndarray) -> bool:
+    """|d<Z>_k| <= 8 (k + 1) 2^-52: sample k of the doubled acquisition went
+    through the binary powers of the step, whose rounding grows linearly in
+    k (measured worst 0.5 (k + 1) 2^-52 for n <= 5, Q up to 4096)."""
+    bound = 8 * (np.arange(len(reference)) + 1) * 2.0**-52
+    return bool(np.all(np.abs(values - reference) <= bound))
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 5), st.integers(2, 80), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+@given(
+    st.integers(1, 5),
+    st.integers(2, 80) | st.sampled_from([200, 801, 4096]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.data(),
+)
 def test_acquire_matches_the_loop_on_random_unitaries(n, q, seed, damped, data):
     rng = np.random.default_rng(seed)
     dim = 2**n
@@ -120,7 +134,7 @@ def test_acquire_matches_the_loop_on_random_unitaries(n, q, seed, damped, data):
     wall, t2 = 1.7e-3, (0.05 if damped else None)
     series = acquire(psi, u, wall, q, 1e-3, spin, t2)
     reference = loop_acquire(psi, u, wall, q, 1e-3, spin, t2)
-    assert np.array_equal(series.values, reference.values)
+    assert within_doubling_rounding(series.values, reference.values)
     assert np.array_equal(series.wall_times, reference.wall_times)
 
 
@@ -135,7 +149,7 @@ def test_pipeline_acquire_and_fit_match_the_references(monkeypatch, preset, meth
     def recording(real, reference):
         def call(*args):
             result = real(*args)
-            seen.append((result, reference(*args)))
+            seen.append((result, reference(*args), args))
             return result
         return call
 
@@ -145,10 +159,15 @@ def test_pipeline_acquire_and_fit_match_the_references(monkeypatch, preset, meth
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the default ramps are quasiadiabatic
         pipeline.run_experiment(build_config(preset, None, overrides))
-    (series, loop_series), (fit, reference_fit) = seen
-    assert np.array_equal(series.values, loop_series.values)
+    (series, loop_series, _), (fit, reference_fit, (_, seed)) = seen
+    assert within_doubling_rounding(series.values, loop_series.values)
     assert np.array_equal(series.wall_times, loop_series.wall_times)
     assert fit == reference_fit
+    # The fit of the stepped-one-at-a-time series ends the same way, on the
+    # same line to far below a Fourier bin.
+    loop_fit = column_stack_fit(loop_series, seed)
+    assert loop_fit.converged == fit.converged
+    assert abs(loop_fit.delta_exp - fit.delta_exp) <= 1e-8 * epsilon_ft(series.q, series.t0)
     if preset == "h1" and method == "ideal" and damping == "off":
         assert fit.tau_e == 1e12  # ends on the rate bound
 

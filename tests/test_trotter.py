@@ -3,17 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import pairgap.trotter as trotter
 from pairgap.config import build_config
-from pairgap.exact import sector_gap
+from pairgap.exact import eigendecompose, propagator, sector_gap
 from pairgap.backend import Backend, step
-from pairgap.hamiltonian import coupling_hamiltonian, full_hamiltonian, onsite_hamiltonian, realize
+from pairgap.hamiltonian import PairingModel, coupling_hamiltonian, full_hamiltonian, onsite_hamiltonian, realize
 from pairgap.pipeline import run_experiment
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan, convergence_sweep, symmetric3_step, trotter_error
 
-from conftest import first_order_step, number_operator, sector_leak_exponents, step_line
+from conftest import eigh_step, first_order_step, number_operator, sector_leak_exponents, step_line
 
 H1 = pairing_model("h1")
 H1_DENSE = realize(full_hamiltonian(H1))
@@ -73,6 +76,39 @@ def test_symmetric3_unitary_and_palindromic():
     assert np.allclose(v, np.linalg.matrix_power(inner, plan.k), atol=1e-12)
 
 
+@st.composite
+def step_cases(draw):
+    """Models of 1..6 modes at NMR scale (|nu|, |V| up to 2 pi 3 kHz), with
+    zero and negative-zero couplings, any convention factor, and a plan."""
+    n = draw(st.integers(1, 6))
+    scale = 2 * math.pi * 3000
+    nu = draw(st.lists(st.floats(-scale, scale) | st.just(0.0), min_size=n, max_size=n))
+    v = np.zeros((n, n))
+    for m in range(n):
+        for l in range(m + 1, n):
+            v[m, l] = v[l, m] = draw(st.floats(-scale / 4, scale / 4) | st.sampled_from([0.0, -0.0]))
+    factor = draw(st.sampled_from([1.0, 2.0, 0.5]) | st.floats(0.25, 4.0))
+    plan = TrotterPlan(draw(st.floats(1e-5, 2e-3)), draw(st.integers(1, 4)))
+    return PairingModel(tuple(nu), v, factor), plan
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    return float(np.linalg.norm(u @ u.conj().T - np.eye(len(u)), ord=2))
+
+
+@settings(deadline=None, max_examples=80)
+@given(step_cases())
+def test_walsh_step_matches_the_eigh_step(case):
+    # The package builds the step from diagonal phases and Walsh-Hadamard
+    # matrices; the oracle exponentiates each dense part through eigh.
+    model, plan = case
+    u, oracle = symmetric3_step(model, plan), eigh_step(model, plan)
+    assert float(np.abs(u - oracle).max()) <= 1e-13
+    # Both defects are rounding; the oracle's parts are exact to the ulp when
+    # diagonal (n = 1, or no couplings), hence a 16-ulp allowance.
+    assert unitarity_defect(u) <= unitarity_defect(oracle) + 16 * 2.0**-52
+
+
 def test_symmetric3_error_frozen():
     err = trotter_error(exact_u(2e-3), symmetric3_step(H1, TrotterPlan(2e-3, 2)))
     assert math.isclose(err, 0.11445803688371427, rel_tol=1e-9)
@@ -113,6 +149,18 @@ def test_convergence_sweep_exponents_frozen():
     # rows follow the input grid order: t0 outer, k inner
     assert [r[1] for r in res.rows[:3]] == [1, 2, 4]
     assert res.rows[0][0] == 0.25e-3
+
+
+def test_convergence_sweep_decomposes_h_once(monkeypatch):
+    # One eigensystem of H serves every t0, and each exact unitary keeps the
+    # bits of a fresh propagator(H, t0).
+    calls = []
+    monkeypatch.setattr(trotter, "eigendecompose", lambda h: calls.append(h) or eigendecompose(h))
+    t0s, ks = [0.25e-3, 0.5e-3, 1e-3, 2e-3], [1, 2]
+    res = convergence_sweep(H1, t0s, ks)
+    assert len(calls) == 1
+    expected = [trotter_error(propagator(H1_DENSE, t0), symmetric3_step(H1, TrotterPlan(t0, k))) for t0 in t0s for k in ks]
+    assert [r[2] for r in res.rows] == expected
 
 
 def test_convergence_sweep_single_axis():

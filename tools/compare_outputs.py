@@ -7,8 +7,8 @@ writes (a t0 sweep without held epsilon_ft, a generic sweep with an error
 row, compile, estimate), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
 process. The exit code, stdout, stderr and the bytes of every file written
 must agree. Each side's output directory reads `<out>` and its source
-directory `<src>` in both streams, so warning lines, which name the file that
-raised them, compare across trees.
+directory `<src>` in both streams, so a message that names a path of either
+tree compares across trees.
 
     python tools/compare_outputs.py --base ../parent --seed 5151
 
@@ -22,7 +22,10 @@ sweep_summary.json, how far the fit moved: the largest |delta_exp change| in
 units of epsilon_ft (in rad/s on generic sweeps, which record no epsilon_ft),
 the relative change of residual_norm, the change of the offset exponent,
 every flip of `converged`, and a run's reachable level on both sides with the
-change of its exact gap.
+change of its exact gap. The last line sums up every differing case: the
+worst delta_exp move in units of epsilon_ft and the worst offset-exponent
+move, each with its case, and how many exit codes, converged flags,
+reachable levels and stderr streams changed.
 """
 
 from __future__ import annotations
@@ -127,6 +130,53 @@ def _fit_moves(base: dict[str, bytes], head: dict[str, bytes]) -> list[str]:
     return moves
 
 
+def _tally(base: dict[str, bytes], head: dict[str, bytes]) -> tuple[list[float], list[float], int, int]:
+    """What the summary line counts for one case: every |delta_exp change| in
+    units of epsilon_ft (result.json and t0-sweep rows), every |change| of
+    the offset exponent, and the number of converged flips and of
+    reachable-level changes (result.json and gap.json)."""
+    shifts, exponents, flips, levels = [], [], 0, 0
+    for name in ("result.json", "gap.json"):
+        if name in base and name in head:
+            b, h = json.loads(base[name]), json.loads(head[name])
+            levels += b["reachable_level"] != h["reachable_level"]
+            if name == "result.json":
+                shifts.append(abs(h["delta_exp_rad_s"] - b["delta_exp_rad_s"]) / b["epsilon_ft_rad_s"])
+                flips += b["converged"] != h["converged"]
+    if "sweep.csv" in base and "sweep.csv" in head:
+        for b, h in zip(_sweep_rows(base["sweep.csv"]), _sweep_rows(head["sweep.csv"])):
+            flips += b["converged"] != h["converged"]
+            if b["delta_exp_rad_s"] and h["delta_exp_rad_s"] and b.get("epsilon_ft_rad_s"):
+                shift = abs(float(h["delta_exp_rad_s"]) - float(b["delta_exp_rad_s"]))
+                shifts.append(shift / float(b["epsilon_ft_rad_s"]))
+    if "sweep_summary.json" in base and "sweep_summary.json" in head:
+        b, h = json.loads(base["sweep_summary.json"]), json.loads(head["sweep_summary.json"])
+        if b["offset_exponent"] is not None and h["offset_exponent"] is not None:
+            exponents.append(abs(h["offset_exponent"] - b["offset_exponent"]))
+    return shifts, exponents, flips, levels
+
+
+def summarize(differing: list[tuple[str, Outcome, Outcome]]) -> str:
+    """One line over every differing (label, base, head) case: the worst
+    |delta_exp change|/epsilon_ft and the worst |offset exponent change|,
+    each with its case, and how many exit codes, converged flags, reachable
+    levels and stderr streams changed."""
+    worst = {"|d delta_exp|/eps_ft": (0.0, ""), "|d offset_exponent|": (0.0, "")}
+    exits = flips = levels = stderrs = 0
+    for label, base, head in differing:
+        shifts, exponents, case_flips, case_levels = _tally(base[3], head[3])
+        for key, values in zip(worst, (shifts, exponents)):
+            if values and max(values) > worst[key][0]:
+                worst[key] = (max(values), label)
+        exits += base[0] != head[0]
+        stderrs += base[2] != head[2]
+        flips += case_flips
+        levels += case_levels
+    parts = [f"worst {key} {value:.2e}" + (f" ({label})" if label else "") for key, (value, label) in worst.items()]
+    parts.append(f"changed: exit {exits}, converged {flips}, reachable_level {levels}, stderr {stderrs}")
+    return f"summary of {len(differing)} differing: " + "; ".join(parts)
+
+
 def describe(base: Outcome, head: Outcome) -> list[str]:
     """Lines saying what differs between two outcomes of the same case."""
     lines = []
@@ -157,18 +207,19 @@ def main() -> int:
         cycle, warmup = generate(workload, args.seed)
         cases += [(f"{workload}: {op.label}", op.argv) for op in cycle + warmup if op.argv]
     cases += [(" ".join(argv), argv) for argv in grid()]
-    differ = 0
+    differing = []
     for label, argv in cases:
         base = run(args.base / "src", argv)
         head = run(HERE / "src", argv)
         same = base == head
-        differ += not same
         print(f"{'same  ' if same else 'DIFFER'} exit {head[0]} files {len(head[3])}  {label}")
         if not same:
+            differing.append((label, base, head))
             for line in describe(base, head):
                 print(f"        {line}")
-    print(f"{len(cases) - differ} of {len(cases)} cases byte-identical")
-    return 1 if differ else 0
+    print(f"{len(cases) - len(differing)} of {len(cases)} cases byte-identical")
+    print(summarize(differing))
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
