@@ -6,7 +6,7 @@ from .adiabatic import AdiabaticityWarning, AdiabaticSchedule, prepare, sector_p
 from .backend import Backend, step
 from .config import ConfigError, ExperimentConfig, build_config
 from .exact import computational_state, propagator, reachable_gap, sector_gap
-from .hamiltonian import PairingModel, full_hamiltonian, realize
+from .hamiltonian import PairingModel
 from .nmr import PulseProgram, SpinSystem, compile_trotter_step, wall_time
 from .pipeline import RunResult, program_to_text, run_experiment, sweep_t0, write_run_artifacts
 from .presets import pairing_model, spin_system

@@ -1,15 +1,16 @@
 """Exact diagonalization oracle: eigensystems, propagators, sector gaps, the
-preparation ramp's operators and the level actually reachable from a prepared
-superposition."""
+preparation ramp's sector blocks and their eigensystems, and the level
+actually reachable from a prepared superposition. Every block comes from
+the hop list in ``hamiltonian``, the one builder of the pairing
+Hamiltonian."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import PairingModel, full_hamiltonian, realize, sector_basis
+from .hamiltonian import PairingModel, _sector_block, realize, sector_basis
 
 _HERMITICITY_TOL = 1e-9
 # Eigenvalues closer than this (relative to the spectral scale) are treated as
@@ -60,60 +61,9 @@ def computational_state(n: int, index: int) -> np.ndarray:
     return psi
 
 
-@functools.lru_cache(maxsize=64)
-def _hop_list(n: int, pairs: int) -> tuple[np.ndarray, ...]:
-    """Layout of the sector block on n qubits, read-only: the sector basis;
-    whether Z_m reads -1 on each basis state (row m); the flat index of
-    V_ml in an n x n matrix for each pair m < l, in row-major order; and
-    the in-sector hops, as the flat block index of each entry that a 01 <->
-    10 swap on one pair fills, with the number of that pair."""
-    idx = sector_basis(n, pairs)
-    pos = np.full(2**n, -1)
-    pos[idx] = np.arange(len(idx))
-    odd = ((idx[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(bool)
-    upper = [m * n + l for m in range(n) for l in range(m + 1, n)]
-    at, pair = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for j, ml in enumerate(upper):
-        m, l = divmod(ml, n)
-        rows = np.flatnonzero(odd[m] != odd[l])
-        at.append(rows * len(idx) + pos[idx[rows] ^ ((1 << (n - 1 - m)) | (1 << (n - 1 - l)))])
-        pair.append(np.full(len(rows), j))
-    layout = (idx, odd, np.array(upper, dtype=int), np.concatenate(at), np.concatenate(pair))
-    for x in layout:
-        x.flags.writeable = False
-    return layout
-
-
-def _sector_block(model: PairingModel, pairs: int) -> np.ndarray:
-    """realize(full_hamiltonian(model))[np.ix_(idx, idx)], built from the hop
-    list at dimension C(n, pairs) without the dense matrix, bit for bit.
-
-    The diagonal sums the on-site terms in their Pauli-sum order from 0.0,
-    as the dense accumulation does. The XX and YY terms of pair (m, l), with
-    c = 0.5 f V_ml, each put c on a 01 <-> 10 hop (on 00 <-> 11 they cancel,
-    outside the sector), so the hop entry is (0.0 + c) + c, which is also
-    the 0.0 a dropped zero coupling leaves (c = -0.0 included). Every
-    imaginary part is +0.0, as in the dense sum.
-    """
-    idx, odd, upper, hop_at, hop_pair = _hop_list(model.n, pairs)
-    f = model.convention_factor
-    dim = len(idx)
-    diag = np.zeros(dim)
-    for m, nu in enumerate(model.nu):
-        a = -0.5 * f * nu
-        diag += np.where(odd[m], -a, a)
-    c = 0.5 * f * model.coupling.take(upper)
-    block = np.zeros((dim, dim), dtype=complex)
-    flat = block.reshape(-1)
-    flat[:: dim + 1] = diag
-    flat[hop_at] = ((0.0 + c) + c)[hop_pair]
-    return block
-
-
 def sector_matrix(model: PairingModel, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Full Hamiltonian restricted to the fixed-pair-number subspace, built
-    inside the sector from the hop list (equal to the dense slice bit for
-    bit).
+    inside the sector from the hop list.
 
     Returns (matrix, basis indices); basis order follows sector_basis.
     """
@@ -148,16 +98,16 @@ class Ramp:
         self._systems: dict[int, EigenSystem] = {}
 
     def step_model(self, s: int) -> PairingModel:
-        """The model of ramp step s: couplings scaled by s/S, nu kept. Zero
-        couplings are dropped from its Hamiltonian, so step 0 is the on-site
-        part and step S the full Hamiltonian, term for term."""
+        """The model of ramp step s: couplings scaled by s/S, nu kept. Step 0's
+        blocks hold the on-site diagonal and 0.0 on every hop; step S's are
+        the model's own."""
         if not 0 <= s <= self.steps:
             raise ValueError("schedule step index out of range")
         return self.model.with_coupling_scale(s / self.steps)
 
     def hamiltonian(self, s: int) -> np.ndarray:
         """Dense H_s on all 2^n states."""
-        return realize(full_hamiltonian(self.step_model(s)))
+        return realize(self.step_model(s))
 
     def block(self, s: int) -> np.ndarray:
         return _sector_block(self.step_model(s), self.pairs)

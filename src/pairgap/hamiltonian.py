@@ -1,8 +1,16 @@
-"""Pauli-sum construction of pairing-model Hamiltonians and their dense realizations.
+"""The pairing Hamiltonian and its one builder.
+
+H = sum_m -(f nu_m / 2) Z_m + sum_{m<l} (f V_ml / 2)(X_m X_l + Y_m Y_l)
+conserves the number of qubits in |1> (the pair number), so it is built one
+pair sector at a time: ``_hop_list`` lays out which sector states a 01 <-> 10
+swap on each mode pair connects, ``_sector_block`` fills a sector's block
+from it, and ``realize`` places every block into the dense 2^n matrix.
 
 Conventions used throughout the package: hbar = 1, every energy is an angular
 frequency in rad/s, Z|0> = +|0>, and qubit 1 is the most significant bit of a
-computational basis index (so |011> on three qubits has index 3).
+computational basis index (so |011> on three qubits has index 3). ``_signs``
+is the one table of that convention; every module that reads a qubit's Z
+eigenvalue off a basis index reads it there.
 """
 
 from __future__ import annotations
@@ -25,6 +33,12 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     if m.size and float(np.abs(m - m.T).max()) > 1e-12:
         raise ValueError(f"{name} must be symmetric")
     return m
+
+
+def _check_dense(n: int) -> None:
+    """Refuse n qubits before a 2^n x 2^n operator is allocated."""
+    if n > _MAX_DENSE_QUBITS:
+        raise ValueError(f"dense 2^n x 2^n operators are limited to {_MAX_DENSE_QUBITS} qubits, not {n}")
 
 
 @dataclass(frozen=True)
@@ -67,146 +81,13 @@ class PairingModel:
         return PairingModel(self.nu, self.coupling * float(scale), self.convention_factor)
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """A real coefficient (rad/s) times a product of single-qubit Paulis.
-
-    ``factors`` maps 1-based qubit indices to letters in {X, Y, Z}; stored as a
-    sorted tuple of (index, letter) pairs so terms are hashable.
-    """
-
-    coeff: float
-    factors: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        if not math.isfinite(self.coeff):
-            raise ValueError("term.coeff must be finite")
-        pairs = tuple(sorted((int(q), str(p)) for q, p in self.factors))
-        seen = set()
-        for q, p in pairs:
-            if q < 1:
-                raise ValueError("term.factors: qubit indices are 1-based")
-            if q in seen:
-                raise ValueError("term.factors: duplicate qubit index")
-            if p not in ("X", "Y", "Z"):
-                raise ValueError("term.factors: letters must be X, Y or Z")
-            seen.add(q)
-        object.__setattr__(self, "factors", pairs)
-
-
-@dataclass(frozen=True)
-class PauliSum:
-    """Sum of PauliTerms on ``n`` qubits. Real coefficients keep the realization
-    Hermitian by construction."""
-
-    terms: tuple[PauliTerm, ...]
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("operator qubit count must be >= 1")
-        object.__setattr__(self, "terms", tuple(self.terms))
-        for t in self.terms:
-            if t.factors and t.factors[-1][0] > self.n:
-                raise ValueError("term qubit index exceeds operator size")
-
-
-def onsite_hamiltonian(model: PairingModel) -> PauliSum:
-    """Free part: sum_m (nu_m/2)(-Z_m), times the convention factor."""
-    f = model.convention_factor
-    terms = [PauliTerm(-0.5 * f * model.nu[m], ((m + 1, "Z"),)) for m in range(model.n)]
-    return PauliSum(tuple(terms), model.n)
-
-
-def coupling_hamiltonian(model: PairingModel, axis: str) -> PauliSum:
-    """Coupling part along one axis: sum_{m<l} (V_ml/2) A_m A_l with A = X or Y."""
-    if axis not in ("X", "Y"):
-        raise ValueError("axis must be 'X' or 'Y'")
-    f = model.convention_factor
-    terms = []
-    v = model.coupling
-    for m in range(model.n):
-        for l in range(m + 1, model.n):
-            if v[m, l] != 0.0:
-                terms.append(PauliTerm(0.5 * f * v[m, l], ((m + 1, axis), (l + 1, axis))))
-    return PauliSum(tuple(terms), model.n)
-
-
-def full_hamiltonian(model: PairingModel) -> PauliSum:
-    a = onsite_hamiltonian(model)
-    b = coupling_hamiltonian(model, "X")
-    c = coupling_hamiltonian(model, "Y")
-    return PauliSum(a.terms + b.terms + c.terms, model.n)
-
-
-def nmr_zz_hamiltonian(j_hz: np.ndarray) -> PauliSum:
-    """Always-on scalar coupling sum_{i<j} (pi/2) J_ij Z_i Z_j.
-
-    J is given in Hz; the pi/2 factor yields coefficients in rad/s.
-    """
-    j = _check_symmetric(j_hz, "machine.j_hz")
-    if np.any(np.diag(j) != 0.0):
-        raise ValueError("machine.j_hz: diagonal must be zero")
-    n = j.shape[0]
-    terms = []
-    for i in range(n):
-        for k in range(i + 1, n):
-            if j[i, k] != 0.0:
-                terms.append(PauliTerm(0.5 * math.pi * j[i, k], ((i + 1, "Z"), (k + 1, "Z"))))
-    return PauliSum(tuple(terms), n)
-
-
-@functools.lru_cache(maxsize=512)  # a 12-qubit run uses about 250 strings
-def _pauli_pattern(n: int, factors: tuple[tuple[int, str], ...]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Flat index of each row's entry, rows whose sign flips, and number of
-    Ys of a Pauli string on n qubits; read-only, 20 kB at n = 12."""
-    dim = 2**n
-    rows = np.arange(dim)
-    xmask = 0
-    parity = np.zeros_like(rows)
-    ys = 0
-    for q, p in factors:
-        bit = n - q
-        if p != "Z":
-            xmask |= 1 << bit
-        if p != "X":
-            parity ^= rows >> bit
-        ys += p == "Y"
-    flat = (rows * dim + (rows ^ xmask)).astype(np.min_scalar_type(dim * dim - 1))
-    odd = (parity & 1).astype(bool)
-    flat.flags.writeable = False
-    odd.flags.writeable = False
-    return flat, odd, ys
-
-
-def _add_pauli(out: np.ndarray, coeff: float, factors: tuple[tuple[int, str], ...]) -> None:
-    """Add coeff times a Pauli string to the dense, C-contiguous 2^n x 2^n
-    ``out`` in place.
-
-    Qubit q sits at bit n - q. X and Y flip their bit, so row i holds its one
-    entry in column i ^ xmask; Z and Y read their bit and flip the sign when
-    it is set; each Y adds a factor -i. Every entry is +-coeff on the real or
-    the imaginary axis, exactly what the tensor product of the 2 x 2 factors
-    gives, so a sum of terms taken in the same order matches it bit for bit.
-    """
-    if not out.flags.c_contiguous:
-        raise ValueError("Pauli strings are added into a C-contiguous matrix")
-    flat, odd, ys = _pauli_pattern(out.shape[0].bit_length() - 1, factors)
-    value = complex(coeff)
-    for _ in range(ys):
-        value *= -1j
-    out.reshape(-1)[flat] += np.where(odd, -value, value)
-
-
-def realize(op: PauliSum) -> np.ndarray:
-    """Dense matrix of a PauliSum, qubit 1 most significant. Guarded at 12 qubits."""
-    if op.n > _MAX_DENSE_QUBITS:
-        raise ValueError(f"dense realization limited to {_MAX_DENSE_QUBITS} qubits")
-    dim = 2**op.n
-    out = np.zeros((dim, dim), dtype=complex)
-    for term in op.terms:
-        _add_pauli(out, term.coeff, term.factors)
-    return out
+@functools.lru_cache(maxsize=16)
+def _signs(n: int) -> np.ndarray:
+    """z_m(x) = +-1, the eigenvalue of Z_m on basis state x, for every x
+    (rows) and qubit m (column m - 1); read-only."""
+    z = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    z.flags.writeable = False
+    return z
 
 
 def sector_basis(n: int, pairs: int) -> np.ndarray:
@@ -216,3 +97,65 @@ def sector_basis(n: int, pairs: int) -> np.ndarray:
     idx = [i for i in range(2**n) if bin(i).count("1") == pairs]
     return np.array(idx, dtype=int)
 
+
+@functools.lru_cache(maxsize=64)
+def _hop_list(n: int, pairs: int) -> tuple[np.ndarray, ...]:
+    """Layout of the sector block on n qubits, read-only: the sector basis;
+    whether Z_m reads -1 on each basis state (row m); the flat index of
+    V_ml in an n x n matrix for each pair m < l, in row-major order; and
+    the in-sector hops, as the flat block index of each entry that a 01 <->
+    10 swap on one pair fills, with the number of that pair."""
+    idx = sector_basis(n, pairs)
+    pos = np.full(2**n, -1)
+    pos[idx] = np.arange(len(idx))
+    odd = _signs(n)[idx].T < 0
+    upper = [m * n + l for m in range(n) for l in range(m + 1, n)]
+    at, pair = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for j, ml in enumerate(upper):
+        m, l = divmod(ml, n)
+        rows = np.flatnonzero(odd[m] != odd[l])
+        at.append(rows * len(idx) + pos[idx[rows] ^ ((1 << (n - 1 - m)) | (1 << (n - 1 - l)))])
+        pair.append(np.full(len(rows), j))
+    layout = (idx, odd, np.array(upper, dtype=int), np.concatenate(at), np.concatenate(pair))
+    for x in layout:
+        x.flags.writeable = False
+    return layout
+
+
+def _sector_block(model: PairingModel, pairs: int) -> np.ndarray:
+    """The block of H on the sector of ``pairs`` pairs, in sector_basis
+    order, built from the hop list at dimension C(n, pairs).
+
+    The diagonal sums the on-site terms -(f nu_m / 2) z_m in mode order from
+    0.0. The XX and YY terms of pair (m, l), with c = 0.5 f V_ml, each put c
+    on a 01 <-> 10 hop (on 00 <-> 11 they cancel, outside the sector), so
+    the hop entry is (0.0 + c) + c, which is also the 0.0 a zero coupling
+    leaves (c = -0.0 included). Every imaginary part is +0.0. That is the
+    order in which a sum of Pauli-string tensor products, on-site terms
+    first, accumulates each entry, so the blocks equal that sum's sector
+    slices bit for bit, signed zeros included.
+    """
+    idx, odd, upper, hop_at, hop_pair = _hop_list(model.n, pairs)
+    f = model.convention_factor
+    dim = len(idx)
+    diag = np.zeros(dim)
+    for m, nu in enumerate(model.nu):
+        a = -0.5 * f * nu
+        diag += np.where(odd[m], -a, a)
+    c = 0.5 * f * model.coupling.take(upper)
+    block = np.zeros((dim, dim), dtype=complex)
+    flat = block.reshape(-1)
+    flat[:: dim + 1] = diag
+    flat[hop_at] = ((0.0 + c) + c)[hop_pair]
+    return block
+
+
+def realize(model: PairingModel) -> np.ndarray:
+    """Dense H on all 2^n states: the direct sum of the sector blocks, each
+    at its basis indices. Guarded at 12 qubits."""
+    _check_dense(model.n)
+    out = np.zeros((2**model.n, 2**model.n), dtype=complex)
+    for pairs in range(model.n + 1):
+        idx = _hop_list(model.n, pairs)[0]
+        out[np.ix_(idx, idx)] = _sector_block(model, pairs)
+    return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import propagator
-from .hamiltonian import PairingModel, nmr_zz_hamiltonian, realize, _add_pauli, _check_symmetric
+from .hamiltonian import PairingModel, _check_dense, _check_symmetric, _signs
 
 _PI = math.pi
 
@@ -370,11 +370,20 @@ def _rotation_unitary(n: int, targets: tuple[int, ...], phase: float, angle: flo
 
 
 def _axis_field(n: int, targets: tuple[int, ...], phase: float) -> np.ndarray:
-    """Dense sum over targets of (X_i cos(phase) + Y_i sin(phase)) / 2."""
+    """Dense sum over targets of (X_t cos(phase) + Y_t sin(phase)) / 2.
+
+    Row i holds target t's entries in column i ^ (1 << (n - t)): X adds
+    cos(phase) / 2, then Y adds -i sin(phase) / 2, negated where spin t
+    reads 1; in that order, the sum of the tensor products rounds the same.
+    """
+    rows = np.arange(2**n)
+    x = complex(0.5 * math.cos(phase))
+    y = complex(0.5 * math.sin(phase)) * -1j
     out = np.zeros((2**n, 2**n), dtype=complex)
     for t in targets:
-        _add_pauli(out, 0.5 * math.cos(phase), ((t, "X"),))
-        _add_pauli(out, 0.5 * math.sin(phase), ((t, "Y"),))
+        cols = rows ^ (1 << (n - t))
+        out[rows, cols] += x
+        out[rows, cols] += np.where(_signs(n)[:, t - 1] < 0, -y, y)
     return out
 
 
@@ -402,7 +411,8 @@ class EventTable:
     table; the ZZ diagonal is built once too. A run keeps one table for its
     preparation programs and its step program, which all repeat the same few
     pulses. Using the table with another machine, spin count or pulse mode
-    raises ValueError instead of returning another machine's unitary.
+    raises ValueError instead of returning another machine's unitary, and
+    so does building one for more than 12 spins.
     """
 
     def __init__(self, machine: SpinSystem, n: int, pulse_mode: str):
@@ -410,6 +420,7 @@ class EventTable:
             raise ValueError("pulse_mode must be 'delta' or 'finite'")
         if machine.n != n:
             raise ValueError("machine and program spin counts differ")
+        _check_dense(n)
         self.machine = machine
         self.n = n
         self.pulse_mode = pulse_mode
@@ -438,8 +449,13 @@ class EventTable:
 
     def _build(self, ev: PulseEvent) -> np.ndarray:
         if self._zz is None:
-            self._zz = realize(nmr_zz_hamiltonian(self.machine.j_hz))
-            self._zz_diag = np.real(np.diag(self._zz))
+            # sum_{i<j} (pi/2) J_ij z_i z_j, in pair order from 0.0
+            z, j = _signs(self.n), self.machine.j_hz
+            self._zz_diag = np.zeros(2**self.n)
+            for a in range(self.n):
+                for b in range(a + 1, self.n):
+                    self._zz_diag += (0.5 * _PI * j[a, b]) * (z[:, a] * z[:, b])
+            self._zz = np.diag(self._zz_diag.astype(complex))
         if isinstance(ev, Delay):
             return np.diag(np.exp(-1j * self._zz_diag * ev.duration))
         if ev.angle == 0.0:

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonian import _signs
+
 # Smallest decay rate distinguishable from zero; keeps tau_e finite.
 _MIN_DECAY_RATE = 1e-12
 _MAX_FIT_ITERATIONS = 200
@@ -75,9 +77,7 @@ class FitResult:
 def _z_diagonal(n: int, spin: int) -> np.ndarray:
     if not 1 <= spin <= n:
         raise ValueError("observed spin out of range")
-    idx = np.arange(2**n)
-    bits = (idx >> (n - spin)) & 1
-    return 1.0 - 2.0 * bits
+    return _signs(n)[:, spin - 1]
 
 
 def acquire(

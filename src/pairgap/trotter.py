@@ -3,14 +3,13 @@ error against the exact propagator, and convergence sweeps."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import eigendecompose, evolve
-from .hamiltonian import PairingModel, full_hamiltonian, realize
+from .hamiltonian import PairingModel, _check_dense, _signs, realize
 
 # Errors below this are numerical noise; exponent fits ignore such points.
 _ERROR_FLOOR = 1e-12
@@ -31,15 +30,6 @@ class TrotterPlan:
         object.__setattr__(self, "k", int(self.k))
 
 
-@functools.lru_cache(maxsize=16)
-def _signs(n: int) -> np.ndarray:
-    """z_m(x) = +-1, the eigenvalue of Z_m on basis state x, for every x
-    (rows) and qubit m (column m - 1); read-only."""
-    z = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-    z.flags.writeable = False
-    return z
-
-
 def symmetric3_step(model: PairingModel, plan: TrotterPlan) -> np.ndarray:
     """Palindromic split of the pairing evolution over one step t0:
 
@@ -56,8 +46,10 @@ def symmetric3_step(model: PairingModel, plan: TrotterPlan) -> np.ndarray:
     B and C the product W S W collapses, leaving
         rep = D_a W D_b S* W D_c W S D_b W D_a / 4^n
     with D_a = exp(-i a tau/2), D_b = exp(-i b tau/2), D_c = exp(-i b tau):
-    three dense matrix products per repetition.
+    three dense matrix products per repetition. Models above 12 modes
+    raise ValueError before any 2^n x 2^n matrix is formed.
     """
+    _check_dense(model.n)
     tau = plan.t0 / plan.k
     f = model.convention_factor
     z = _signs(model.n)
@@ -110,7 +102,7 @@ def convergence_sweep(model: PairingModel, t0_list: list[float], k_list: list[in
     if not t0_list or not k_list:
         raise ValueError("t0 and k lists must be non-empty")
     # One eigensystem of H serves every t0.
-    es = eigendecompose(realize(full_hamiltonian(model)))
+    es = eigendecompose(realize(model))
     rows = []
     for t0 in t0_list:
         u_exact = evolve(es, t0)

@@ -2,17 +2,19 @@
 as a dedicated section at the end of the pytest run, two step oracles that
 need no DFT and no fit (the step's own spectral line and the t0/k order of its
 pair-number leak), the step built from dense eigendecompositions, test-only
-operators and pulse blocks, reference builders for the dense operators, the
-dense exact side (sector blocks sliced from the full Hamiltonian, the dense
-exact preparation), the reference step compiler, the reference acquisition
-loop and two reference damped-cosine fits."""
+operators and pulse blocks, the Pauli-sum form of every Hamiltonian and the
+np.kron builders that realize it, the dense exact side (sector blocks sliced
+from the full Hamiltonian, the dense exact preparation), the reference step
+compiler, the reference acquisition loop and two reference damped-cosine
+fits."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from pairgap.exact import propagator
-from pairgap.hamiltonian import coupling_hamiltonian, full_hamiltonian, onsite_hamiltonian, realize, sector_basis
+from pairgap.hamiltonian import sector_basis
 from pairgap.nmr import Delay, PulseProgram, RfPulse, _coupling_delay, _coupling_events, _onsite_events, _stamp
 from pairgap.spectroscopy import FitResult, TimeSeries
 
@@ -47,15 +49,25 @@ def step_line(model, u: np.ndarray, t0: float, pairs: int) -> float:
     return float(-np.angle(phases[excited] * np.conj(phases[ground])) / t0)
 
 
-# Dense exact side: every ramp Hamiltonian realized on all 2^n states. The
-# package builds each sector block from the hop list and evolves a
-# single-sector preparation inside its sector; the blocks must equal these
-# slices bit for bit and the preparation this loop within rounding.
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal entries with equal signs of zero, real and imaginary parts."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+# Dense exact side: every ramp Hamiltonian realized on all 2^n states from
+# its Pauli sum. The package builds each sector block from the hop list and
+# evolves a single-sector preparation inside its sector; the blocks must
+# equal these slices bit for bit and the preparation this loop within
+# rounding.
 
 
 def dense_sector_block(model, pairs: int) -> np.ndarray:
     idx = sector_basis(model.n, pairs)
-    return realize(full_hamiltonian(model))[np.ix_(idx, idx)]
+    return kron_realize(full_hamiltonian(model))[np.ix_(idx, idx)]
 
 
 def dense_prepare(model, init: np.ndarray, steps: int, t_ad: float) -> np.ndarray:
@@ -63,7 +75,8 @@ def dense_prepare(model, init: np.ndarray, steps: int, t_ad: float) -> np.ndarra
     full Hamiltonian, s = 0..S."""
     psi = np.asarray(init, dtype=complex)
     for s in range(steps + 1):
-        psi = propagator(realize(full_hamiltonian(model.with_coupling_scale(s / steps))), t_ad) @ psi
+        h = kron_realize(full_hamiltonian(model.with_coupling_scale(s / steps)))
+        psi = propagator(h, t_ad) @ psi
     return psi
 
 
@@ -86,9 +99,9 @@ def eigh_step(model, plan) -> np.ndarray:
     with each part exponentiated through its dense eigendecomposition, as
     the package built it before the Walsh-basis step; its oracle."""
     tau = plan.t0 / plan.k
-    ua = propagator(realize(onsite_hamiltonian(model)), tau / 2)
-    ub = propagator(realize(coupling_hamiltonian(model, "X")), tau / 2)
-    uc = propagator(realize(coupling_hamiltonian(model, "Y")), tau)
+    ua = propagator(kron_realize(onsite_hamiltonian(model)), tau / 2)
+    ub = propagator(kron_realize(coupling_hamiltonian(model, "X")), tau / 2)
+    uc = propagator(kron_realize(coupling_hamiltonian(model, "Y")), tau)
     return np.linalg.matrix_power(ua @ ub @ uc @ ub @ ua, plan.k)
 
 
@@ -202,9 +215,64 @@ def reference_compile_step(model, plan, method, machine) -> PulseProgram:
     return PulseProgram(tuple(events), model.n, tuple(warnings))
 
 
+# Pauli sums: the pairing Hamiltonian and the NMR ZZ drift as sums of Pauli
+# strings, each term a real coefficient (rad/s) times single-qubit Paulis on
+# 1-based qubits. Zero couplings are dropped.
+
+
+@dataclass(frozen=True)
+class PauliTerm:
+    coeff: float
+    factors: tuple[tuple[int, str], ...]
+
+
+@dataclass(frozen=True)
+class PauliSum:
+    terms: tuple[PauliTerm, ...]
+    n: int
+
+
+def onsite_hamiltonian(model) -> PauliSum:
+    """Free part: sum_m (nu_m/2)(-Z_m), times the convention factor."""
+    f = model.convention_factor
+    return PauliSum(tuple(PauliTerm(-0.5 * f * model.nu[m], ((m + 1, "Z"),)) for m in range(model.n)), model.n)
+
+
+def coupling_hamiltonian(model, axis: str) -> PauliSum:
+    """Coupling part along one axis: sum_{m<l} (V_ml/2) A_m A_l with A = X or Y."""
+    if axis not in ("X", "Y"):
+        raise ValueError("axis must be 'X' or 'Y'")
+    f, v = model.convention_factor, model.coupling
+    terms = tuple(
+        PauliTerm(0.5 * f * v[m, l], ((m + 1, axis), (l + 1, axis)))
+        for m in range(model.n)
+        for l in range(m + 1, model.n)
+        if v[m, l] != 0.0
+    )
+    return PauliSum(terms, model.n)
+
+
+def full_hamiltonian(model) -> PauliSum:
+    parts = (onsite_hamiltonian(model), coupling_hamiltonian(model, "X"), coupling_hamiltonian(model, "Y"))
+    return PauliSum(sum((p.terms for p in parts), ()), model.n)
+
+
+def nmr_zz_hamiltonian(j_hz: np.ndarray) -> PauliSum:
+    """Always-on scalar coupling sum_{i<j} (pi/2) J_ij Z_i Z_j, J in Hz."""
+    n = j_hz.shape[0]
+    terms = tuple(
+        PauliTerm(0.5 * math.pi * j_hz[i, k], ((i + 1, "Z"), (k + 1, "Z")))
+        for i in range(n)
+        for k in range(i + 1, n)
+        if j_hz[i, k] != 0.0
+    )
+    return PauliSum(terms, n)
+
+
 # Reference builders: every operator as an n-fold np.kron chain of 2 x 2
-# factors, qubit 1 most significant. The package builds the same matrices by
-# bit arithmetic and must match these with np.array_equal.
+# factors, qubit 1 most significant. The package builds H from the hop list,
+# the ZZ drift from its sign table and the RF operators by bit flips; each
+# must match these bit for bit.
 
 _MAX_DENSE_QUBITS = 12
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from pairgap.config import build_config
 from pairgap.exact import Ramp, propagator, sector_gap
-from pairgap.hamiltonian import full_hamiltonian, realize
+from pairgap.hamiltonian import realize
 from pairgap.nmr import compile_trotter_step, program_unitary
 from pairgap.pipeline import run_experiment, sweep_t0
 from pairgap.presets import pairing_model, spin_system
@@ -204,7 +204,7 @@ def test_criterion_8_property_battery():
             u = symmetric3_step(model, plan)
             if np.linalg.norm(u.conj().T @ u - np.eye(8)) > 1e-9:
                 failures.append(f"{name} step not unitary")
-            h = realize(full_hamiltonian(model))
+            h = realize(model)
             if np.linalg.norm(h - h.conj().T) > 1e-12:
                 failures.append(f"{name} Hamiltonian not Hermitian")
             hs = Ramp(model, 4, 2).hamiltonian(1)

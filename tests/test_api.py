@@ -7,6 +7,8 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan, convergence_sweep, symmetric3_step
 
 ROOT = Path(__file__).resolve().parent.parent
-MAX_EXPORTS = 40
+MAX_EXPORTS = 37
 
 
 def public_names() -> list[str]:
@@ -67,3 +69,14 @@ def test_readme_library_example_uses_exported_names():
     block = re.search(r"## Library use\s+```python\n(.*?)```", readme, re.S).group(1)
     names = [a.name for node in ast.walk(ast.parse(block)) if isinstance(node, ast.ImportFrom) for a in node.names]
     assert names and set(names) <= set(public_names())
+
+
+def test_cli_run_imports_neither_scipy_nor_hypothesis(tmp_path):
+    # the runtime needs numpy only; scipy and hypothesis serve the tests
+    code = (
+        "import sys, pairgap.cli\n"
+        f"assert pairgap.cli.main(['run', '--preset', 'h1', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout

@@ -162,6 +162,22 @@ def test_coupled_pair_without_v_but_with_j_exit_4(tmp_path):
     assert "coupled spins 1,3" in proc.stderr
 
 
+def test_run_above_twelve_modes_exit_4(tmp_path):
+    # one pair on a 13-mode chain: the pair sector is small, but the step and
+    # the pulse table would be 2^13 x 2^13, so the run refuses before either
+    n = 13
+    cfgfile = tmp_path / "chain13.cfg"
+    cfgfile.write_text(
+        "model.nu_hz = " + ", ".join(str(100 + 10 * m) for m in range(n)) + "\n"
+        + "".join(f"model.v_{m}_{m + 1}_hz = 20\n" for m in range(1, n))
+        + "run.init = 1" + "0" * (n - 1) + "\n"
+        "run.q = 16\n"
+    )
+    proc = run_cli("run", "--config", str(cfgfile), "--out", str(tmp_path))
+    assert proc.returncode == 4
+    assert "internal error" in proc.stderr and "12" in proc.stderr
+
+
 def test_estimate_table_and_summary(tmp_path):
     proc = run_cli("estimate", "--n", "4,10", "--eps-over-delta", "0.01,1",
                    "--out", str(tmp_path))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import dense_sector_block
+from conftest import full_hamiltonian, kron_realize, same_bits
 from pairgap.exact import (
     Ramp,
     computational_state,
@@ -16,7 +16,7 @@ from pairgap.exact import (
     sector_gap,
     sector_matrix,
 )
-from pairgap.hamiltonian import PairingModel, full_hamiltonian, realize, sector_basis
+from pairgap.hamiltonian import PairingModel, sector_basis
 from pairgap.presets import pairing_model
 
 PI = math.pi
@@ -89,7 +89,7 @@ def test_sector_matrix_h1_block():
     assert idx.tolist() == [3, 5, 6]
     assert np.allclose(sub, PI * H1_BLOCK_OVER_PI, rtol=1e-15, atol=1e-9)
     # independent route: restrict the dense 8x8 matrix built from scratch
-    h = realize(full_hamiltonian(pairing_model("h1")))
+    h = kron_realize(full_hamiltonian(pairing_model("h1")))
     assert np.allclose(sub, h[np.ix_(idx, idx)], atol=0)
 
 
@@ -108,25 +108,21 @@ def ramp_models(draw):
     return PairingModel(tuple(nu), v, factor), draw(st.integers(1, 4))
 
 
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return (
-        np.array_equal(a, b)
-        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
-        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
-    )
-
-
 @settings(deadline=None, max_examples=60)
 @given(ramp_models())
 def test_hop_list_block_equals_the_dense_slice_bit_for_bit(drawn):
+    # the oracle is the Pauli sum's np.kron realization, built once per step
+    # model and sliced for every sector
     model, steps = drawn
-    for pairs in range(model.n + 1):
-        ramp = Ramp(model, steps, pairs)
-        for s in range(steps + 1):
-            assert same_bits(ramp.block(s), dense_sector_block(ramp.step_model(s), pairs)), (pairs, s)
+    ramps = [Ramp(model, steps, pairs) for pairs in range(model.n + 1)]
+    for s in range(steps + 1):
+        dense = kron_realize(full_hamiltonian(ramps[0].step_model(s)))
+        for ramp in ramps:
+            assert same_bits(ramp.block(s), dense[np.ix_(ramp.idx, ramp.idx)]), (ramp.pairs, s)
+    dense = kron_realize(full_hamiltonian(model))
     for pairs in range(model.n + 1):
         sub, idx = sector_matrix(model, pairs)
-        assert same_bits(sub, dense_sector_block(model, pairs))
+        assert same_bits(sub, dense[np.ix_(idx, idx)])
         assert idx.tolist() == sector_basis(model.n, pairs).tolist()
 
 

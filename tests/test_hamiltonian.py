@@ -5,22 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_axis_field, kron_realize, number_operator
-from pairgap.hamiltonian import (
-    _add_pauli,
-    _pauli_pattern,
-    PairingModel,
-    PauliSum,
+from conftest import (
     PauliTerm,
     coupling_hamiltonian,
     full_hamiltonian,
+    kron_realize,
     nmr_zz_hamiltonian,
+    number_operator,
     onsite_hamiltonian,
-    realize,
-    sector_basis,
+    same_bits,
 )
+from pairgap.hamiltonian import PairingModel, _signs, realize, sector_basis
 from pairgap.exact import Ramp
-from pairgap.nmr import _axis_field
+from pairgap.nmr import SpinSystem
 from pairgap.presets import pairing_model
 
 PI = math.pi
@@ -72,92 +69,61 @@ def test_with_coupling_scale_leaves_onsite_alone():
     assert np.array_equal(m.with_coupling_scale(1.0).coupling, m.coupling)
 
 
-def test_pauli_term_normalization():
-    t = PauliTerm(2.0, ((3, "X"), (1, "Z")))
-    assert t.factors == ((1, "Z"), (3, "X"))
-    with pytest.raises(ValueError):
-        PauliTerm(1.0, ((1, "X"), (1, "Y")))  # duplicate qubit
-    with pytest.raises(ValueError):
-        PauliTerm(1.0, ((0, "X"),))  # 1-based indices
-    with pytest.raises(ValueError):
-        PauliTerm(1.0, ((1, "Q"),))
-    with pytest.raises(ValueError):
-        PauliTerm(float("nan"), ())
-
-
-def test_pauli_sum_bounds():
-    t = PauliTerm(1.0, ((3, "X"),))
-    with pytest.raises(ValueError):
-        PauliSum((t,), 2)
-    assert PauliSum((t,), 3).n == 3
-
-
 def test_realize_msb_convention():
     # qubit 1 is the most significant bit: Z_1 flips sign on indices 4..7
-    op = PauliSum((PauliTerm(1.0, ((1, "Z"),)),), 3)
-    assert np.array_equal(realize(op), kron3(Z, I2, I2))
-    op3 = PauliSum((PauliTerm(1.0, ((3, "Z"),)),), 3)
-    assert np.array_equal(realize(op3), kron3(I2, I2, Z))
+    assert np.array_equal(_signs(3)[:, 0], np.diag(kron3(Z, I2, I2)).real)
+    assert np.array_equal(_signs(3)[:, 2], np.diag(kron3(I2, I2, Z)).real)
+    assert not _signs(3).flags.writeable
+    # H = -(nu_m / 2) Z_m for one nonzero mode frequency
+    for m, want in ((0, kron3(Z, I2, I2)), (2, kron3(I2, I2, Z))):
+        nu = [0.0, 0.0, 0.0]
+        nu[m] = -2.0
+        assert np.array_equal(realize(PairingModel(tuple(nu), np.zeros((3, 3)))), want)
 
 
 def test_realize_matches_explicit_kron():
     rng = np.random.default_rng(7)
-    coeffs = rng.normal(size=3)
-    op = PauliSum(
-        (
-            PauliTerm(coeffs[0], ((1, "X"), (2, "X"))),
-            PauliTerm(coeffs[1], ((2, "Y"), (3, "Y"))),
-            PauliTerm(coeffs[2], ((2, "Z"),)),
-        ),
-        3,
-    )
+    nu, v12, v23 = rng.normal(size=3), rng.normal(), rng.normal()
+    v = np.zeros((3, 3))
+    v[0, 1] = v[1, 0] = v12
+    v[1, 2] = v[2, 1] = v23
     want = (
-        coeffs[0] * kron3(X, X, I2)
-        + coeffs[1] * kron3(I2, Y, Y)
-        + coeffs[2] * kron3(I2, Z, I2)
+        -0.5 * nu[0] * kron3(Z, I2, I2)
+        - 0.5 * nu[1] * kron3(I2, Z, I2)
+        - 0.5 * nu[2] * kron3(I2, I2, Z)
+        + 0.5 * v12 * (kron3(X, X, I2) + kron3(Y, Y, I2))
+        + 0.5 * v23 * (kron3(I2, X, X) + kron3(I2, Y, Y))
     )
-    assert np.allclose(realize(op), want, atol=0, rtol=1e-15)
+    assert np.allclose(realize(PairingModel(tuple(nu), v)), want, atol=1e-15, rtol=1e-15)
 
 
 @st.composite
-def pauli_sums(draw):
-    n = draw(st.integers(1, 8))
-    coeff = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
-    letters = st.dictionaries(st.integers(1, n), st.sampled_from("XYZ"), max_size=n)
-    terms = draw(st.lists(st.builds(lambda c, f: PauliTerm(c, tuple(f.items())), coeff, letters), max_size=10))
-    return PauliSum(tuple(terms), n)
+def pairing_models(draw):
+    """Models of 1..7 modes with signed, zero and negative-zero frequencies
+    and couplings, and any convention factor."""
+    n = draw(st.integers(1, 7))
+    value = st.floats(-1e4, 1e4, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    nu = draw(st.lists(value, min_size=n, max_size=n))
+    v = np.zeros((n, n))
+    for m in range(n):
+        for l in range(m + 1, n):
+            v[m, l] = v[l, m] = draw(value)
+    factor = draw(st.sampled_from([1.0, 2.0, 0.37]) | st.floats(1e-3, 1e3))
+    return PairingModel(tuple(nu), v, factor)
 
 
-@settings(deadline=None, max_examples=150)
-@given(pauli_sums())
-def test_realize_matches_kron_oracle_exactly(op):
-    assert np.array_equal(realize(op), kron_realize(op))
-
-
-def test_pauli_patterns_are_cached_read_only_and_bounded():
-    assert _pauli_pattern.cache_info().maxsize is not None
-    op = full_hamiltonian(pairing_model("h1"))
-    first = realize(op)
-    hits = _pauli_pattern.cache_info().hits
-    again = realize(op)
-    assert _pauli_pattern.cache_info().hits == hits + len(op.terms)
-    assert np.array_equal(first, again) and np.array_equal(again, kron_realize(op))
-    for n in (1, 3, 12):
-        flat, odd, _ = _pauli_pattern(n, ((1, "Y"), (n, "X")))
-        assert not flat.flags.writeable and not odd.flags.writeable
-        assert flat.itemsize < np.dtype(np.intp).itemsize and odd.dtype == bool
-        with pytest.raises(ValueError):
-            flat[0] = 0
-    for _ in range(2):
-        assert np.array_equal(_axis_field(3, (1, 3), 0.7), kron_axis_field(3, (1, 3), 0.7))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        _add_pauli(np.zeros((8, 8), dtype=complex).T, 1.0, ((1, "X"),))
+@settings(deadline=None, max_examples=120)
+@given(pairing_models())
+def test_realize_equals_the_kron_oracle_bit_for_bit(model):
+    # the direct sum of hop-list blocks against the sum of Pauli-string
+    # tensor products, signed zeros included
+    assert same_bits(realize(model), kron_realize(full_hamiltonian(model)))
 
 
 def test_realize_qubit_guard():
-    op = PauliSum((PauliTerm(1.0, ((13, "Z"),)),), 13)
+    model = PairingModel(tuple(range(1, 14)), np.zeros((13, 13)))
     with pytest.raises(ValueError, match="12"):
-        realize(op)
+        realize(model)
 
 
 def test_onsite_terms():
@@ -169,7 +135,7 @@ def test_onsite_terms():
     )
     # matrix check: -f nu/2 Z on each mode
     want = -3.0 * np.kron(Z, I2) - 7.0 * np.kron(I2, Z)
-    assert np.allclose(realize(h), want)
+    assert np.allclose(kron_realize(h), want)
 
 
 def test_coupling_terms_and_axis():
@@ -177,7 +143,7 @@ def test_coupling_terms_and_axis():
     hx = coupling_hamiltonian(m, "X")
     assert hx.terms == (PauliTerm(5.0, ((1, "X"), (2, "X"))),)
     hy = coupling_hamiltonian(m, "Y")
-    assert np.allclose(realize(hy), 5.0 * np.kron(Y, Y))
+    assert np.allclose(kron_realize(hy), 5.0 * np.kron(Y, Y))
     with pytest.raises(ValueError):
         coupling_hamiltonian(m, "Z")
 
@@ -191,16 +157,16 @@ def test_zero_couplings_are_dropped():
 
 def test_full_is_sum_of_parts():
     m = pairing_model("h1")
-    total = realize(onsite_hamiltonian(m))
-    total = total + realize(coupling_hamiltonian(m, "X"))
-    total = total + realize(coupling_hamiltonian(m, "Y"))
-    assert np.allclose(realize(full_hamiltonian(m)), total, atol=0)
+    total = kron_realize(onsite_hamiltonian(m))
+    total = total + kron_realize(coupling_hamiltonian(m, "X"))
+    total = total + kron_realize(coupling_hamiltonian(m, "Y"))
+    assert np.allclose(realize(m), total, atol=0)
     with pytest.raises(ValueError):
         coupling_hamiltonian(m, "Z")
 
 
 def test_full_hamiltonian_hermitian_and_real():
-    h = realize(full_hamiltonian(pairing_model("h1")))
+    h = realize(pairing_model("h1"))
     assert np.allclose(h, h.conj().T, atol=0)
     # XX + YY pairs cancel the imaginary parts entry by entry
     assert np.allclose(h.imag, 0.0, atol=1e-12)
@@ -209,7 +175,7 @@ def test_full_hamiltonian_hermitian_and_real():
 def test_convention_factor_scales_everything():
     m1 = pairing_model("h2", convention_factor=1.0)
     m2 = pairing_model("h2", convention_factor=2.0)
-    assert np.allclose(realize(full_hamiltonian(m2)), 2.0 * realize(full_hamiltonian(m1)))
+    assert np.allclose(realize(m2), 2.0 * realize(m1))
 
 
 def test_interpolation_endpoints_verbatim():
@@ -217,14 +183,17 @@ def test_interpolation_endpoints_verbatim():
     ramp = Ramp(m, 4, 2)
     assert full_hamiltonian(ramp.step_model(0)).terms == onsite_hamiltonian(m).terms
     assert full_hamiltonian(ramp.step_model(4)).terms == full_hamiltonian(m).terms
+    # step 0's hops hold 0.0 and step S is the model's own H, bit for bit
+    assert same_bits(ramp.hamiltonian(0), kron_realize(onsite_hamiltonian(m)))
+    assert same_bits(ramp.hamiltonian(4), realize(m))
 
 
 def test_interpolation_midpoint_matrix():
     m = pairing_model("h1")
     ramp = Ramp(m, 4, 2)
-    h0 = realize(onsite_hamiltonian(m))
-    h1 = realize(full_hamiltonian(m))
-    got = realize(full_hamiltonian(ramp.step_model(1)))
+    h0 = kron_realize(onsite_hamiltonian(m))
+    h1 = realize(m)
+    got = realize(ramp.step_model(1))
     assert np.allclose(got, 0.75 * h0 + 0.25 * h1, rtol=1e-15, atol=1e-9)
     assert np.array_equal(ramp.hamiltonian(1), got)
     for s in (5, -1):
@@ -238,9 +207,9 @@ def test_nmr_zz_coefficients():
     j = np.array([[0.0, 8.0], [8.0, 0.0]])
     h = nmr_zz_hamiltonian(j)
     assert h.terms == (PauliTerm(4.0 * PI, ((1, "Z"), (2, "Z"))),)
-    assert np.allclose(realize(h), 4.0 * PI * np.kron(Z, Z))
-    with pytest.raises(ValueError):
-        nmr_zz_hamiltonian(np.array([[1.0, 8.0], [8.0, 0.0]]))
+    assert np.allclose(kron_realize(h), 4.0 * PI * np.kron(Z, Z))
+    with pytest.raises(ValueError, match="diagonal"):
+        SpinSystem(np.array([[1.0, 8.0], [8.0, 0.0]]))
 
 
 def test_sector_basis_hamming_weight():
@@ -255,5 +224,5 @@ def test_number_operator_counts_excitations():
     nop = number_operator(3)
     assert np.array_equal(np.diag(nop).real, [bin(i).count("1") for i in range(8)])
     # the pairing Hamiltonian conserves excitation number
-    h = realize(full_hamiltonian(pairing_model("h1")))
+    h = realize(pairing_model("h1"))
     assert np.allclose(h @ nop - nop @ h, 0.0, atol=1e-9)

@@ -2,6 +2,7 @@
 the matrix exponential it is supposed to realize."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,21 +14,19 @@ from scipy.linalg import expm
 from conftest import (
     compile_coupling,
     compile_onsite,
+    coupling_hamiltonian,
     kron_axis_field,
     kron_realize,
     kron_rotation_unitary,
+    nmr_zz_hamiltonian,
+    onsite_hamiltonian,
     reference_compile_step,
+    same_bits,
 )
 from pairgap.adiabatic import AdiabaticityWarning
 from pairgap.config import build_config
 from pairgap.exact import propagator
-from pairgap.hamiltonian import (
-    PairingModel,
-    coupling_hamiltonian,
-    nmr_zz_hamiltonian,
-    onsite_hamiltonian,
-    realize,
-)
+from pairgap.hamiltonian import PairingModel
 from pairgap.nmr import (
     _axis_field,
     _rotation_unitary,
@@ -57,7 +56,7 @@ MACHINE = spin_system()
 
 
 def dense(model, part):
-    return realize(onsite_hamiltonian(model) if part == "onsite" else coupling_hamiltonian(model, part))
+    return kron_realize(onsite_hamiltonian(model) if part == "onsite" else coupling_hamiltonian(model, part))
 
 
 def phase_dist(got, want):
@@ -136,7 +135,42 @@ def rf_fields(draw):
 def test_pulse_builders_match_kron_oracles_exactly(case):
     n, targets, phase, angle = case
     assert np.array_equal(_rotation_unitary(n, targets, phase, angle), kron_rotation_unitary(n, targets, phase, angle))
-    assert np.array_equal(_axis_field(n, targets, phase), kron_axis_field(n, targets, phase))
+    assert same_bits(_axis_field(n, targets, phase), kron_axis_field(n, targets, phase))
+
+
+@st.composite
+def couplings_hz(draw):
+    """Symmetric J of 1..7 spins in Hz with zero and negative-zero entries."""
+    n = draw(st.integers(1, 7))
+    j = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            j[a, b] = j[b, a] = draw(st.floats(-500, 500) | st.sampled_from([0.0, -0.0]))
+    return j
+
+
+@settings(deadline=None, max_examples=100)
+@given(couplings_hz())
+def test_event_table_zz_drift_matches_the_kron_oracle_exactly(j):
+    n = j.shape[0]
+    table = EventTable(SpinSystem(j), n, "delta")
+    d = 1.3e-3
+    u = table.unitary(Delay(d))
+    want = kron_realize(nmr_zz_hamiltonian(j))
+    assert same_bits(table._zz, want)
+    assert np.array_equal(u, np.diag(np.exp(-1j * np.real(np.diag(want)) * d)))
+
+
+def test_event_table_refuses_more_than_12_spins_before_allocating():
+    machine = SpinSystem(np.zeros((13, 13)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="12"):
+            EventTable(machine, 13, "delta")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def oracle_program_unitary(program, machine, pulse_mode):
@@ -239,7 +273,7 @@ def test_zero_angle_pulse_is_a_no_op():
 def test_delay_evolves_under_scalar_coupling():
     d = 1.7e-3
     prog = PulseProgram((Delay(d),), n=3)
-    want = expm(-1j * realize(nmr_zz_hamiltonian(MACHINE.j_hz)) * d)
+    want = expm(-1j * kron_realize(nmr_zz_hamiltonian(MACHINE.j_hz)) * d)
     assert np.allclose(program_unitary(prog, MACHINE, "delta"), want, atol=1e-12)
 
 
@@ -563,7 +597,7 @@ def test_finite_pulse_includes_coupling_evolution():
     # driven evolution: rf field of amplitude -pi/t_pi on spin 1 plus the
     # always-on ZZ term, for the pulse duration
     x1 = np.kron(X, I2)
-    h = (-PI / 20e-6) * 0.5 * x1 + realize(nmr_zz_hamiltonian(machine.j_hz))
+    h = (-PI / 20e-6) * 0.5 * x1 + kron_realize(nmr_zz_hamiltonian(machine.j_hz))
     want = expm(-1j * h * 20e-6)
     assert np.max(np.abs(got - want)) < 1e-12
 

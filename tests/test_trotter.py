@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,17 +12,26 @@ import pairgap.trotter as trotter
 from pairgap.config import build_config
 from pairgap.exact import eigendecompose, propagator, sector_gap
 from pairgap.backend import Backend, step
-from pairgap.hamiltonian import PairingModel, coupling_hamiltonian, full_hamiltonian, onsite_hamiltonian, realize
+from pairgap.hamiltonian import PairingModel, realize
 from pairgap.pipeline import run_experiment
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan, convergence_sweep, symmetric3_step, trotter_error
 
-from conftest import eigh_step, first_order_step, number_operator, sector_leak_exponents, step_line
+from conftest import (
+    coupling_hamiltonian,
+    eigh_step,
+    first_order_step,
+    kron_realize,
+    number_operator,
+    onsite_hamiltonian,
+    sector_leak_exponents,
+    step_line,
+)
 
 H1 = pairing_model("h1")
-H1_DENSE = realize(full_hamiltonian(H1))
+H1_DENSE = realize(H1)
 # on-site, XX and YY parts
-H1_PARTS = [realize(onsite_hamiltonian(H1))] + [realize(coupling_hamiltonian(H1, a)) for a in "XY"]
+H1_PARTS = [kron_realize(onsite_hamiltonian(H1))] + [kron_realize(coupling_hamiltonian(H1, a)) for a in "XY"]
 
 
 def exact_u(t):
@@ -34,6 +44,18 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         TrotterPlan(1e-3, 0)
     assert TrotterPlan(1e-3, 2).k == 2
+
+
+def test_step_refuses_more_than_12_modes_before_allocating():
+    model = PairingModel(tuple(range(1, 14)), np.zeros((13, 13)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="12"):
+            symmetric3_step(model, TrotterPlan(1e-3, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one 2^13 x 2^13 complex matrix would be 1 GiB
 
 
 def test_trotter_error_closed_forms():
