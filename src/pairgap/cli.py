@@ -106,19 +106,15 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 def _cmd_gap_exact(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    pairs = cfg.init_bits.count("1")
-    ramp = Ramp(cfg.model, cfg.schedule_steps, pairs)
+    ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.init_bits.count("1"))
     init = computational_state(cfg.model.n, cfg.init_index)
-    prepared = prepare(
-        cfg.model, init, AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad),
-        check_adiabaticity=False, ramp=ramp,
-    )
+    prepared = prepare(ramp, init, AdiabaticSchedule(cfg.t_ad), check_adiabaticity=False)
     # The listed eigenvalues are eigvalsh's of the model's own (final) block;
     # the ramp's eigensystem holds eigh's, which differ in the last bits.
     values = np.linalg.eigvalsh(ramp.block(ramp.steps))
-    level, gap = reachable_gap(cfg.model, pairs, prepared, cfg.population_floor, ramp)
+    level, gap = reachable_gap(ramp, prepared, cfg.population_floor)
     record = {
-        "pairs": pairs,
+        "pairs": ramp.pairs,
         "sector_eigenvalues_rad_s": [float(v) for v in values],
         "gap_first_rad_s": float(values[1] - values[0]),
         "gap_first_over_2pi_hz": float(values[1] - values[0]) / (2 * math.pi),

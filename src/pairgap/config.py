@@ -25,7 +25,7 @@ Recognized keys:
     plan.k                    inner Trotter repetitions
     run.method                ideal | w1 | w2
     run.pulse_mode            delta | finite
-    run.q                     sample count
+    run.q                     sample count, at least 8 (the fit's minimum)
     run.observed_spin         1-based spin measured
     run.damping               on | off
     run.exclude_dc            on | off (peak picking)
@@ -46,6 +46,7 @@ import numpy as np
 from . import presets
 from .hamiltonian import PairingModel
 from .nmr import SpinSystem
+from .spectroscopy import MIN_FIT_SAMPLES
 from .trotter import TrotterPlan
 
 _TWO_PI = 2 * math.pi
@@ -85,8 +86,8 @@ class ExperimentConfig:
             raise ConfigError("schedule.steps: must be >= 1")
         if not (self.t_ad >= 0 and math.isfinite(self.t_ad)):
             raise ConfigError("schedule.t_ad_s: must be non-negative and finite")
-        if self.q < 2:
-            raise ConfigError("run.q: need at least two samples")
+        if self.q < MIN_FIT_SAMPLES:
+            raise ConfigError(f"run.q: need at least {MIN_FIT_SAMPLES} samples, the fit's minimum")
         if not 1 <= self.observed_spin <= self.model.n:
             raise ConfigError("run.observed_spin: out of range")
         if len(self.init_bits) != self.model.n or set(self.init_bits) - {"0", "1"}:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import PairingModel, _sector_block, realize, sector_basis
+from .hamiltonian import PairingModel, _sector_block, sector_basis
 
 _HERMITICITY_TOL = 1e-9
 # Eigenvalues closer than this (relative to the spectral scale) are treated as
@@ -27,11 +27,13 @@ class EigenSystem:
 
 
 def _require_hermitian(h: np.ndarray) -> np.ndarray:
+    """``h`` as complex once it is square, or a stack of squares, and each
+    matrix is Hermitian within tolerance of its own largest entry."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("operator must be square")
-    scale = max(1.0, float(np.abs(h).max()))
-    if float(np.abs(h - h.conj().T).max()) > _HERMITICITY_TOL * scale:
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    if np.any(np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) > _HERMITICITY_TOL * scale):
         raise ValueError("operator is not Hermitian within tolerance")
     return h
 
@@ -71,31 +73,32 @@ def sector_matrix(model: PairingModel, pairs: int) -> tuple[np.ndarray, np.ndarr
 
 
 class Ramp:
-    """Operators of one preparation ramp in one pair sector. Step s = 0..S
-    runs the model with its couplings scaled by s/S (``step_model``).
+    """One preparation ramp: a model, a pair sector and S steps. Step
+    s = 0..S runs the model with its couplings scaled by s/S
+    (``step_model``).
 
     Scaling the couplings realizes the interpolation, because
     (1 - s/S) H_free + (s/S) H_full = H_free + (s/S) (H_full - H_free).
     The pairing Hamiltonian conserves pair number, so the ramp works inside
     the sector: ``block(s)`` is the C(n, pairs)-dimensional sector block of
-    H_s, built from the hop list without the dense 2^n matrix, and
-    ``eigensystem(s)`` its eigensystem, computed once per step and kept. A
-    run builds one ramp and hands it to every stage: the exact preparation
-    evolves the in-sector amplitudes with the step eigensystems, the
-    schedule gap reads their eigenvalues, and the reachable level and the
-    population report read the final one (s = S), whose Hamiltonian is the
-    model's own. ``pairs`` None (a state spread over sectors) has no blocks;
-    its exact preparation evolves under the dense ``hamiltonian(s)``.
+    H_s, built from the hop list without the dense 2^n matrix. The ramp
+    builds its S + 1 blocks once and decomposes them in one stacked
+    ``eigh``. A run builds one ramp and hands it to every stage: the exact
+    preparation evolves the in-sector amplitudes with the step
+    eigensystems, the schedule gap reads their eigenvalues, and the
+    reachable level and the population report read the final one (s = S),
+    whose Hamiltonian is the model's own.
     """
 
-    def __init__(self, model: PairingModel, steps: int, pairs: int | None):
+    def __init__(self, model: PairingModel, steps: int, pairs: int):
         if steps < 1:
             raise ValueError("schedule.steps: must be >= 1")
         self.model = model
         self.steps = steps
         self.pairs = pairs
-        self.idx = None if pairs is None else sector_basis(model.n, pairs)
-        self._systems: dict[int, EigenSystem] = {}
+        self.idx = sector_basis(model.n, pairs)
+        blocks = _require_hermitian(np.stack([self.block(s) for s in range(steps + 1)]))
+        self.values, self.vectors = np.linalg.eigh(blocks)
 
     def step_model(self, s: int) -> PairingModel:
         """The model of ramp step s: couplings scaled by s/S, nu kept. Step 0's
@@ -105,30 +108,11 @@ class Ramp:
             raise ValueError("schedule step index out of range")
         return self.model.with_coupling_scale(s / self.steps)
 
-    def hamiltonian(self, s: int) -> np.ndarray:
-        """Dense H_s on all 2^n states."""
-        return realize(self.step_model(s))
-
     def block(self, s: int) -> np.ndarray:
         return _sector_block(self.step_model(s), self.pairs)
 
-    def eigensystem(self, s: int) -> EigenSystem:
-        if s not in self._systems:
-            self._systems[s] = eigendecompose(self.block(s))
-        return self._systems[s]
-
     def final_eigensystem(self) -> EigenSystem:
-        return self.eigensystem(self.steps)
-
-
-def _ramp_for(model: PairingModel, pairs: int | None, ramp: Ramp | None, steps: int = 1) -> Ramp:
-    """``ramp`` once it is checked to belong to this model and sector, or a
-    fresh ramp of ``steps`` steps when it is None."""
-    if ramp is None:
-        return Ramp(model, steps, pairs)
-    if ramp.model is not model or ramp.pairs != pairs:
-        raise ValueError("ramp was built for another model or pair sector")
-    return ramp
+        return EigenSystem(self.values[-1], self.vectors[-1])
 
 
 def sector_gap(model: PairingModel, pairs: int, target: int | str = "first") -> float:
@@ -155,26 +139,19 @@ def _grouped_levels(values: np.ndarray) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups]
 
 
-def reachable_gap(
-    model: PairingModel,
-    pairs: int,
-    prepared: np.ndarray,
-    population_floor: float = 0.02,
-    ramp: Ramp | None = None,
-) -> tuple[int, float]:
-    """Lowest excited level holding at least ``population_floor`` of the prepared
-    state, and its gap to the ground level.
+def reachable_gap(ramp: Ramp, prepared: np.ndarray, population_floor: float = 0.02) -> tuple[int, float]:
+    """Lowest excited level of the ramp's final sector eigensystem holding at
+    least ``population_floor`` of the prepared state, and its gap to the
+    ground level.
 
     This is the oscillation frequency the time-series stage will actually see.
-    Degenerate eigenvalues are grouped and their populations summed. A run
-    passes its ramp so the final sector eigensystem is computed once.
+    Degenerate eigenvalues are grouped and their populations summed.
     """
     if not 0.0 < population_floor < 1.0:
         raise ValueError("population_floor must lie in (0, 1)")
     prepared = np.asarray(prepared, dtype=complex)
     if abs(np.linalg.norm(prepared) - 1.0) > 1e-8:
         raise ValueError("prepared state must be normalized")
-    ramp = _ramp_for(model, pairs, ramp)
     es = ramp.final_eigensystem()
     amps = es.vectors.conj().T @ prepared[ramp.idx]
     pops = np.abs(amps) ** 2

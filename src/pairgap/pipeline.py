@@ -78,14 +78,14 @@ def _prepare(cfg: ExperimentConfig) -> _Preparation:
     and its exact gap from that state. Neither t0 nor Q enters, so the points
     of a t0 sweep share one preparation."""
     init = computational_state(cfg.model.n, cfg.init_index)
-    pairs = cfg.init_bits.count("1")
-    # One ramp and one pulse-event table serve every stage of this run.
-    ramp = Ramp(cfg.model, cfg.schedule_steps, pairs)
+    # One pulse-event table and one ramp serve every stage of this run; the
+    # table first, so a model above its qubit limit fails before the ramp's
+    # eigensolve.
     table = EventTable(cfg.machine, cfg.model.n, cfg.pulse_mode)
-
-    schedule = AdiabaticSchedule(cfg.schedule_steps, cfg.t_ad, _preparation_backend(cfg), cfg.plan.k)
-    prepared = prepare(cfg.model, init, schedule, ramp=ramp, table=table)
-    level, delta_exact = reachable_gap(cfg.model, pairs, prepared, cfg.population_floor, ramp)
+    ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.init_bits.count("1"))
+    schedule = AdiabaticSchedule(cfg.t_ad, _preparation_backend(cfg), cfg.plan.k)
+    prepared = prepare(ramp, init, schedule, table=table)
+    level, delta_exact = reachable_gap(ramp, prepared, cfg.population_floor)
     return _Preparation(ramp, table, prepared, level, delta_exact)
 
 
@@ -132,7 +132,7 @@ def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
         fit=fit,
         series=series,
         spectrum=spectrum,
-        populations=sector_population_report(cfg.model, prep.ramp.pairs, prep.state, prep.ramp),
+        populations=sector_population_report(prep.ramp, prep.state),
         wall_per_step=wall_per_step,
         clamp_warnings=clamp_warnings,
     )

@@ -14,6 +14,8 @@ from .hamiltonian import _signs
 # Smallest decay rate distinguishable from zero; keeps tau_e finite.
 _MIN_DECAY_RATE = 1e-12
 _MAX_FIT_ITERATIONS = 200
+# Fewest samples the four-parameter fit takes; run.q is checked against it.
+MIN_FIT_SAMPLES = 8
 _STEP_TOL = 1e-10
 # Parameter indices of (A, Delta, phi): the free set while the rate is held at 0.
 _FREE_OF_RATE = np.array([0, 2, 3])
@@ -96,15 +98,20 @@ def acquire(
     exp(-k * wall_per_step / t2), modelling dephasing of the observed spin
     over accumulated physical time; the k = 0 sample is untouched.
 
-    The Q states fill one (Q, 2^n) complex array, Q * 2^n * 16 bytes, by
-    doubling: with rows 0..f-1 filled and P = (u^f)^T, rows f..2f-1 are
-    rows 0..f-1 times P, then P is squared. That is about 2 log2(Q) matrix
-    products instead of Q - 1 matrix-vector ones. Row k went through the
-    binary powers of u that make up k, each carrying the rounding of its
-    squarings, so it differs from stepping one state k times by a rounding
-    error that grows about linearly in k: within (k + 1) 2^-52 in <Z_r> on
-    random unitaries up to n = 5 and Q = 4096. Every <Z_r> is taken in one
-    batched dot, each row's the reduction np.vdot makes.
+    The Q states fill one (Q, 2^n) complex array, Q * 2^n * 16 bytes, in
+    blocks: with P = (u^f)^T, the next m <= f rows are the m rows f places
+    back times P. The block f starts at 1 and doubles, P being squared,
+    while more than 2^n rows are left; then P is kept. A square costs the
+    arithmetic of stepping 2^n rows and gains only the speed of block
+    products over one-row ones, so none is formed when few rows are left.
+    Where Q is much larger than 2^n that is about 2 log2(Q) matrix
+    products. Where Q - 1 <= 2^n (n >= 8 at Q = 200) no square is formed,
+    and each row is u times the row before, as a loop steps one state. A row that went through squared
+    powers of u carries their rounding, so it differs from stepping one
+    state k times by a rounding error that grows about linearly in k:
+    within (k + 1) 2^-52 in <Z_r> on random unitaries up to n = 5 and
+    Q = 4096. Every <Z_r> is taken in one batched dot, each row's the
+    reduction np.vdot makes.
     """
     if q < 2:
         raise ValueError("need at least two samples")
@@ -118,13 +125,14 @@ def acquire(
     zdiag = _z_diagonal(dim.bit_length() - 1, observed_spin)
     states = np.empty((q, dim), dtype=complex)
     states[0] = psi
-    power, filled = u.T, 1
+    power, f, filled = u.T, 1, 1
     while filled < q:
-        m = min(filled, q - filled)
-        np.matmul(states[:m], power, out=states[filled : filled + m])
+        m = min(f, q - filled)
+        np.matmul(states[filled - f : filled - f + m], power, out=states[filled : filled + m])
         filled += m
-        if filled < q:
-            power = power @ power
+        if q - filled > dim:
+            power = np.matmul(power, power)
+            f = filled
     # One vector dot per row, the reduction np.vdot makes; einsum sums in
     # another order.
     values = np.ascontiguousarray(np.matmul(states.conj()[:, None, :], (zdiag * states)[:, :, None])[:, 0, 0].real)
@@ -212,8 +220,8 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
     (A, Delta, phi) alone and the rate stays 0 until the gradient turns. An
     undamped series thus converges with tau_e = 1e12 s (rate on its bound).
     """
-    if series.q < 8:
-        raise ValueError("need at least eight samples to fit four parameters")
+    if series.q < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit four parameters")
     y = series.values
     if np.ptp(y) == 0.0:
         raise ValueError("degenerate flat series")

@@ -207,7 +207,7 @@ def test_criterion_8_property_battery():
             h = realize(model)
             if np.linalg.norm(h - h.conj().T) > 1e-12:
                 failures.append(f"{name} Hamiltonian not Hermitian")
-            hs = Ramp(model, 4, 2).hamiltonian(1)
+            hs = realize(Ramp(model, 4, 2).step_model(1))
             if np.linalg.norm(hs - hs.conj().T) > 1e-12:
                 failures.append(f"{name} ramp Hamiltonian not Hermitian")
             num = number_operator(model.n)

@@ -31,18 +31,21 @@ H2 = pairing_model("h2")
 INIT = computational_state(3, 3)  # |011>
 
 
-def fast_schedule(backend=None, k=1, steps=4, t_ad=1 / 700):
-    return AdiabaticSchedule(steps, t_ad, backend, k)
+RAMP1 = Ramp(H1, 4, 2)
+
+
+def fast_schedule(backend=None, k=1, t_ad=1 / 700):
+    return AdiabaticSchedule(t_ad, backend, k)
 
 
 def test_schedule_validation():
+    with pytest.raises(ValueError, match="schedule.steps"):
+        Ramp(H1, 0, 2)
     with pytest.raises(ValueError):
-        AdiabaticSchedule(0, 1e-3)
+        AdiabaticSchedule(-1e-3)
     with pytest.raises(ValueError):
-        AdiabaticSchedule(4, -1e-3)
-    with pytest.raises(ValueError):
-        AdiabaticSchedule(4, 1e-3, Backend(), k=0)
-    assert AdiabaticSchedule(4, 0.0).steps == 4
+        AdiabaticSchedule(1e-3, Backend(), k=0)
+    assert AdiabaticSchedule(0.0).k == 1
     with pytest.raises(ValueError, match="machine"):
         Backend("w1")
     with pytest.raises(ValueError, match="method"):
@@ -51,11 +54,11 @@ def test_schedule_validation():
 
 def test_prepare_requires_normalized_state():
     with pytest.raises(ValueError):
-        prepare(H1, np.ones(8), fast_schedule(), check_adiabaticity=False)
+        prepare(RAMP1, np.ones(8), fast_schedule(), check_adiabaticity=False)
 
 
 def test_prepare_stays_in_sector():
-    psi = prepare(H1, INIT, fast_schedule(), check_adiabaticity=False)
+    psi = prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False)
     outside = np.delete(np.arange(8), sector_basis(3, 2))
     assert np.max(np.abs(psi[outside])) < 1e-12
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
@@ -73,67 +76,73 @@ def test_in_sector_preparation_matches_the_dense_one(n, seed, data):
     init[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
     init /= np.linalg.norm(init)
     steps, t_ad = data.draw(st.integers(1, 6)), data.draw(st.floats(0.0, 3e-3))
-    psi = prepare(model, init, AdiabaticSchedule(steps, t_ad), check_adiabaticity=False)
+    psi = prepare(Ramp(model, steps, pairs), init, AdiabaticSchedule(t_ad), check_adiabaticity=False)
     assert np.max(np.abs(psi - dense_prepare(model, init, steps, t_ad))) < 1e-13
     assert not np.any(np.delete(psi, idx))
 
 
-def test_state_spread_over_sectors_takes_the_dense_path(monkeypatch):
-    dense = counting(monkeypatch, Ramp, "hamiltonian")
-    init = (computational_state(3, 3) + computational_state(3, 1)) / math.sqrt(2)
-    psi = prepare(H1, init, fast_schedule(), check_adiabaticity=False)
-    assert len(dense) == 5
-    assert np.array_equal(psi, dense_prepare(H1, init, 4, 1 / 700))
+def test_init_outside_the_ramp_sector_raises():
+    spread = (computational_state(3, 3) + computational_state(3, 1)) / math.sqrt(2)
+    for init in (spread, computational_state(3, 1), np.ones(4) / 2):
+        with pytest.raises(ValueError, match="sector of 2 pairs on 3 modes"):
+            prepare(RAMP1, init, fast_schedule(), check_adiabaticity=False)
+    # rounding dust below 1e-12 outside the sector is dropped
+    dusty = INIT + 1e-13 * computational_state(3, 1)
+    dropped = prepare(RAMP1, dusty, fast_schedule(), check_adiabaticity=False)
+    assert np.array_equal(dropped, prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False))
 
 
 def test_prepare_h1_populations_frozen():
-    psi = prepare(H1, INIT, fast_schedule(), check_adiabaticity=False)
-    pops = [p for _, _, p in sector_population_report(H1, 2, psi)]
+    psi = prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False)
+    pops = [p for _, _, p in sector_population_report(RAMP1, psi)]
     want = [0.353667074372997, 0.589629281220753, 0.0567036444062517]
     assert np.allclose(pops, want, atol=1e-12)
 
 
 def test_prepare_h2_leaves_decoupled_level_empty():
-    psi = prepare(H2, INIT, fast_schedule(), check_adiabaticity=False)
-    pops = [p for _, _, p in sector_population_report(H2, 2, psi)]
+    ramp = Ramp(H2, 4, 2)
+    psi = prepare(ramp, INIT, fast_schedule(), check_adiabaticity=False)
+    pops = [p for _, _, p in sector_population_report(ramp, psi)]
     assert np.allclose(pops, [0.675400947196885, 0.0, 0.324599052803114], atol=1e-12)
     assert pops[1] < 1e-12
 
 
 def test_deliberately_fast_ramp_warns():
     with pytest.warns(AdiabaticityWarning):
-        prepare(H1, INIT, fast_schedule())
+        prepare(RAMP1, INIT, fast_schedule())
 
 
 def test_slow_ramp_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        prepare(H1, INIT, fast_schedule(steps=200, t_ad=0.02))
+        prepare(Ramp(H1, 200, 2), INIT, fast_schedule(t_ad=0.02))
 
 
 def test_ground_population_grows_with_steps():
     grounds = []
     for s in (4, 8, 16, 32, 64):
-        psi = prepare(H1, INIT, fast_schedule(steps=s), check_adiabaticity=False)
-        grounds.append(sector_population_report(H1, 2, psi)[0][2])
+        ramp = Ramp(H1, s, 2)
+        psi = prepare(ramp, INIT, fast_schedule(), check_adiabaticity=False)
+        grounds.append(sector_population_report(ramp, psi)[0][2])
     assert all(a < b for a, b in zip(grounds, grounds[1:]))
     assert grounds[0] < 0.4
     # a genuinely slow ramp pins the ground state
-    psi = prepare(H1, INIT, fast_schedule(steps=200, t_ad=0.02), check_adiabaticity=False)
-    assert sector_population_report(H1, 2, psi)[0][2] > 0.99
+    ramp = Ramp(H1, 200, 2)
+    psi = prepare(ramp, INIT, fast_schedule(t_ad=0.02), check_adiabaticity=False)
+    assert sector_population_report(ramp, psi)[0][2] > 0.99
 
 
 def test_zero_duration_schedule_is_identity():
     for backend in (None, Backend(), Backend("w1", spin_system())):
-        psi = prepare(H1, INIT, fast_schedule(backend, t_ad=0.0), check_adiabaticity=False)
+        psi = prepare(RAMP1, INIT, fast_schedule(backend, t_ad=0.0), check_adiabaticity=False)
         assert np.allclose(psi, INIT, atol=1e-12)
 
 
 def test_trotter_evolver_tracks_exact():
-    exact = prepare(H1, INIT, fast_schedule(), check_adiabaticity=False)
+    exact = prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False)
     fids = []
     for k in (1, 4, 16):
-        approx = prepare(H1, INIT, fast_schedule(Backend(), k), check_adiabaticity=False)
+        approx = prepare(RAMP1, INIT, fast_schedule(Backend(), k), check_adiabaticity=False)
         fids.append(abs(np.vdot(exact, approx)) ** 2)
     assert all(a < b for a, b in zip(fids, fids[1:]))
     assert fids[0] > 0.97
@@ -141,8 +150,8 @@ def test_trotter_evolver_tracks_exact():
 
 
 def test_nmr_evolver_matches_trotter_with_delta_pulses():
-    a = prepare(H1, INIT, fast_schedule(Backend()), check_adiabaticity=False)
-    b = prepare(H1, INIT, fast_schedule(Backend("w1", spin_system())), check_adiabaticity=False)
+    a = prepare(RAMP1, INIT, fast_schedule(Backend()), check_adiabaticity=False)
+    b = prepare(RAMP1, INIT, fast_schedule(Backend("w1", spin_system())), check_adiabaticity=False)
     assert abs(np.vdot(a, b)) ** 2 > 1 - 1e-12
 
 
@@ -150,7 +159,7 @@ def test_compiled_preparation_applies_programs_event_by_event():
     # composing each program's unitary first rounds differently, which would
     # move the prepared state's last bits and so the run's artifacts
     machine = spin_system()
-    psi = prepare(H1, INIT, fast_schedule(Backend("w1", machine, "finite"), k=2), check_adiabaticity=False)
+    psi = prepare(RAMP1, INIT, fast_schedule(Backend("w1", machine, "finite"), k=2), check_adiabaticity=False)
     want = INIT
     for s in range(5):
         program = compile_trotter_step(H1.with_coupling_scale(s / 4), TrotterPlan(1 / 700, 2), "w1", machine)
@@ -159,14 +168,14 @@ def test_compiled_preparation_applies_programs_event_by_event():
 
 
 def test_population_report_is_a_distribution():
-    psi = prepare(H1, INIT, fast_schedule(), check_adiabaticity=False)
-    rows = sector_population_report(H1, 2, psi)
+    psi = prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False)
+    rows = sector_population_report(RAMP1, psi)
     assert len(rows) == 3
     assert math.isclose(sum(p for _, _, p in rows), 1.0, rel_tol=1e-12)
     energies = [e for _, e, p in rows]
     assert energies == sorted(energies)
     with pytest.raises(ValueError):
-        sector_population_report(H1, 2, np.ones(4))
+        sector_population_report(RAMP1, np.ones(4))
 
 
 def test_report_csv_layout():
@@ -175,31 +184,6 @@ def test_report_csv_layout():
     lines = text.strip().split("\n")
     assert lines[0] == "eigenindex,energy_rad_per_s,population"
     assert lines[1] == "0,-1.5,0.25"
-
-
-def test_shared_ramp_gives_the_fresh_results():
-    ramp = Ramp(H1, 4, 2)
-    psi = prepare(H1, INIT, fast_schedule(), check_adiabaticity=False, ramp=ramp)
-    assert np.array_equal(psi, prepare(H1, INIT, fast_schedule(), check_adiabaticity=False))
-    nmr = fast_schedule(Backend("w1", spin_system()))
-    with pytest.warns(AdiabaticityWarning) as shared:
-        a = prepare(H1, INIT, nmr, ramp=ramp)
-    with pytest.warns(AdiabaticityWarning) as fresh:
-        b = prepare(H1, INIT, nmr)
-    assert np.array_equal(a, b)
-    assert str(shared[0].message) == str(fresh[0].message)
-    assert reachable_gap(H1, 2, psi, ramp=ramp) == reachable_gap(H1, 2, psi)
-    assert sector_population_report(H1, 2, a, ramp) == sector_population_report(H1, 2, a)
-
-
-def test_ramp_of_another_model_sector_or_length_raises():
-    ramp = Ramp(H1, 4, 2)
-    with pytest.raises(ValueError, match="another model or pair sector"):
-        prepare(H2, INIT, fast_schedule(), ramp=ramp)
-    with pytest.raises(ValueError, match="another model or pair sector"):
-        reachable_gap(H1, 1, computational_state(3, 1), ramp=ramp)
-    with pytest.raises(ValueError, match="another schedule length"):
-        prepare(H1, INIT, fast_schedule(steps=8), ramp=ramp)
 
 
 def counting(monkeypatch, module, name):
@@ -228,17 +212,16 @@ def test_run_prepares_once_and_reads_its_level_from_that_state(monkeypatch):
 
 @pytest.mark.parametrize("method", ["ideal", "w1"])
 def test_run_builds_no_dense_ramp_and_one_eigensystem_per_step(monkeypatch, method):
-    # the ramp works inside the pair sector: no dense H_s, and one sector
-    # eigensystem per step shared by the evolution, the gap check and the
-    # reachable level (the step's own dense eigensolves are 8 x 8)
-    realized = counting(monkeypatch, pairgap.exact, "realize")
-    solved = counting(monkeypatch, pairgap.exact, "eigendecompose")
+    # the ramp works inside the pair sector, with no dense H_s, and decomposes
+    # its S + 1 blocks in one stacked eigh shared by the evolution, the gap
+    # check and the reachable level (the w1 pulses' own eigensolves are 8 x 8)
+    solved = counting(monkeypatch, np.linalg, "eigh")
     cfg = build_config(preset="h1", overrides=(f"run.method={method}",))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
         run_experiment(cfg)
-    assert realized == []
-    assert [h.shape for h in solved if h.shape != (8, 8)] == [(3, 3)] * (cfg.schedule_steps + 1)
+    assert not hasattr(pairgap.exact, "realize")
+    assert [h.shape for h in solved if h.shape != (8, 8)] == [(cfg.schedule_steps + 1, 3, 3)]
 
 
 def sweep_row(cfg, t0, q):

@@ -106,6 +106,18 @@ def test_bad_config_exit_2_names_key(tmp_path):
     assert "config error" in proc.stderr and "plan.t0" in proc.stderr
 
 
+def test_run_q_below_the_fit_minimum_exit_2(tmp_path, capsys):
+    # the fit takes at least MIN_FIT_SAMPLES samples; fewer is a config error,
+    # not an internal one after the acquisition
+    assert main(["run", "--preset", "h1", "--override", "run.q=5", "--out", str(tmp_path / "five")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run.q:") and "8" in err
+    assert not (tmp_path / "five").exists()
+    # eight samples run to the end; on h1 the fit then does not converge
+    assert main(["run", "--preset", "h1", "--override", "run.q=8", "--out", str(tmp_path / "eight")]) == 3
+    assert json.loads((tmp_path / "eight" / "result.json").read_text())["q"] == 8
+
+
 def test_unknown_key_exit_2():
     proc = run_cli("gap-exact", "--preset", "h1", "--override", "model.mass=3")
     assert proc.returncode == 2

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from conftest import full_hamiltonian, kron_realize, same_bits
 from pairgap.exact import (
     Ramp,
+    _require_hermitian,
     computational_state,
     eigendecompose,
     propagator,
@@ -126,13 +127,53 @@ def test_hop_list_block_equals_the_dense_slice_bit_for_bit(drawn):
         assert idx.tolist() == sector_basis(model.n, pairs).tolist()
 
 
-def test_ramp_keeps_one_eigensystem_per_step():
+def test_ramp_keeps_one_eigensystem_per_step(monkeypatch):
+    # one stacked eigh of the S + 1 blocks, when the ramp is built
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        solved.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     ramp = Ramp(pairing_model("h1"), 4, 2)
+    assert solved == [(5, 3, 3)]
     for s in range(5):
-        es = ramp.eigensystem(s)
-        assert ramp.eigensystem(s) is es
-        assert np.array_equal(es.values, eigendecompose(ramp.block(s)).values)
-    assert ramp.final_eigensystem() is ramp.eigensystem(4)
+        assert np.array_equal(ramp.values[s], eigendecompose(ramp.block(s)).values)
+    assert np.array_equal(ramp.final_eigensystem().vectors, ramp.vectors[4])
+    with pytest.raises(ValueError, match="schedule.steps"):
+        Ramp(pairing_model("h1"), 0, 2)
+
+
+@st.composite
+def ramp_sectors(draw):
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.uniform(-300, 300, (n, n)) * (rng.random((n, n)) < 0.7)
+    model = PairingModel(tuple(rng.uniform(-200, 200, n) * PI), (v + v.T) * PI, draw(st.sampled_from([1.0, 2.0])))
+    return model, draw(st.integers(1, 6))
+
+
+@settings(deadline=None, max_examples=40)
+@given(ramp_sectors())
+def test_stacked_ramp_eigensystems_equal_per_block_eigh_bit_for_bit(drawn):
+    model, steps = drawn
+    for pairs in range(model.n + 1):
+        ramp = Ramp(model, steps, pairs)
+        for s in range(steps + 1):
+            values, vectors = np.linalg.eigh(ramp.block(s))
+            assert same_bits(ramp.values[s], values), (pairs, s)
+            assert same_bits(ramp.vectors[s], vectors), (pairs, s)
+
+
+def test_non_hermitian_stack_is_refused():
+    blocks = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match="Hermitian"):
+        _require_hermitian(blocks)
+    assert _require_hermitian(blocks[:1]).dtype == complex
+    with pytest.raises(ValueError, match="square"):
+        _require_hermitian(np.zeros((2, 2, 3)))
 
 
 def test_h1_block_characteristic_cubic():
@@ -184,7 +225,7 @@ def test_reachable_gap_skips_empty_levels():
     psi = np.zeros(8, dtype=complex)
     mix = 0.8 * es.vectors[:, 0] + 0.6 * es.vectors[:, 2]
     psi[idx] = mix
-    level, gap = reachable_gap(m, 2, psi)
+    level, gap = reachable_gap(Ramp(m, 1, 2), psi)
     assert level == 2
     assert math.isclose(gap, es.values[2] - es.values[0], rel_tol=1e-12)
 
@@ -196,11 +237,11 @@ def test_reachable_gap_floor():
     psi = np.zeros(8, dtype=complex)
     psi[idx] = math.sqrt(0.99) * es.vectors[:, 0] + math.sqrt(0.01) * es.vectors[:, 1]
     with pytest.raises(ValueError, match="reachable"):
-        reachable_gap(m, 2, psi)  # 1% is below the default floor
-    level, _ = reachable_gap(m, 2, psi, population_floor=0.005)
+        reachable_gap(Ramp(m, 1, 2), psi)  # 1% is below the default floor
+    level, _ = reachable_gap(Ramp(m, 1, 2), psi, population_floor=0.005)
     assert level == 1
     with pytest.raises(ValueError):
-        reachable_gap(m, 2, psi, population_floor=1.5)
+        reachable_gap(Ramp(m, 1, 2), psi, population_floor=1.5)
 
 
 def test_reachable_gap_groups_degenerate_levels():
@@ -213,7 +254,7 @@ def test_reachable_gap_groups_degenerate_levels():
     es = eigendecompose(sub)
     psi = np.zeros(8, dtype=complex)
     psi[idx] = math.sqrt(0.5) * es.vectors[:, 0] + math.sqrt(0.5) * es.vectors[:, 1]
-    level, gap = reachable_gap(m, 2, psi)
+    level, gap = reachable_gap(Ramp(m, 1, 2), psi)
     assert level == 1
     assert gap > 0
 
@@ -221,4 +262,4 @@ def test_reachable_gap_groups_degenerate_levels():
 def test_reachable_gap_norm_check():
     m = pairing_model("h1")
     with pytest.raises(ValueError):
-        reachable_gap(m, 2, np.ones(8))
+        reachable_gap(Ramp(m, 1, 2), np.ones(8))

@@ -138,6 +138,32 @@ def test_acquire_matches_the_loop_on_random_unitaries(n, q, seed, damped, data):
     assert np.array_equal(series.wall_times, reference.wall_times)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_acquire_squares_the_step_only_while_more_than_2n_rows_are_left(monkeypatch, n):
+    dim = 2**n
+    rng = np.random.default_rng(n)
+    u = random_unitary(dim, rng)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    shapes = []
+    matmul = np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    # Q - 1 <= 2^n: no square, each row u times the row before, as the loop
+    for q in sorted({2, dim // 2 + 1, dim + 1}):
+        series = acquire(psi, u, 1e-3, q, 1e-3, 1)
+        assert ((dim, dim), (dim, dim)) not in shapes
+        assert np.array_equal(series.values, loop_acquire(psi, u, 1e-3, q, 1e-3, 1).values)
+    # more rows left than 2^n after the first step: the power is squared
+    shapes.clear()
+    acquire(psi, u, 1e-3, dim + 3, 1e-3, 1)
+    assert ((dim, dim), (dim, dim)) in shapes
+
+
 @pytest.mark.parametrize("damping", ["on", "off"])
 @pytest.mark.parametrize("mode", ["delta", "finite"])
 @pytest.mark.parametrize("method", ["ideal", "w1", "w2"])

@@ -2,7 +2,8 @@
 
 For every op of the benchmark workloads at one seed, plus a fixed grid of
 runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, a t0
-sweep and gap-exact on both presets) and of every other artifact the CLI
+sweep and gap-exact on both presets; an ideal run and gap-exact on two
+fixed chains with no preset, at 5 and 8 modes) and of every other artifact the CLI
 writes (a t0 sweep without held epsilon_ft, a generic sweep with an error
 row, compile, estimate), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
 process. The exit code, stdout, stderr and the bytes of every file written
@@ -47,6 +48,14 @@ from workloads import generate  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# Nearest-neighbour chains as (nu/2pi in Hz, V_m,m+1/2pi in Hz, t0 in s): the
+# init is half filled, 0101..., and t0 keeps every line of that pair sector
+# below Nyquist (widest 837 Hz at 5 modes and 1371 Hz at 8).
+CHAINS = (
+    ("120,250,330,410,560", (60, 90, -120, 150), 0.5e-3),
+    ("110,170,240,300,360,430,500,570", (80, -60, 120, 100, -90, 140, 70), 0.3e-3),
+)
+
 Outcome = tuple[int, str, str, dict[str, bytes]]  # exit code, stdout, stderr, file bytes by name
 
 
@@ -63,6 +72,12 @@ def grid() -> list[tuple[str, ...]]:
                     cases.append(tuple(argv))
         cases.append(("sweep", "--preset", preset, "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3"))
         cases.append(("gap-exact", "--preset", preset))
+    for nu, couplings, t0 in CHAINS:
+        n = len(couplings) + 1
+        items = [f"model.nu_hz={nu}", f"run.init={('01' * n)[:n]}", f"plan.t0_s={t0!r}"]
+        items += [f"model.v_{m}_{m + 1}_hz={v}" for m, v in enumerate(couplings, start=1)]
+        overrides = tuple(arg for item in items for arg in ("--override", item))
+        cases += [("run", *overrides), ("gap-exact", *overrides)]
     cases += [
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
         ("sweep", "--preset", "h2", "--vary", "plan.k=1,2,x"),
