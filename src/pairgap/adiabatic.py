@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import Backend, state_stepper
+from .backend import state_stepper
 from .exact import Ramp
 from .nmr import EventTable
 from .trotter import TrotterPlan
@@ -27,11 +27,12 @@ class AdiabaticityWarning(UserWarning):
 @dataclass(frozen=True)
 class AdiabaticSchedule:
     """Per-step simulated time t_ad of a ramp's S + 1 evolutions, s = 0..S.
-    Each is exact when ``backend`` is None, else one Trotter step t_ad of k
-    repetitions realized by the backend. The step count S is the ramp's."""
+    Each is exact when ``method`` is None, else one Trotter step t_ad of k
+    repetitions realized by ``method`` ("ideal", "w1" or "w2"; see
+    backend.step). The step count S is the ramp's."""
 
     t_ad: float
-    backend: Backend | None = None
+    method: str | None = None
     k: int = 1
 
     def __post_init__(self):
@@ -50,8 +51,8 @@ def prepare(
     table: EventTable | None = None,
 ) -> np.ndarray:
     """Evolve ``init`` for t_ad under each ramp step's model, s = 0..S, and
-    return the final state: exactly when the schedule has no backend, else by
-    one backend step of each ``ramp.step_model(s)``. Warns when the minimum
+    return the final state: exactly when the schedule has no method, else by
+    one step of each ``ramp.step_model(s)``. Warns when the minimum
     sector gap along the path is below 1/(S * t_ad).
 
     ``init`` must lie in the ramp's pair sector: a normalized 2^n vector
@@ -59,10 +60,10 @@ def prepare(
     inside the sector: only ``psi[idx]`` is evolved, through the ramp's
     step eigensystems, and the returned state holds exact zeros outside it.
 
-    A run passes its pulse-event table, so each distinct pulse is built once
-    and shared with the run's other stages; without it a compiled backend
-    builds a fresh table per step. A compiled backend builds each step
-    template once per call and stamps it for every s.
+    A compiled method runs on ``table``, the run's pulse-event table (its
+    machine and pulse mode), and raises ValueError without one. It builds
+    each distinct pulse once per table and each step template once per
+    call, stamped for every s.
     """
     psi = np.asarray(init, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
@@ -70,14 +71,14 @@ def prepare(
     n, pairs = ramp.model.n, ramp.pairs
     if psi.shape != (2**n,) or np.any(np.abs(np.delete(psi, ramp.idx)) > 1e-12):
         raise ValueError(f"initial state must lie in the ramp's sector of {pairs} pairs on {n} modes")
-    if schedule.backend is None:
+    if schedule.method is None:
         sub = psi[ramp.idx]
         for values, vectors in zip(ramp.values, ramp.vectors):
             sub = vectors @ (np.exp(-1j * values * schedule.t_ad) * (vectors.conj().T @ sub))
         psi = np.zeros_like(psi)
         psi[ramp.idx] = sub
     elif schedule.t_ad > 0:
-        step_state = state_stepper(TrotterPlan(schedule.t_ad, schedule.k), schedule.backend, table)
+        step_state = state_stepper(TrotterPlan(schedule.t_ad, schedule.k), schedule.method, table)
         for s in range(ramp.steps + 1):
             psi = step_state(ramp.step_model(s), psi)
     if check_adiabaticity and schedule.t_ad > 0 and ramp.values.shape[1] > 1:

@@ -12,9 +12,10 @@ Recognized keys:
     model.n                   mode count; must match the nu list
     model.nu_hz | model.nu_rad_s          comma list of on-site frequencies
                                           (one of the two; replaces a preset's)
-    model.v_<i>_<j>_hz | ..._rad_s        coupling entries, i < j
+    model.v_<i>_<j>_hz | ..._rad_s        coupling entries, one key each:
+                                          v_1_2 or v_2_1, _hz or _rad_s
     model.convention_factor   overall coefficient multiplier
-    machine.j_<i>_<j>_hz      scalar coupling entries
+    machine.j_<i>_<j>_hz      scalar coupling entries, one key per entry
     machine.t_pi_s            pi-pulse duration
     machine.t2_s              dephasing time for all spins
     machine.t2_<i>_s          per-spin dephasing time
@@ -32,6 +33,7 @@ Recognized keys:
     run.init                  initial basis state as bits, e.g. 011
     run.population_floor      reachable-level population threshold
     noise.amplitude           uniform measurement noise half-width
+                              (finite, >= 0)
     noise.seed                RNG seed for noise
 """
 
@@ -94,8 +96,8 @@ class ExperimentConfig:
             raise ConfigError("run.init: need one bit per mode")
         if not 0.0 < self.population_floor < 1.0:
             raise ConfigError("run.population_floor: must lie in (0, 1)")
-        if self.noise_amplitude < 0:
-            raise ConfigError("noise.amplitude: must be non-negative")
+        if not (self.noise_amplitude >= 0 and math.isfinite(self.noise_amplitude)):
+            raise ConfigError("noise.amplitude: must be finite and non-negative")
         if self.machine.n != self.model.n:
             raise ConfigError("machine.j_hz: spin count differs from the model")
 
@@ -108,6 +110,16 @@ class ExperimentConfig:
         """run.method when it compiles a pulse program, else w1: an ideal
         run's `compile` output and NMR preparation use the w1 sequence."""
         return self.method if self.method in ("w1", "w2") else "w1"
+
+    @property
+    def preparation_method(self) -> str | None:
+        """Method of the preparation ramp's steps; None evolves it exactly.
+        schedule.evolver "default" means exact for an ideal run and the run's
+        compiled program otherwise; "trotter" is the ideal step."""
+        evolver = self.evolver
+        if evolver == "default":
+            evolver = "exact" if self.method == "ideal" else "nmr"
+        return {"exact": None, "trotter": "ideal", "nmr": self.compile_method}[evolver]
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -159,23 +171,28 @@ _MATRIX_KEY = re.compile(r"^(model\.v|machine\.j)_(\d+)_(\d+)_(hz|rad_s)$")
 
 
 def _matrix_entries(entries: dict[str, str], prefix: str, n: int) -> np.ndarray | None:
-    found = False
+    """The symmetric table the ``prefix`` keys give, or None without one. Each
+    entry takes one key: i_j and j_i, or _hz and _rad_s, for the same pair
+    are a ConfigError."""
+    keys: dict[tuple[int, int], str] = {}
     m = np.zeros((n, n))
     for key in entries:
         match = _MATRIX_KEY.match(key)
         if not match or match.group(1) != prefix:
             continue
-        found = True
         i, j = int(match.group(2)), int(match.group(3))
         if not (1 <= i <= n and 1 <= j <= n and i != j):
             raise ConfigError(f"{key}: indices must be distinct and within 1..{n}")
+        first = keys.setdefault((min(i, j), max(i, j)), key)
+        if first != key:
+            raise ConfigError(f"{first}: give {first} or {key}, not both")
         value = _float(entries, key)
         if match.group(4) == "hz" and prefix == "model.v":
             value *= _TWO_PI
         if match.group(4) == "rad_s" and prefix == "machine.j":
             raise ConfigError(f"{key}: machine couplings are given in Hz")
         m[i - 1, j - 1] = m[j - 1, i - 1] = value
-    return m if found else None
+    return m if keys else None
 
 
 def _build_model(entries: dict[str, str], preset_name: str | None) -> PairingModel:

@@ -399,7 +399,7 @@ def _pulse_unitary(ev: RfPulse, n: int, machine: SpinSystem, pulse_mode: str, zz
 
 
 class EventTable:
-    """Unitaries of pulse-program events for one (machine, n, pulse_mode).
+    """Unitaries of pulse-program events for one machine and pulse mode.
 
     Delays evolve the diagonal ZZ Hamiltonian; finite-mode pulses evolve RF
     plus ZZ for duration t_pi |angle| / pi with amplitude
@@ -408,21 +408,20 @@ class EventTable:
 
     Each distinct event, keyed by the frozen Delay or RfPulse itself, is
     built on first use and then shared by every program applied through the
-    table; the ZZ diagonal is built once too. A run keeps one table for its
-    preparation programs and its step program, which all repeat the same few
-    pulses. Using the table with another machine, spin count or pulse mode
-    raises ValueError instead of returning another machine's unitary, and
-    so does building one for more than 12 spins.
+    table; the ZZ diagonal is built once too. A run keeps one table, the one
+    carrier of its machine and pulse mode: its preparation programs and its
+    step program all run on it and repeat the same few pulses. Using the
+    table with another machine, spin count or pulse mode raises ValueError
+    instead of returning another machine's unitary, and so does building
+    one for more than 12 spins.
     """
 
-    def __init__(self, machine: SpinSystem, n: int, pulse_mode: str):
+    def __init__(self, machine: SpinSystem, pulse_mode: str):
         if pulse_mode not in (DELTA, FINITE):
             raise ValueError("pulse_mode must be 'delta' or 'finite'")
-        if machine.n != n:
-            raise ValueError("machine and program spin counts differ")
-        _check_dense(n)
+        _check_dense(machine.n)
         self.machine = machine
-        self.n = n
+        self.n = machine.n
         self.pulse_mode = pulse_mode
         self._zz: np.ndarray | None = None
         self._zz_diag: np.ndarray | None = None
@@ -465,7 +464,7 @@ class EventTable:
 
 def _table_for(program: PulseProgram, machine: SpinSystem, pulse_mode: str, table: EventTable | None) -> EventTable:
     if table is None:
-        return EventTable(machine, program.n, pulse_mode)
+        table = EventTable(machine, pulse_mode)
     table.check(machine, program.n, pulse_mode)
     return table
 

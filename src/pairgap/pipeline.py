@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adiabatic import AdiabaticSchedule, prepare, sector_population_report
-from .backend import Backend, step
+from .backend import step
 from .config import ConfigError, ExperimentConfig, with_plan
 from .exact import Ramp, computational_state, reachable_gap
 from .nmr import Delay, EventTable, PulseProgram, wall_time
@@ -81,34 +81,18 @@ def _prepare(cfg: ExperimentConfig) -> _Preparation:
     # One pulse-event table and one ramp serve every stage of this run; the
     # table first, so a model above its qubit limit fails before the ramp's
     # eigensolve.
-    table = EventTable(cfg.machine, cfg.model.n, cfg.pulse_mode)
+    table = EventTable(cfg.machine, cfg.pulse_mode)
     ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.init_bits.count("1"))
-    schedule = AdiabaticSchedule(cfg.t_ad, _preparation_backend(cfg), cfg.plan.k)
+    schedule = AdiabaticSchedule(cfg.t_ad, cfg.preparation_method, cfg.plan.k)
     prepared = prepare(ramp, init, schedule, table=table)
     level, delta_exact = reachable_gap(ramp, prepared, cfg.population_floor)
     return _Preparation(ramp, table, prepared, level, delta_exact)
 
 
-def _preparation_backend(cfg: ExperimentConfig) -> Backend | None:
-    """Backend of the preparation ramp's steps; None evolves it exactly.
-    schedule.evolver "default" means exact for an ideal run and the run's
-    compiled program otherwise."""
-    kind = cfg.evolver
-    if kind == "default":
-        kind = "exact" if cfg.method == "ideal" else "nmr"
-    if kind == "exact":
-        return None
-    if kind == "trotter":
-        return Backend()
-    return Backend(cfg.compile_method, cfg.machine, cfg.pulse_mode)
-
-
 def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
     """Acquire, transform and fit from a preparation of ``cfg``'s model,
     schedule and initial state."""
-    u, wall_per_step, clamp_warnings = step(
-        cfg.model, cfg.plan, Backend(cfg.method, cfg.machine, cfg.pulse_mode), prep.table
-    )
+    u, wall_per_step, clamp_warnings = step(cfg.model, cfg.plan, cfg.method, prep.table)
     t2 = cfg.machine.t2[cfg.observed_spin - 1] if cfg.damping else None
     series = acquire(prep.state, u, wall_per_step, cfg.q, cfg.plan.t0, cfg.observed_spin, t2)
 

@@ -17,11 +17,11 @@ from pairgap.adiabatic import (
     prepare,
     sector_population_report,
 )
-from pairgap.backend import Backend
+from pairgap.backend import step
 from pairgap.config import build_config, with_plan
 from pairgap.exact import Ramp, computational_state, reachable_gap
 from pairgap.hamiltonian import PairingModel, sector_basis
-from pairgap.nmr import RfPulse, compile_trotter_step, simulate_program
+from pairgap.nmr import EventTable, RfPulse, compile_trotter_step, simulate_program
 from pairgap.pipeline import SweepRow, report_to_csv, run_experiment, sweep_t0
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan
@@ -32,10 +32,11 @@ INIT = computational_state(3, 3)  # |011>
 
 
 RAMP1 = Ramp(H1, 4, 2)
+TABLE = EventTable(spin_system(), "delta")
 
 
-def fast_schedule(backend=None, k=1, t_ad=1 / 700):
-    return AdiabaticSchedule(t_ad, backend, k)
+def fast_schedule(method=None, k=1, t_ad=1 / 700):
+    return AdiabaticSchedule(t_ad, method, k)
 
 
 def test_schedule_validation():
@@ -44,12 +45,18 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         AdiabaticSchedule(-1e-3)
     with pytest.raises(ValueError):
-        AdiabaticSchedule(1e-3, Backend(), k=0)
+        AdiabaticSchedule(1e-3, "ideal", k=0)
     assert AdiabaticSchedule(0.0).k == 1
-    with pytest.raises(ValueError, match="machine"):
-        Backend("w1")
     with pytest.raises(ValueError, match="method"):
-        Backend("w3", spin_system())
+        prepare(RAMP1, INIT, fast_schedule("w3"), check_adiabaticity=False, table=TABLE)
+
+
+@pytest.mark.parametrize("method", ["w1", "w2"])
+def test_compiled_method_without_a_table_raises(method):
+    with pytest.raises(ValueError, match=f"method {method}: .*EventTable"):
+        step(H1, TrotterPlan(1e-3), method)
+    with pytest.raises(ValueError, match=f"method {method}: .*EventTable"):
+        prepare(RAMP1, INIT, fast_schedule(method), check_adiabaticity=False)
 
 
 def test_prepare_requires_normalized_state():
@@ -133,8 +140,8 @@ def test_ground_population_grows_with_steps():
 
 
 def test_zero_duration_schedule_is_identity():
-    for backend in (None, Backend(), Backend("w1", spin_system())):
-        psi = prepare(RAMP1, INIT, fast_schedule(backend, t_ad=0.0), check_adiabaticity=False)
+    for method in (None, "ideal", "w1"):
+        psi = prepare(RAMP1, INIT, fast_schedule(method, t_ad=0.0), check_adiabaticity=False, table=TABLE)
         assert np.allclose(psi, INIT, atol=1e-12)
 
 
@@ -142,7 +149,7 @@ def test_trotter_evolver_tracks_exact():
     exact = prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False)
     fids = []
     for k in (1, 4, 16):
-        approx = prepare(RAMP1, INIT, fast_schedule(Backend(), k), check_adiabaticity=False)
+        approx = prepare(RAMP1, INIT, fast_schedule("ideal", k), check_adiabaticity=False)
         fids.append(abs(np.vdot(exact, approx)) ** 2)
     assert all(a < b for a, b in zip(fids, fids[1:]))
     assert fids[0] > 0.97
@@ -150,8 +157,8 @@ def test_trotter_evolver_tracks_exact():
 
 
 def test_nmr_evolver_matches_trotter_with_delta_pulses():
-    a = prepare(RAMP1, INIT, fast_schedule(Backend()), check_adiabaticity=False)
-    b = prepare(RAMP1, INIT, fast_schedule(Backend("w1", spin_system())), check_adiabaticity=False)
+    a = prepare(RAMP1, INIT, fast_schedule("ideal"), check_adiabaticity=False)
+    b = prepare(RAMP1, INIT, fast_schedule("w1"), check_adiabaticity=False, table=TABLE)
     assert abs(np.vdot(a, b)) ** 2 > 1 - 1e-12
 
 
@@ -159,7 +166,8 @@ def test_compiled_preparation_applies_programs_event_by_event():
     # composing each program's unitary first rounds differently, which would
     # move the prepared state's last bits and so the run's artifacts
     machine = spin_system()
-    psi = prepare(RAMP1, INIT, fast_schedule(Backend("w1", machine, "finite"), k=2), check_adiabaticity=False)
+    table = EventTable(machine, "finite")
+    psi = prepare(RAMP1, INIT, fast_schedule("w1", k=2), check_adiabaticity=False, table=table)
     want = INIT
     for s in range(5):
         program = compile_trotter_step(H1.with_coupling_scale(s / 4), TrotterPlan(1 / 700, 2), "w1", machine)

@@ -20,7 +20,7 @@ from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan, convergence_sweep, symmetric3_step
 
 ROOT = Path(__file__).resolve().parent.parent
-MAX_EXPORTS = 37
+MAX_EXPORTS = 36
 
 
 def public_names() -> list[str]:
@@ -56,6 +56,20 @@ def test_trotter_does_not_import_nmr():
     imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     assert not [m for m in imported if m.split(".")[-1] == "nmr"], imported
+
+
+def test_only_backend_realizes_a_step_both_ways():
+    # a module that uses the ideal step and the pulse compiler or simulator
+    # knows how a step becomes a unitary; re-exporting imports do not count
+    compiled = {"compile_trotter_step", "StepCompiler", "program_unitary", "simulate_program"}
+    both = []
+    for path in sorted((ROOT / "src" / "pairgap").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if "symmetric3_step" in used and used & compiled:
+            both.append(path.name)
+    assert both == ["backend.py"]
 
 
 def test_public_api_is_small_and_imports_every_module():

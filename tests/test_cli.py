@@ -61,6 +61,17 @@ def test_gap_exact_h2_skips_dark_level(tmp_path):
     assert record["gap_first_over_2pi_hz"] < record["reachable_gap_over_2pi_hz"]
 
 
+def test_gap_exact_lists_the_gap_a_run_reads_on_h1(tmp_path):
+    # one decomposition of the model: gap-exact's first gap and reachable gap
+    # and the run's exact gap are the same float
+    assert main(["gap-exact", "--preset", "h1", "--out", str(tmp_path / "gap")]) == 0
+    assert main(["run", "--preset", "h1", "--out", str(tmp_path / "run")]) == 0
+    gap = json.loads((tmp_path / "gap" / "gap.json").read_text())
+    result = json.loads((tmp_path / "run" / "result.json").read_text())
+    assert gap["reachable_level"] == result["reachable_level"] == 1
+    assert gap["gap_first_rad_s"] == gap["reachable_gap_rad_s"] == result["delta_exact_rad_s"]
+
+
 def test_run_default_h1_converges_on_rate_bound_exit_0(tmp_path):
     proc = run_cli("run", "--preset", "h1", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
@@ -116,6 +127,14 @@ def test_run_q_below_the_fit_minimum_exit_2(tmp_path, capsys):
     # eight samples run to the end; on h1 the fit then does not converge
     assert main(["run", "--preset", "h1", "--override", "run.q=8", "--out", str(tmp_path / "eight")]) == 3
     assert json.loads((tmp_path / "eight" / "result.json").read_text())["q"] == 8
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_noise_amplitude_exit_2(tmp_path, capsys, amplitude):
+    argv = ["run", "--preset", "h1", "--override", f"noise.amplitude={amplitude}", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "noise.amplitude: must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_unknown_key_exit_2():

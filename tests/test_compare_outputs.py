@@ -84,6 +84,18 @@ def test_sweep_difference_reports_the_largest_shift(describe):
     ]
 
 
+def gap_json(level, values, reachable):
+    record = {"reachable_level": level, "sector_eigenvalues_rad_s": values,
+              "gap_first_rad_s": values[1] - values[0], "reachable_gap_rad_s": reachable}
+    return json.dumps(record).encode()
+
+
+def test_gap_difference_reports_the_largest_move(describe):
+    base = (0, "", "", {"gap.json": gap_json(1, [-3.0, 1.0, 5.0], 4.0)})
+    head = (0, "", "", {"gap.json": gap_json(1, [-3.0, 1.0 + 2e-13, 5.0], 4.0 + 2e-13)})
+    assert describe(base, head) == ["files differ: gap.json", "max |d gap.json| 2.00e-13 rad/s"]
+
+
 def test_missing_file_and_stdout_are_named(describe):
     base = (0, "a\n", "", {"gap.json": b"{}"})
     head = (0, "b\n", "", {})
@@ -121,15 +133,17 @@ def test_summary_line_names_the_worst_cases_and_counts_changes(tool):
          (0, "", "", {"result.json": result_json(100.01, 2.0, True)})),
         ("sweep c", (0, "", "", {"sweep.csv": sweep_csv([10.0], [1]), "sweep_summary.json": summary_json(1.97)}),
          (0, "", "", {"sweep.csv": sweep_csv([10.0], [0]), "sweep_summary.json": summary_json(1.98)})),
-        ("gap d", (0, "", "", {"gap.json": json.dumps({"reachable_level": 1}).encode()}),
-         (0, "", "", {"gap.json": json.dumps({"reachable_level": 2}).encode()})),
+        ("gap d", (0, "", "", {"gap.json": gap_json(1, [-3.0, 1.0, 5.0], 4.0)}),
+         (0, "", "", {"gap.json": gap_json(2, [-3.0, 1.0, 5.0], 8.0)})),
+        ("gap e", (0, "", "", {"gap.json": gap_json(1, [-3.0, 1.0, 5.0], 4.0)}),
+         (0, "", "", {"gap.json": gap_json(1, [-3.0, 1.5, 5.0], 4.5)})),
     ]
     assert tool.summarize(differing) == (
-        "summary of 4 differing: worst |d delta_exp|/eps_ft 5.00e-03 (run b); "
-        "worst |d offset_exponent| 1.00e-02 (sweep c); "
+        "summary of 5 differing: worst |d delta_exp|/eps_ft 5.00e-03 (run b); "
+        "worst |d offset_exponent| 1.00e-02 (sweep c); worst |d gap.json| 4.00e+00 rad/s (gap d); "
         "changed: exit 1, converged 2, reachable_level 2, stderr 1"
     )
     assert tool.summarize([]) == (
         "summary of 0 differing: worst |d delta_exp|/eps_ft 0.00e+00; worst |d offset_exponent| 0.00e+00; "
-        "changed: exit 0, converged 0, reachable_level 0, stderr 0"
+        "worst |d gap.json| 0.00e+00 rad/s; changed: exit 0, converged 0, reachable_level 0, stderr 0"
     )

@@ -1,6 +1,7 @@
 """Config parsing, precedence and validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,30 @@ def test_machine_j_stays_in_hz_and_rejects_rad_s():
     assert cfg.machine.j_hz[0][1] == 100.0
     with pytest.raises(ConfigError, match="machine couplings are given in Hz"):
         build_config(preset="h1", overrides=("machine.j_1_2_rad_s=10",))
+
+
+@pytest.mark.parametrize("keys", [
+    ("model.v_1_2_hz", "model.v_2_1_hz"),
+    ("model.v_2_1_hz", "model.v_1_2_hz"),
+    ("model.v_1_2_hz", "model.v_1_2_rad_s"),
+    ("model.v_1_2_rad_s", "model.v_2_1_hz"),
+    ("machine.j_1_2_hz", "machine.j_2_1_hz"),
+    ("machine.j_2_1_hz", "machine.j_1_2_hz"),
+])
+def test_two_keys_for_one_coupling_entry_are_a_config_error(keys):
+    # the entry order must not pick the value
+    first, second = keys
+    with pytest.raises(ConfigError, match=re.escape(f"{first}: give {first} or {second}, not both")):
+        build_config(preset="h1", overrides=(f"{first}=10", f"{second}=20"))
+
+
+def test_one_coupling_key_in_either_index_order():
+    for key in ("model.v_1_2_hz", "model.v_2_1_hz"):
+        coupling = build_config(preset="h1", overrides=(f"{key}=10",)).model.coupling
+        assert coupling[0][1] == coupling[1][0] == pytest.approx(10 * TWO_PI, rel=1e-15)
+    for key in ("machine.j_1_2_hz", "machine.j_2_1_hz"):
+        j = build_config(preset="h1", overrides=(f"{key}=100",)).machine.j_hz
+        assert j[0][1] == j[1][0] == 100.0
 
 
 def test_matrix_indices_validated():

@@ -153,7 +153,7 @@ def couplings_hz(draw):
 @given(couplings_hz())
 def test_event_table_zz_drift_matches_the_kron_oracle_exactly(j):
     n = j.shape[0]
-    table = EventTable(SpinSystem(j), n, "delta")
+    table = EventTable(SpinSystem(j), "delta")
     d = 1.3e-3
     u = table.unitary(Delay(d))
     want = kron_realize(nmr_zz_hamiltonian(j))
@@ -166,7 +166,7 @@ def test_event_table_refuses_more_than_12_spins_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="12"):
-            EventTable(machine, 13, "delta")
+            EventTable(machine, "delta")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,7 +215,7 @@ def test_shared_table_matches_fresh_programs(model, method, pulse_mode):
         for s in range(steps + 1)
     ]
     programs.append(compile_trotter_step(model, TrotterPlan(2e-3, 2), method, MACHINE))
-    table = EventTable(MACHINE, 3, pulse_mode)
+    table = EventTable(MACHINE, pulse_mode)
     psi = np.zeros(8, dtype=complex)
     psi[3] = 1.0
     fresh_psi = psi
@@ -228,7 +228,7 @@ def test_shared_table_matches_fresh_programs(model, method, pulse_mode):
 
 def test_table_bound_to_another_machine_size_or_mode_raises():
     prog = compile_trotter_step(H1, TrotterPlan(2e-3, 2), "w1", MACHINE)
-    table = EventTable(MACHINE, 3, "delta")
+    table = EventTable(MACHINE, "delta")
     want = program_unitary(prog, MACHINE, "delta", table)
     # an equal machine built afresh is the same machine
     assert np.array_equal(program_unitary(prog, spin_system(), "delta", table), want)
@@ -242,9 +242,10 @@ def test_table_bound_to_another_machine_size_or_mode_raises():
     with pytest.raises(ValueError, match="3-spin unitaries, not 2-spin"):
         simulate_program(PulseProgram((RfPulse((1,), 0.0, PI),), n=2), pair, np.eye(4)[0], "delta", table)
     with pytest.raises(ValueError, match="pulse_mode"):
-        EventTable(MACHINE, 3, "gaussian")
-    with pytest.raises(ValueError, match="spin counts differ"):
-        EventTable(MACHINE, 2, "delta")
+        EventTable(MACHINE, "gaussian")
+    # a fresh table holds the machine's spins, which the program must match
+    with pytest.raises(ValueError, match="3-spin unitaries, not 2-spin"):
+        program_unitary(PulseProgram((RfPulse((1,), 0.0, PI),), n=2), MACHINE, "delta")
 
 
 def test_equal_events_hash_alike_and_share_one_unitary():
@@ -255,7 +256,7 @@ def test_equal_events_hash_alike_and_share_one_unitary():
     d, e = Delay(1e-3), Delay(np.float64(1e-3))
     assert d == e and hash(d) == hash(e) and hash(Delay(0.0)) == hash(Delay(-0.0))
     assert d != Delay(2e-3)
-    table = EventTable(MACHINE, 3, "delta")
+    table = EventTable(MACHINE, "delta")
     assert table.unitary(a) is table.unitary(b)
     assert table.unitary(d) is table.unitary(e)
     assert table.unitary(RfPulse((1, 2), 0.5, -1.0)) is not table.unitary(a)
@@ -574,7 +575,7 @@ def test_finite_mode_needs_a_pulse_width():
         program_unitary(prog, machine, "finite")
     # so does a shared table, after building the delays before that pulse
     prog = PulseProgram((Delay(1e-3), RfPulse((1,), 0.0, PI)), n=3)
-    table = EventTable(machine, 3, "finite")
+    table = EventTable(machine, "finite")
     with pytest.raises(ValueError, match=r"finite pulse mode needs machine\.t_pi > 0"):
         program_unitary(prog, machine, "finite", table)
     with pytest.raises(ValueError, match=r"finite pulse mode needs machine\.t_pi > 0"):

@@ -453,20 +453,20 @@ def test_default_h1_fit_stops_on_the_rate_bound(monkeypatch):
 
 
 def test_program_stepper_wall_clock():
-    from pairgap.backend import Backend, step
-    from pairgap.nmr import compile_trotter_step, wall_time
+    from pairgap.backend import step
+    from pairgap.nmr import EventTable, compile_trotter_step, wall_time
     from pairgap.presets import pairing_model, spin_system
     from pairgap.trotter import TrotterPlan
 
     machine = spin_system()
     model, plan = pairing_model("h2"), TrotterPlan(0.5e-3, 2)
     prog = compile_trotter_step(model, plan, "w1", machine)
-    u, wall, clamps = step(model, plan, Backend("w1", machine))
+    u, wall, clamps = step(model, plan, "w1", EventTable(machine, "delta"))
     assert math.isclose(wall, wall_time(prog, machine.t_pi), rel_tol=1e-15)
     assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
     assert clamps == ()
     # an ideal step lasts its simulated time
-    assert step(model, plan, Backend())[1] == plan.t0
+    assert step(model, plan)[1] == plan.t0
 
 
 def test_csv_layouts():

@@ -11,8 +11,9 @@ from scipy.linalg import expm
 import pairgap.trotter as trotter
 from pairgap.config import build_config
 from pairgap.exact import eigendecompose, propagator, sector_gap
-from pairgap.backend import Backend, step
+from pairgap.backend import step
 from pairgap.hamiltonian import PairingModel, realize
+from pairgap.nmr import EventTable
 from pairgap.pipeline import run_experiment
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan, convergence_sweep, symmetric3_step, trotter_error
@@ -157,8 +158,8 @@ def test_symmetric3_second_order_in_k():
 
 def test_symmetric3_nmr_realizer_matches_ideal():
     plan = TrotterPlan(0.5e-3, 2)
-    ideal, _, _ = step(H1, plan, Backend())
-    via_machine, _, _ = step(H1, plan, Backend("w1", spin_system()))
+    ideal, _, _ = step(H1, plan)
+    via_machine, _, _ = step(H1, plan, "w1", EventTable(spin_system(), "delta"))
     assert np.array_equal(ideal, symmetric3_step(H1, plan))
     assert np.max(np.abs(ideal - via_machine)) < 1e-12
 

@@ -22,9 +22,11 @@ stderr, artifact files) and, from both sides' result.json, sweep.csv and
 sweep_summary.json, how far the fit moved: the largest |delta_exp change| in
 units of epsilon_ft (in rad/s on generic sweeps, which record no epsilon_ft),
 the relative change of residual_norm, the change of the offset exponent,
-every flip of `converged`, and a run's reachable level on both sides with the
-change of its exact gap. The last line sums up every differing case: the
-worst delta_exp move in units of epsilon_ft and the worst offset-exponent
+every flip of `converged`, a run's reachable level on both sides with the
+change of its exact gap, and how far gap-exact's gap.json moved: the largest
+|change| in rad/s over its sector eigenvalues, first gap and reachable gap.
+The last line sums up every differing case: the worst delta_exp move in
+units of epsilon_ft, the worst offset-exponent move and the worst gap.json
 move, each with its case, and how many exit codes, converged flags,
 reachable levels and stderr streams changed.
 """
@@ -109,6 +111,17 @@ def _sweep_rows(body: bytes) -> list[dict[str, str]]:
     return list(csv.DictReader(io.StringIO(body.decode())))
 
 
+def _gap_move(base: dict[str, bytes], head: dict[str, bytes]) -> float | None:
+    """Largest |change| in rad/s over gap.json's sector eigenvalues, first gap
+    and reachable gap; None unless both sides wrote gap.json."""
+    if "gap.json" not in base or "gap.json" not in head:
+        return None
+    b, h = json.loads(base["gap.json"]), json.loads(head["gap.json"])
+    pairs = list(zip(b["sector_eigenvalues_rad_s"], h["sector_eigenvalues_rad_s"]))
+    pairs += [(b[key], h[key]) for key in ("gap_first_rad_s", "reachable_gap_rad_s")]
+    return max(abs(y - x) for x, y in pairs)
+
+
 def _fit_moves(base: dict[str, bytes], head: dict[str, bytes]) -> list[str]:
     """How far the fitted quantities moved between the two sides' artifacts."""
     moves = []
@@ -142,15 +155,21 @@ def _fit_moves(base: dict[str, bytes], head: dict[str, bytes]) -> list[str]:
         b, h = json.loads(base["sweep_summary.json"]), json.loads(head["sweep_summary.json"])
         if b["offset_exponent"] is not None and h["offset_exponent"] is not None:
             moves.append(f"d offset_exponent {h['offset_exponent'] - b['offset_exponent']:+.2e}")
+    gap = _gap_move(base, head)
+    if gap is not None:
+        moves.append(f"max |d gap.json| {gap:.2e} rad/s")
     return moves
 
 
-def _tally(base: dict[str, bytes], head: dict[str, bytes]) -> tuple[list[float], list[float], int, int]:
+def _tally(base: dict[str, bytes], head: dict[str, bytes]) -> tuple[list[float], list[float], list[float], int, int]:
     """What the summary line counts for one case: every |delta_exp change| in
     units of epsilon_ft (result.json and t0-sweep rows), every |change| of
-    the offset exponent, and the number of converged flips and of
-    reachable-level changes (result.json and gap.json)."""
+    the offset exponent, the gap.json move in rad/s, and the number of
+    converged flips and of reachable-level changes (result.json and
+    gap.json)."""
     shifts, exponents, flips, levels = [], [], 0, 0
+    gap = _gap_move(base, head)
+    gaps = [] if gap is None else [gap]
     for name in ("result.json", "gap.json"):
         if name in base and name in head:
             b, h = json.loads(base[name]), json.loads(head[name])
@@ -168,26 +187,30 @@ def _tally(base: dict[str, bytes], head: dict[str, bytes]) -> tuple[list[float],
         b, h = json.loads(base["sweep_summary.json"]), json.loads(head["sweep_summary.json"])
         if b["offset_exponent"] is not None and h["offset_exponent"] is not None:
             exponents.append(abs(h["offset_exponent"] - b["offset_exponent"]))
-    return shifts, exponents, flips, levels
+    return shifts, exponents, gaps, flips, levels
 
 
 def summarize(differing: list[tuple[str, Outcome, Outcome]]) -> str:
     """One line over every differing (label, base, head) case: the worst
-    |delta_exp change|/epsilon_ft and the worst |offset exponent change|,
-    each with its case, and how many exit codes, converged flags, reachable
-    levels and stderr streams changed."""
-    worst = {"|d delta_exp|/eps_ft": (0.0, ""), "|d offset_exponent|": (0.0, "")}
+    |delta_exp change|/epsilon_ft, the worst |offset exponent change| and
+    the worst gap.json move in rad/s, each with its case, and how many exit
+    codes, converged flags, reachable levels and stderr streams changed."""
+    worst = {"|d delta_exp|/eps_ft": (0.0, ""), "|d offset_exponent|": (0.0, ""), "|d gap.json|": (0.0, "")}
+    units = {"|d gap.json|": " rad/s"}
     exits = flips = levels = stderrs = 0
     for label, base, head in differing:
-        shifts, exponents, case_flips, case_levels = _tally(base[3], head[3])
-        for key, values in zip(worst, (shifts, exponents)):
+        shifts, exponents, gaps, case_flips, case_levels = _tally(base[3], head[3])
+        for key, values in zip(worst, (shifts, exponents, gaps)):
             if values and max(values) > worst[key][0]:
                 worst[key] = (max(values), label)
         exits += base[0] != head[0]
         stderrs += base[2] != head[2]
         flips += case_flips
         levels += case_levels
-    parts = [f"worst {key} {value:.2e}" + (f" ({label})" if label else "") for key, (value, label) in worst.items()]
+    parts = [
+        f"worst {key} {value:.2e}{units.get(key, '')}" + (f" ({label})" if label else "")
+        for key, (value, label) in worst.items()
+    ]
     parts.append(f"changed: exit {exits}, converged {flips}, reachable_level {levels}, stderr {stderrs}")
     return f"summary of {len(differing)} differing: " + "; ".join(parts)
 
