@@ -61,9 +61,10 @@ def prepare(
     step eigensystems, and the returned state holds exact zeros outside it.
 
     A compiled method runs on ``table``, the run's pulse-event table (its
-    machine and pulse mode), and raises ValueError without one. It builds
-    each distinct pulse once per table and each step template once per
-    call, stamped for every s.
+    machine and pulse mode), and raises ValueError without one. It compiles
+    all S + 1 programs first, each step template once per call and stamped
+    for every s, and the table builds each distinct event once, in one
+    stacked batch for the whole ramp.
     """
     psi = np.asarray(init, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
@@ -78,9 +79,8 @@ def prepare(
         psi = np.zeros_like(psi)
         psi[ramp.idx] = sub
     elif schedule.t_ad > 0:
-        step_state = state_stepper(TrotterPlan(schedule.t_ad, schedule.k), schedule.method, table)
-        for s in range(ramp.steps + 1):
-            psi = step_state(ramp.step_model(s), psi)
+        step_states = state_stepper(TrotterPlan(schedule.t_ad, schedule.k), schedule.method, table)
+        psi = step_states([ramp.step_model(s) for s in range(ramp.steps + 1)], psi)
     if check_adiabaticity and schedule.t_ad > 0 and ramp.values.shape[1] > 1:
         min_gap = float((ramp.values[:, 1] - ramp.values[:, 0]).min())
         if min_gap < 1.0 / (ramp.steps * schedule.t_ad):

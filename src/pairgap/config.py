@@ -96,8 +96,9 @@ class ExperimentConfig:
             raise ConfigError("run.init: need one bit per mode")
         if not 0.0 < self.population_floor < 1.0:
             raise ConfigError("run.population_floor: must lie in (0, 1)")
-        if not (self.noise_amplitude >= 0 and math.isfinite(self.noise_amplitude)):
-            raise ConfigError("noise.amplitude: must be finite and non-negative")
+        # the noise is drawn from [-a, a], whose width 2a must be finite too
+        if not (self.noise_amplitude >= 0 and math.isfinite(2 * self.noise_amplitude)):
+            raise ConfigError("noise.amplitude: must be finite and non-negative, and 2 * amplitude finite")
         if self.machine.n != self.model.n:
             raise ConfigError("machine.j_hz: spin count differs from the model")
 

@@ -3,8 +3,9 @@
 H = sum_m -(f nu_m / 2) Z_m + sum_{m<l} (f V_ml / 2)(X_m X_l + Y_m Y_l)
 conserves the number of qubits in |1> (the pair number), so it is built one
 pair sector at a time: ``_hop_list`` lays out which sector states a 01 <-> 10
-swap on each mode pair connects, ``_sector_block`` fills a sector's block
-from it, and ``realize`` places every block into the dense 2^n matrix.
+swap on each mode pair connects, ``_sector_blocks`` fills a sector's blocks
+from it (one per coupling scale, for the preparation ramp), and ``realize``
+places every block into the dense 2^n matrix.
 
 Conventions used throughout the package: hbar = 1, every energy is an angular
 frequency in rad/s, Z|0> = +|0>, and qubit 1 is the most significant bit of a
@@ -122,18 +123,21 @@ def _hop_list(n: int, pairs: int) -> tuple[np.ndarray, ...]:
     return layout
 
 
-def _sector_block(model: PairingModel, pairs: int) -> np.ndarray:
-    """The block of H on the sector of ``pairs`` pairs, in sector_basis
-    order, built from the hop list at dimension C(n, pairs).
+def _sector_blocks(model: PairingModel, pairs: int, scales) -> np.ndarray:
+    """The blocks of H on the sector of ``pairs`` pairs, in sector_basis
+    order, with the couplings scaled by each of ``scales`` in turn (the
+    couplings of ``model.with_coupling_scale(scale)``), stacked; built from
+    the hop list at dimension C(n, pairs).
 
     The diagonal sums the on-site terms -(f nu_m / 2) z_m in mode order from
-    0.0. The XX and YY terms of pair (m, l), with c = 0.5 f V_ml, each put c
-    on a 01 <-> 10 hop (on 00 <-> 11 they cancel, outside the sector), so
-    the hop entry is (0.0 + c) + c, which is also the 0.0 a zero coupling
-    leaves (c = -0.0 included). Every imaginary part is +0.0. That is the
-    order in which a sum of Pauli-string tensor products, on-site terms
-    first, accumulates each entry, so the blocks equal that sum's sector
-    slices bit for bit, signed zeros included.
+    0.0, once for every scale. The XX and YY terms of pair (m, l), with
+    c = 0.5 f (V_ml scale), each put c on a 01 <-> 10 hop (on 00 <-> 11
+    they cancel, outside the sector), so the hop entry is (0.0 + c) + c,
+    which is also the 0.0 a zero coupling leaves (c = -0.0 included). Every
+    imaginary part is +0.0. That is the order in which a sum of Pauli-string
+    tensor products, on-site terms first, accumulates each entry, so the
+    blocks equal that sum's sector slices bit for bit, signed zeros
+    included.
     """
     idx, odd, upper, hop_at, hop_pair = _hop_list(model.n, pairs)
     f = model.convention_factor
@@ -142,12 +146,18 @@ def _sector_block(model: PairingModel, pairs: int) -> np.ndarray:
     for m, nu in enumerate(model.nu):
         a = -0.5 * f * nu
         diag += np.where(odd[m], -a, a)
-    c = 0.5 * f * model.coupling.take(upper)
-    block = np.zeros((dim, dim), dtype=complex)
-    flat = block.reshape(-1)
-    flat[:: dim + 1] = diag
-    flat[hop_at] = ((0.0 + c) + c)[hop_pair]
-    return block
+    c = 0.5 * f * (model.coupling.take(upper)[None, :] * np.asarray(scales, dtype=float)[:, None])
+    blocks = np.zeros((len(c), dim, dim), dtype=complex)
+    flat = blocks.reshape(len(c), -1)
+    flat[:, :: dim + 1] = diag
+    flat[:, hop_at] = ((0.0 + c) + c)[:, hop_pair]
+    return blocks
+
+
+def _sector_block(model: PairingModel, pairs: int) -> np.ndarray:
+    """The block of H on the sector of ``pairs`` pairs: ``_sector_blocks``
+    at scale 1.0, which leaves every coupling as it is."""
+    return _sector_blocks(model, pairs, (1.0,))[0]
 
 
 def realize(model: PairingModel) -> np.ndarray:

@@ -12,11 +12,12 @@ on-resonance RF applied jointly with the ZZ coupling).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import propagator
+from .exact import _require_hermitian
 from .hamiltonian import PairingModel, _check_dense, _check_symmetric, _signs
 
 _PI = math.pi
@@ -144,41 +145,44 @@ def _wrap_angle(angle: float) -> float:
     return a
 
 
-def _onsite_events(model: PairingModel, t: float, parity: dict[int, int], out: list) -> None:
+def _onsite_events(model: PairingModel, t: float, parity: dict[int, int], out: list, pulse) -> None:
     """Composite z-rotations realizing the free evolution for time t.
 
     Chronologically R_{-pi/2}(pi/2), per-spin R_0(nu_m t), R_{pi/2}(pi/2); the
     bracketing pulses share phase and angle across spins and merge into single
     multi-target events. A spin whose refocusing parity is odd gets its
-    z-angle negated, since the surrounding flips invert its frame.
+    z-angle negated, since the surrounding flips invert its frame. Every
+    pulse comes from ``pulse(targets, phase, angle)``.
     """
     every = tuple(range(1, model.n + 1))
-    out.append(RfPulse(every, -_PI / 2, _PI / 2))
+    out.append(pulse(every, -_PI / 2, _PI / 2))
     for m in range(1, model.n + 1):
         sign = -1.0 if parity[m] % 2 else 1.0
         angle = sign * model.convention_factor * model.nu[m - 1] * t
-        out.append(RfPulse((m,), 0.0, _wrap_angle(angle)))
-    out.append(RfPulse(every, _PI / 2, _PI / 2))
+        out.append(pulse((m,), 0.0, _wrap_angle(angle)))
+    out.append(pulse(every, _PI / 2, _PI / 2))
 
 
 def _coupling_delay(model: PairingModel, t: float, machine: SpinSystem) -> tuple[float, tuple]:
     """Shared ZZ delay realizing angle V_ml * t on every coupled pair, plus
-    those pairs as 0-based (i, j) with i < j."""
-    v = model.coupling * model.convention_factor
+    those pairs as 0-based (i, j) with i < j. Both tables are read as Python
+    floats, whose arithmetic is the same IEEE arithmetic as numpy's."""
+    v = (model.coupling * model.convention_factor).tolist()
     pairs = tuple(
         (i, j)
         for i in range(model.n)
         for j in range(i + 1, model.n)
-        if v[i, j] != 0.0
+        if v[i][j] != 0.0
     )
     if not pairs:
         return 0.0, pairs
+    j_table = machine.j_hz.tolist()
     durations = []
     for i, j in pairs:
-        j_hz = machine.j_hz[i, j]
+        j_hz = j_table[i][j]
         if j_hz == 0.0:
             raise ValueError(f"unrealizable coupling: spins {i + 1},{j + 1} have J = 0")
-        d = v[i, j] * t / (_PI * j_hz)
+        d = v[i][j] * t / (_PI * j_hz)
         if d < 0:
             raise ValueError(
                 f"coupling on spins {i + 1},{j + 1} requires a negative delay"
@@ -207,11 +211,13 @@ def _coupling_events(
     delayed: bool,
     parity: dict[int, int],
     out: list,
+    pulse,
 ) -> None:
     """One coupling block: basis-change sandwich on the coupled spins around a
     shared ZZ delay, left as a slot; when the delay is nonzero (``delayed``),
     uncoupled spins get a single X pi pulse at its midpoint, which cancels
-    their coupling to the active spins over the block.
+    their coupling to the active spins over the block. Every pulse comes
+    from ``pulse(targets, phase, angle)``.
 
     Spectators are flipped together, so two of them with nonzero mutual J
     would keep that coupling through the block; so would two coupled spins
@@ -251,16 +257,16 @@ def _coupling_events(
                 f"coupled spins {'; '.join(leaked)} have V = 0 but J != 0: the "
                 "shared delay leaves their mutual coupling on"
             )
-    out.append(RfPulse(tuple(coupled), open_phase, _PI / 2))
+    out.append(pulse(tuple(coupled), open_phase, _PI / 2))
     if idle and delayed:
         out.append(_Slot(t, True))
-        out.append(RfPulse(idle, 0.0, _PI))
+        out.append(pulse(idle, 0.0, _PI))
         out.append(_Slot(t, True))
         for m in idle:
             parity[m] += 1
     else:
         out.append(_Slot(t, False))
-    out.append(RfPulse(tuple(coupled), close_phase, _PI / 2))
+    out.append(pulse(tuple(coupled), close_phase, _PI / 2))
 
 
 def _stamp(template: tuple, delays: dict[float, float], n: int) -> PulseProgram:
@@ -289,6 +295,8 @@ class StepCompiler:
     coupled pairs and which block delays are nonzero. It is built once per
     such key as a template with a slot per coupling delay, which each model
     stamps with its own delays: a ramp's steps s >= 1 share one template.
+    Each distinct pulse is built and validated once per compiler, so its
+    templates share their RfPulse objects.
     """
 
     def __init__(self, plan, method: str, machine: SpinSystem):
@@ -298,6 +306,16 @@ class StepCompiler:
         self.method = method
         self.machine = machine
         self._templates: dict[tuple, tuple] = {}
+        self._pulses: dict[tuple, RfPulse] = {}
+
+    def _pulse(self, targets: tuple[int, ...], phase: float, angle: float) -> RfPulse:
+        # the angle's sign is part of the key: a -0.0 angle keeps its own
+        # pulse, which a compiled program's text prints as -0.0
+        key = (targets, phase, angle, math.copysign(1.0, angle))
+        ev = self._pulses.get(key)
+        if ev is None:
+            ev = self._pulses[key] = RfPulse(targets, phase, angle)
+        return ev
 
     def compile(self, model: PairingModel) -> PulseProgram:
         if self.machine.n != model.n:
@@ -319,13 +337,13 @@ class StepCompiler:
         parity = {m: 0 for m in range(1, model.n + 1)}
         events: list = []
         for _ in range(self.plan.k):
-            _onsite_events(model, tau / 2, parity, events)
+            _onsite_events(model, tau / 2, parity, events, self._pulse)
             for axis, t in (("X", tau / 2), ("Y", tau), ("X", tau / 2)):
-                _coupling_events(axis, t, self.machine, pairs, delays[t] > 0, parity, events)
-            _onsite_events(model, tau / 2, parity, events)
+                _coupling_events(axis, t, self.machine, pairs, delays[t] > 0, parity, events, self._pulse)
+            _onsite_events(model, tau / 2, parity, events, self._pulse)
         odd = tuple(m for m in range(1, model.n + 1) if parity[m] % 2)
         if odd:
-            events.append(RfPulse(odd, 0.0, _PI))
+            events.append(self._pulse(odd, 0.0, _PI))
         if self.method == W2:
             for i in range(1, len(events) - 1):
                 prev, ev, nxt = events[i - 1 : i + 2]
@@ -341,61 +359,55 @@ def compile_trotter_step(model, plan, method: str, machine: SpinSystem) -> Pulse
     return StepCompiler(plan, method, machine).compile(model)
 
 
-def _rotation_unitary(n: int, targets: tuple[int, ...], phase: float, angle: float) -> np.ndarray:
-    """R_phase(angle) on every target spin, identity elsewhere, spin q at bit n - q.
+def _rotation_unitary(n: int, targets: tuple[int, ...], phases, angles) -> np.ndarray:
+    """R_phase(angle) on every target spin, identity elsewhere, spin q at bit
+    n - q; one matrix per (phase, angle) pair, stacked.
 
     Row i holds its entries in the columns i ^ m, m running over the subsets
     of the target bits. Each entry multiplies the targets' 2 x 2 factors in
     ascending spin order, the order of the tensor product, so it rounds the
     same way.
     """
-    c = math.cos(angle / 2)
-    s = math.sin(angle / 2)
-    r = np.array(
-        [[c, 1j * s * np.exp(-1j * phase)], [1j * s * np.exp(1j * phase), c]],
-        dtype=complex,
-    )
+    r = np.empty((len(angles), 2, 2), dtype=complex)
+    for i, (phase, angle) in enumerate(zip(phases, angles)):
+        c = math.cos(angle / 2)
+        s = math.sin(angle / 2)
+        r[i] = [[c, 1j * s * np.exp(-1j * phase)], [1j * s * np.exp(1j * phase), c]]
     shifts = [n - t for t in sorted(targets)]
     flips = np.zeros(1, dtype=int)
     for b in shifts:
         flips = np.concatenate((flips, flips | (1 << b)))
     rows = np.arange(2**n)[:, None]
     cols = rows ^ flips
-    vals = np.ones(cols.shape, dtype=complex)
+    vals = np.ones((len(r),) + cols.shape, dtype=complex)
     for b in shifts:
-        vals = vals * r[(rows >> b) & 1, (cols >> b) & 1]
-    u = np.zeros((2**n, 2**n), dtype=complex)
-    u[rows, cols] = vals
+        vals = vals * r[:, (rows >> b) & 1, (cols >> b) & 1]
+    u = np.zeros((len(r), 2**n, 2**n), dtype=complex)
+    u[:, rows, cols] = vals
     return u
 
 
-def _axis_field(n: int, targets: tuple[int, ...], phase: float) -> np.ndarray:
-    """Dense sum over targets of (X_t cos(phase) + Y_t sin(phase)) / 2.
+def _axis_field(n: int, targets, phases) -> np.ndarray:
+    """Dense sum over a pulse's targets of (X_t cos(phase) + Y_t sin(phase))
+    / 2, one matrix per pulse, stacked; ``targets`` holds each pulse's
+    target set and ``phases`` its phase.
 
     Row i holds target t's entries in column i ^ (1 << (n - t)): X adds
     cos(phase) / 2, then Y adds -i sin(phase) / 2, negated where spin t
     reads 1; in that order, the sum of the tensor products rounds the same.
+    Each spin is filled at once in every pulse that targets it.
     """
     rows = np.arange(2**n)
-    x = complex(0.5 * math.cos(phase))
-    y = complex(0.5 * math.sin(phase)) * -1j
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for t in targets:
-        cols = rows ^ (1 << (n - t))
-        out[rows, cols] += x
-        out[rows, cols] += np.where(_signs(n)[:, t - 1] < 0, -y, y)
+    x = np.array([complex(0.5 * math.cos(phase)) for phase in phases])[:, None]
+    y = np.array([complex(0.5 * math.sin(phase)) * -1j for phase in phases])[:, None]
+    out = np.zeros((len(phases), 2**n, 2**n), dtype=complex)
+    for t in range(1, n + 1):
+        at = [b for b, pulse in enumerate(targets) if t in pulse]
+        if at:
+            entries = (np.array(at)[:, None], rows, rows ^ (1 << (n - t)))
+            out[entries] += x[at]
+            out[entries] += np.where(_signs(n)[:, t - 1] < 0, -y[at], y[at])
     return out
-
-
-def _pulse_unitary(ev: RfPulse, n: int, machine: SpinSystem, pulse_mode: str, zz: np.ndarray) -> np.ndarray:
-    if pulse_mode == DELTA:
-        return _rotation_unitary(n, ev.targets, ev.phase, ev.angle)
-    if machine.t_pi <= 0:
-        raise ValueError("finite pulse mode needs machine.t_pi > 0")
-    duration = machine.t_pi * abs(ev.angle) / _PI
-    omega1 = -math.copysign(_PI / machine.t_pi, ev.angle)
-    h = omega1 * _axis_field(n, ev.targets, ev.phase) + zz
-    return propagator(h, duration)
 
 
 class EventTable:
@@ -404,13 +416,17 @@ class EventTable:
     Delays evolve the diagonal ZZ Hamiltonian; finite-mode pulses evolve RF
     plus ZZ for duration t_pi |angle| / pi with amplitude
     omega_1 = -sign(angle) pi / t_pi, which reproduces the perfect rotation
-    exactly when J = 0.
+    exactly when J = 0. A pulse of angle 0 (or -0.0, the same key) is the
+    identity.
 
     Each distinct event, keyed by the frozen Delay or RfPulse itself, is
-    built on first use and then shared by every program applied through the
-    table; the ZZ diagonal is built once too. A run keeps one table, the one
-    carrier of its machine and pulse mode: its preparation programs and its
-    step program all run on it and repeat the same few pulses. Using the
+    built once and then shared by every program applied through the table;
+    the ZZ diagonal is built once too. A caller hands the table every event
+    it is about to apply (``_build_all``), and the table builds the ones it
+    lacks in stacked batches, one numpy pass per event kind; ``unitary``
+    builds a missing event as a batch of one. A run keeps one table, the
+    one carrier of its machine and pulse mode: its preparation programs and
+    its step program all run on it and repeat the same few pulses. Using the
     table with another machine, spin count or pulse mode raises ValueError
     instead of returning another machine's unitary, and so does building
     one for more than 12 spins.
@@ -441,25 +457,67 @@ class EventTable:
     def unitary(self, ev: PulseEvent) -> np.ndarray:
         u = self._unitaries.get(ev)
         if u is None:
-            u = self._build(ev)
-            u.flags.writeable = False
-            self._unitaries[ev] = u
+            self._build_all((ev,))
+            u = self._unitaries[ev]
         return u
 
-    def _build(self, ev: PulseEvent) -> np.ndarray:
+    def _build_all(self, events: Iterable[PulseEvent]) -> None:
+        """Build, read-only, the unitary of every event in ``events`` that the
+        table lacks: the delays on stacked diagonals, the identity for each
+        zero-angle pulse, the other pulses in ``_pulse_unitaries``."""
+        todo = [ev for ev in dict.fromkeys(events) if ev not in self._unitaries]
+        if not todo:
+            return
+        dim = 2**self.n
         if self._zz is None:
             # sum_{i<j} (pi/2) J_ij z_i z_j, in pair order from 0.0
             z, j = _signs(self.n), self.machine.j_hz
-            self._zz_diag = np.zeros(2**self.n)
+            self._zz_diag = np.zeros(dim)
             for a in range(self.n):
                 for b in range(a + 1, self.n):
                     self._zz_diag += (0.5 * _PI * j[a, b]) * (z[:, a] * z[:, b])
             self._zz = np.diag(self._zz_diag.astype(complex))
-        if isinstance(ev, Delay):
-            return np.diag(np.exp(-1j * self._zz_diag * ev.duration))
-        if ev.angle == 0.0:
-            return np.eye(2**self.n, dtype=complex)
-        return _pulse_unitary(ev, self.n, self.machine, self.pulse_mode, self._zz)
+        delays, idle, pulses = [], [], []
+        for ev in todo:
+            (delays if isinstance(ev, Delay) else pulses if ev.angle != 0.0 else idle).append(ev)
+        batches = []
+        if delays:
+            durations = np.array([ev.duration for ev in delays])
+            u = np.zeros((len(delays), dim, dim), dtype=complex)
+            u[:, np.arange(dim), np.arange(dim)] = np.exp((-1j * self._zz_diag)[None, :] * durations[:, None])
+            batches.append((delays, u))
+        if idle:
+            batches.append((idle, np.broadcast_to(np.eye(dim, dtype=complex), (len(idle), dim, dim))))
+        if pulses:
+            batches.append(self._pulse_unitaries(pulses))
+        for evs, u in batches:
+            u.flags.writeable = False
+            self._unitaries.update(zip(evs, u))
+
+    def _pulse_unitaries(self, pulses: list[RfPulse]) -> tuple[list[RfPulse], np.ndarray]:
+        """Unitaries of nonzero-angle pulses, stacked, and the pulses in the
+        order of the stack. Delta mode stacks the perfect rotations, grouped
+        by target set; finite mode stacks every RF field plus ZZ, checks each
+        matrix's Hermiticity against its own largest entry, decomposes them
+        all in one ``eigh`` and evolves each for its width."""
+        if self.pulse_mode == DELTA:
+            groups: dict[tuple[int, ...], list[RfPulse]] = {}
+            for ev in pulses:
+                groups.setdefault(ev.targets, []).append(ev)
+            stacks = [
+                _rotation_unitary(self.n, targets, [ev.phase for ev in group], [ev.angle for ev in group])
+                for targets, group in groups.items()
+            ]
+            return [ev for group in groups.values() for ev in group], np.concatenate(stacks)
+        t_pi = self.machine.t_pi
+        if t_pi <= 0:
+            raise ValueError("finite pulse mode needs machine.t_pi > 0")
+        fields = _axis_field(self.n, [ev.targets for ev in pulses], [ev.phase for ev in pulses])
+        omega1 = np.array([-math.copysign(_PI / t_pi, ev.angle) for ev in pulses])
+        durations = np.array([t_pi * abs(ev.angle) / _PI for ev in pulses])
+        values, vectors = np.linalg.eigh(_require_hermitian(omega1[:, None, None] * fields + self._zz))
+        phases = np.exp(-1j * values * durations[:, None])
+        return pulses, (vectors * phases[:, None, :]) @ vectors.conj().swapaxes(-2, -1)
 
 
 def _table_for(program: PulseProgram, machine: SpinSystem, pulse_mode: str, table: EventTable | None) -> EventTable:

@@ -2,7 +2,8 @@
 as a dedicated section at the end of the pytest run, two step oracles that
 need no DFT and no fit (the step's own spectral line and the t0/k order of its
 pair-number leak), the step built from dense eigendecompositions, test-only
-operators and pulse blocks, the Pauli-sum form of every Hamiltonian and the
+operators and pulse blocks, the per-event unitary reference of the pulse
+table, the Pauli-sum form of every Hamiltonian and the
 np.kron builders that realize it, the dense exact side (sector blocks sliced
 from the full Hamiltonian, the dense exact preparation), the reference step
 compiler, the reference acquisition loop and two reference damped-cosine
@@ -128,7 +129,7 @@ def first_order_step(parts: list[np.ndarray], t: float, k: int) -> np.ndarray:
 def compile_onsite(model, t: float) -> PulseProgram:
     """The compiler's on-site block alone: the free evolution for time t."""
     events = []
-    _onsite_events(model, t, {m: 0 for m in range(1, model.n + 1)}, events)
+    _onsite_events(model, t, {m: 0 for m in range(1, model.n + 1)}, events, RfPulse)
     return PulseProgram(tuple(events), model.n)
 
 
@@ -137,7 +138,7 @@ def compile_coupling(model, axis: str, t: float, machine) -> PulseProgram:
     leaves a spectator spin net-flipped; a full step program restores it."""
     d, pairs = _coupling_delay(model, t, machine)
     events = []
-    _coupling_events(axis, t, machine, pairs, d > 0, {m: 0 for m in range(1, model.n + 1)}, events)
+    _coupling_events(axis, t, machine, pairs, d > 0, {m: 0 for m in range(1, model.n + 1)}, events, RfPulse)
     return _stamp(tuple(events), {t: d}, model.n)
 
 
@@ -192,11 +193,11 @@ def reference_compile_step(model, plan, method, machine) -> PulseProgram:
     parity = {m: 0 for m in range(1, model.n + 1)}
     events = []
     for _ in range(plan.k):
-        _onsite_events(model, tau / 2, parity, events)
+        _onsite_events(model, tau / 2, parity, events, RfPulse)
         _reference_coupling_events(model, "X", tau / 2, machine, parity, events)
         _reference_coupling_events(model, "Y", tau, machine, parity, events)
         _reference_coupling_events(model, "X", tau / 2, machine, parity, events)
-        _onsite_events(model, tau / 2, parity, events)
+        _onsite_events(model, tau / 2, parity, events, RfPulse)
     odd = tuple(m for m in range(1, model.n + 1) if parity[m] % 2)
     if odd:
         events.append(RfPulse(odd, 0.0, math.pi))
@@ -311,6 +312,25 @@ def kron_rotation_unitary(n: int, targets: tuple[int, ...], phase: float, angle:
     for q in range(1, n + 1):
         acc = np.kron(acc, r if q in targets else eye)
     return acc
+
+
+def reference_event_unitary(ev, machine, pulse_mode: str) -> np.ndarray:
+    """One pulse-program event's unitary built on its own: the ZZ drift and
+    the RF operators from the kron builders, a zero-angle pulse as the
+    identity, and a finite pulse through its own exact.propagator (one
+    eigendecomposition per event). The event table builds events in
+    stacked batches; every one must equal this bit for bit."""
+    n = machine.n
+    zz = kron_realize(nmr_zz_hamiltonian(machine.j_hz))
+    if isinstance(ev, Delay):
+        return np.diag(np.exp(-1j * np.real(np.diag(zz)) * ev.duration))
+    if ev.angle == 0.0:
+        return np.eye(2**n, dtype=complex)
+    if pulse_mode == "delta":
+        return kron_rotation_unitary(n, ev.targets, ev.phase, ev.angle)
+    omega1 = -math.copysign(math.pi / machine.t_pi, ev.angle)
+    h = omega1 * kron_axis_field(n, ev.targets, ev.phase) + zz
+    return propagator(h, machine.t_pi * abs(ev.angle) / math.pi)
 
 
 def kron_axis_field(n: int, targets: tuple[int, ...], phase: float) -> np.ndarray:

@@ -222,14 +222,14 @@ def test_run_prepares_once_and_reads_its_level_from_that_state(monkeypatch):
 def test_run_builds_no_dense_ramp_and_one_eigensystem_per_step(monkeypatch, method):
     # the ramp works inside the pair sector, with no dense H_s, and decomposes
     # its S + 1 blocks in one stacked eigh shared by the evolution, the gap
-    # check and the reachable level (the w1 pulses' own eigensolves are 8 x 8)
+    # check and the reachable level (w1 delta pulses need no eigensolve)
     solved = counting(monkeypatch, np.linalg, "eigh")
     cfg = build_config(preset="h1", overrides=(f"run.method={method}",))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
         run_experiment(cfg)
     assert not hasattr(pairgap.exact, "realize")
-    assert [h.shape for h in solved if h.shape != (8, 8)] == [(cfg.schedule_steps + 1, 3, 3)]
+    assert [h.shape for h in solved] == [(cfg.schedule_steps + 1, 3, 3)]
 
 
 def sweep_row(cfg, t0, q):
@@ -279,7 +279,16 @@ def test_failed_preparation_puts_its_error_on_every_row(monkeypatch):
 
 
 def test_run_builds_each_distinct_pulse_once(monkeypatch):
-    built = counting(monkeypatch, pairgap.nmr, "_pulse_unitary")
+    # the table builds its pulses in stacked batches: record every pulse a
+    # batch is handed
+    built = []
+    batch = EventTable._pulse_unitaries
+
+    def recording(self, pulses):
+        built.extend(pulses)
+        return batch(self, pulses)
+
+    monkeypatch.setattr(EventTable, "_pulse_unitaries", recording)
     cfg = build_config(preset="h1", overrides=("run.method=w1", "run.pulse_mode=finite"))
     steps = cfg.schedule_steps
     programs = [
@@ -299,6 +308,25 @@ def test_run_builds_each_distinct_pulse_once(monkeypatch):
         built.clear()
         run_experiment(cfg)
     assert built == first
+
+
+@pytest.mark.parametrize("evolver", ["nmr", "trotter"])
+def test_compiled_run_decomposes_its_pulses_in_one_eigh_per_batch(monkeypatch, evolver):
+    # the ramp's stacked eigh, then one per event-table batch: the compiled
+    # preparation hands over its S + 1 programs' events together, the step
+    # its one program's
+    solved = counting(monkeypatch, np.linalg, "eigh")
+    cfg = build_config(
+        preset="h1", overrides=("run.method=w2", "run.pulse_mode=finite", f"schedule.evolver={evolver}")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        run_experiment(cfg)
+    ramp = (cfg.schedule_steps + 1, 3, 3)
+    batches = 2 if evolver == "nmr" else 1
+    assert [h.shape for h in solved][0] == ramp
+    assert len(solved) == 1 + batches <= 3
+    assert all(h.ndim == 3 and h.shape[1:] == (8, 8) for h in solved[1:])
 
 
 def test_run_compiles_each_template_once(monkeypatch):

@@ -137,6 +137,18 @@ def test_non_finite_or_negative_noise_amplitude_exit_2(tmp_path, capsys, amplitu
     assert not (tmp_path / "result.json").exists()
 
 
+def test_noise_amplitude_with_an_infinite_range_exit_2(tmp_path, capsys):
+    # 1e308 is finite, but the draw's range [-a, a] is 2e308 wide; at 8e307
+    # it is finite and the run ends normally
+    argv = ["run", "--preset", "h1", "--override", "noise.amplitude=1e308", "--out", str(tmp_path / "wide")]
+    assert main(argv) == 2
+    assert "noise.amplitude: must be finite and non-negative, and 2 * amplitude finite" in capsys.readouterr().err
+    assert not (tmp_path / "wide").exists()
+    argv = ["run", "--preset", "h1", "--override", "noise.amplitude=8e307", "--out", str(tmp_path / "ok")]
+    assert main(argv) == 0
+    assert (tmp_path / "ok" / "result.json").exists()
+
+
 def test_unknown_key_exit_2():
     proc = run_cli("gap-exact", "--preset", "h1", "--override", "model.mass=3")
     assert proc.returncode == 2

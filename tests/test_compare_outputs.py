@@ -26,7 +26,7 @@ def test_grid_covers_gap_exact_on_both_presets(tool):
     cases = tool.grid()
     assert ("gap-exact", "--preset", "h1") in cases
     assert ("gap-exact", "--preset", "h2") in cases
-    assert len(cases) == len(set(cases)) == 44
+    assert len(cases) == len(set(cases)) == 48
 
 
 def test_grid_covers_every_artifact_writer(tool):

@@ -142,6 +142,11 @@ def test_ramp_keeps_one_eigensystem_per_step(monkeypatch):
     for s in range(5):
         assert np.array_equal(ramp.values[s], eigendecompose(ramp.block(s)).values)
     assert np.array_equal(ramp.final_eigensystem().vectors, ramp.vectors[4])
+    # the blocks are read from the ramp's one stack, which nobody may change
+    assert not ramp.block(2).flags.writeable
+    for s in (-1, 5):
+        with pytest.raises(ValueError, match="step index"):
+            ramp.block(s)
     with pytest.raises(ValueError, match="schedule.steps"):
         Ramp(pairing_model("h1"), 0, 2)
 

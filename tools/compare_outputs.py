@@ -3,7 +3,9 @@
 For every op of the benchmark workloads at one seed, plus a fixed grid of
 runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, a t0
 sweep and gap-exact on both presets; an ideal run and gap-exact on two
-fixed chains with no preset, at 5 and 8 modes) and of every other artifact the CLI
+fixed chains with no preset, at 5 and 8 modes; four compiled runs the
+presets miss, at 4 modes, with clamped delays and with zero-angle pulses)
+and of every other artifact the CLI
 writes (a t0 sweep without held epsilon_ft, a generic sweep with an error
 row, compile, estimate), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
 process. The exit code, stdout, stderr and the bytes of every file written
@@ -58,6 +60,21 @@ CHAINS = (
     ("110,170,240,300,360,430,500,570", (80, -60, 120, 100, -90, 140, 70), 0.3e-3),
 )
 
+# Compiled runs the preset grid misses: a 4-mode chain (J proportional to
+# V, so one shared delay realizes every coupling) with w2 finite and w1
+# delta pulses; h1 w2 finite with pulses so wide that six compensated
+# delays clamp to zero; h1 w1 finite with nu_2 = 0, whose zero-angle
+# pulses are the identity.
+_CHAIN4 = ("model.nu_hz=120,250,330,410", "model.v_1_2_hz=60", "model.v_2_3_hz=90", "model.v_3_4_hz=-120",
+           "machine.j_1_2_hz=120", "machine.j_2_3_hz=180", "machine.j_3_4_hz=-240", "run.init=0101",
+           "plan.t0_s=5e-4")
+COMPILED = (
+    ((), _CHAIN4 + ("run.method=w2", "run.pulse_mode=finite")),
+    ((), _CHAIN4 + ("run.method=w1", "run.pulse_mode=delta")),
+    (("--preset", "h1"), ("run.method=w2", "run.pulse_mode=finite", "machine.t_pi_s=3e-3")),
+    (("--preset", "h1"), ("run.method=w1", "run.pulse_mode=finite", "model.nu_hz=150,0,50")),
+)
+
 Outcome = tuple[int, str, str, dict[str, bytes]]  # exit code, stdout, stderr, file bytes by name
 
 
@@ -80,6 +97,8 @@ def grid() -> list[tuple[str, ...]]:
         items += [f"model.v_{m}_{m + 1}_hz={v}" for m, v in enumerate(couplings, start=1)]
         overrides = tuple(arg for item in items for arg in ("--override", item))
         cases += [("run", *overrides), ("gap-exact", *overrides)]
+    for preset, items in COMPILED:
+        cases.append(("run", *preset, *(arg for item in items for arg in ("--override", item))))
     cases += [
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
         ("sweep", "--preset", "h2", "--vary", "plan.k=1,2,x"),
