@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import state_stepper
+from .backend import step_state
 from .exact import Ramp
 from .nmr import EventTable
 from .trotter import TrotterPlan
@@ -61,10 +61,10 @@ def prepare(
     step eigensystems, and the returned state holds exact zeros outside it.
 
     A compiled method runs on ``table``, the run's pulse-event table (its
-    machine and pulse mode), and raises ValueError without one. It compiles
-    all S + 1 programs first, each step template once per call and stamped
-    for every s, and the table builds each distinct event once, in one
-    stacked batch for the whole ramp.
+    machine, pulse mode and step compilers), and raises ValueError without
+    one. The table compiles all S + 1 programs first, each step template
+    once and stamped for every s, and builds each distinct event once, in
+    one stacked batch for the whole ramp.
     """
     psi = np.asarray(init, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
@@ -79,8 +79,8 @@ def prepare(
         psi = np.zeros_like(psi)
         psi[ramp.idx] = sub
     elif schedule.t_ad > 0:
-        step_states = state_stepper(TrotterPlan(schedule.t_ad, schedule.k), schedule.method, table)
-        psi = step_states([ramp.step_model(s) for s in range(ramp.steps + 1)], psi)
+        models = [ramp.step_model(s) for s in range(ramp.steps + 1)]
+        psi = step_state(models, TrotterPlan(schedule.t_ad, schedule.k), schedule.method, table, psi)
     if check_adiabaticity and schedule.t_ad > 0 and ramp.values.shape[1] > 1:
         min_gap = float((ramp.values[:, 1] - ramp.values[:, 0]).min())
         if min_gap < 1.0 / (ramp.steps * schedule.t_ad):

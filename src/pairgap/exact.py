@@ -149,7 +149,7 @@ def reachable_gap(ramp: Ramp, prepared: np.ndarray, population_floor: float = 0.
     least ``population_floor`` of the prepared state, and its gap to the
     ground level.
 
-    This is the oscillation frequency the time-series stage will actually see.
+    The series may oscillate more strongly at another populated pair's gap.
     Degenerate eigenvalues are grouped and their populations summed.
     """
     if not 0.0 < population_floor < 1.0:

@@ -12,7 +12,7 @@ on-resonance RF applied jointly with the ZZ coupling).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,21 +288,21 @@ def _stamp(template: tuple, delays: dict[float, float], n: int) -> PulseProgram:
 
 
 class StepCompiler:
-    """Compiles one symmetric Trotter step (see trotter.symmetric3_step) of
-    ``plan`` for ``machine`` with method "w1" or "w2", for any model.
+    """Compiles symmetric Trotter steps (see trotter.symmetric3_step) for
+    ``machine`` with method "w1" or "w2", for any model and plan.
 
     The event list depends on the model only through its on-site part, its
-    coupled pairs and which block delays are nonzero. It is built once per
-    such key as a template with a slot per coupling delay, which each model
-    stamps with its own delays: a ramp's steps s >= 1 share one template.
-    Each distinct pulse is built and validated once per compiler, so its
-    templates share their RfPulse objects.
+    coupled pairs and which block delays are nonzero, and on the plan
+    through (tau, k). It is built once per such key as a template with a
+    slot per coupling delay, which each model stamps with its own delays: a
+    ramp's steps s >= 1 share one template. Each distinct pulse is built
+    and validated once per compiler, so its templates share their RfPulse
+    objects.
     """
 
-    def __init__(self, plan, method: str, machine: SpinSystem):
+    def __init__(self, method: str, machine: SpinSystem):
         if method not in (W1, W2):
             raise ValueError("method must be 'w1' or 'w2'")
-        self.plan = plan
         self.method = method
         self.machine = machine
         self._templates: dict[tuple, tuple] = {}
@@ -317,26 +317,26 @@ class StepCompiler:
             ev = self._pulses[key] = RfPulse(targets, phase, angle)
         return ev
 
-    def compile(self, model: PairingModel) -> PulseProgram:
+    def compile(self, model: PairingModel, plan) -> PulseProgram:
         if self.machine.n != model.n:
             raise ValueError("machine and model spin counts differ")
-        tau = self.plan.t0 / self.plan.k
+        tau = plan.t0 / plan.k
         delays = {}
         for t in (tau / 2, tau):
             delays[t], pairs = _coupling_delay(model, t, self.machine)
-        key = (model.nu, model.convention_factor, pairs, tuple(d > 0 for d in delays.values()))
+        key = (tau, plan.k, model.nu, model.convention_factor, pairs, tuple(d > 0 for d in delays.values()))
         if key not in self._templates:
-            self._templates[key] = self._template(model, tau, pairs, delays)
+            self._templates[key] = self._template(model, tau, plan.k, pairs, delays)
         return _stamp(self._templates[key], delays, model.n)
 
-    def _template(self, model, tau, pairs, delays) -> tuple:
+    def _template(self, model, tau, k, pairs, delays) -> tuple:
         """Refocusing parity is tracked across the whole program: spectator
         z-angles flip sign while the running flip count is odd, and one
         restoring X pi pulse ends it when the final count is odd. Method "w2"
         gives each slot between RF events its alpha (angles by magnitude)."""
         parity = {m: 0 for m in range(1, model.n + 1)}
         events: list = []
-        for _ in range(self.plan.k):
+        for _ in range(k):
             _onsite_events(model, tau / 2, parity, events, self._pulse)
             for axis, t in (("X", tau / 2), ("Y", tau), ("X", tau / 2)):
                 _coupling_events(axis, t, self.machine, pairs, delays[t] > 0, parity, events, self._pulse)
@@ -356,7 +356,7 @@ class StepCompiler:
 def compile_trotter_step(model, plan, method: str, machine: SpinSystem) -> PulseProgram:
     """Compile one symmetric Trotter step into a pulse program, repeated
     plan.k times (a fresh StepCompiler's template, stamped once)."""
-    return StepCompiler(plan, method, machine).compile(model)
+    return StepCompiler(method, machine).compile(model, plan)
 
 
 def _rotation_unitary(n: int, targets: tuple[int, ...], phases, angles) -> np.ndarray:
@@ -421,15 +421,15 @@ class EventTable:
 
     Each distinct event, keyed by the frozen Delay or RfPulse itself, is
     built once and then shared by every program applied through the table;
-    the ZZ diagonal is built once too. A caller hands the table every event
-    it is about to apply (``_build_all``), and the table builds the ones it
-    lacks in stacked batches, one numpy pass per event kind; ``unitary``
-    builds a missing event as a batch of one. A run keeps one table, the
-    one carrier of its machine and pulse mode: its preparation programs and
-    its step program all run on it and repeat the same few pulses. Using the
-    table with another machine, spin count or pulse mode raises ValueError
-    instead of returning another machine's unitary, and so does building
-    one for more than 12 spins.
+    the ZZ diagonal is built once too. A run keeps one table, the one
+    carrier of its machine and pulse mode, and the table compiles and builds
+    every program the run applies (``programs``): one StepCompiler per
+    method serves the preparation ramp, the acquisition step and every t0
+    point, and the events the table lacks are built in stacked batches, one
+    numpy pass per event kind; ``unitary`` builds a missing event as a batch
+    of one. Using the table with another machine, spin count or pulse mode
+    raises ValueError instead of returning another machine's unitary, and so
+    does building one for more than 12 spins.
     """
 
     def __init__(self, machine: SpinSystem, pulse_mode: str):
@@ -437,17 +437,17 @@ class EventTable:
             raise ValueError("pulse_mode must be 'delta' or 'finite'")
         _check_dense(machine.n)
         self.machine = machine
-        self.n = machine.n
         self.pulse_mode = pulse_mode
         self._zz: np.ndarray | None = None
         self._zz_diag: np.ndarray | None = None
         self._unitaries: dict[PulseEvent, np.ndarray] = {}
+        self._compilers: dict[str, StepCompiler] = {}
 
     def check(self, machine: SpinSystem, n: int, pulse_mode: str) -> None:
         if pulse_mode != self.pulse_mode:
             raise ValueError(f"event table holds {self.pulse_mode} unitaries, not {pulse_mode}")
-        if n != self.n:
-            raise ValueError(f"event table holds {self.n}-spin unitaries, not {n}-spin")
+        if n != self.machine.n:
+            raise ValueError(f"event table holds {self.machine.n}-spin unitaries, not {n}-spin")
         same = machine is self.machine or (
             machine.t_pi == self.machine.t_pi and np.array_equal(machine.j_hz, self.machine.j_hz)
         )
@@ -461,6 +461,16 @@ class EventTable:
             u = self._unitaries[ev]
         return u
 
+    def programs(self, models: Sequence[PairingModel], plan, method: str) -> list[PulseProgram]:
+        """One step of ``plan`` for each model, compiled with ``method`` on
+        the table's compiler for that method; every event of them that the
+        table lacks is built in one stacked pass before any is applied."""
+        if method not in self._compilers:
+            self._compilers[method] = StepCompiler(method, self.machine)
+        programs = [self._compilers[method].compile(model, plan) for model in models]
+        self._build_all(ev for program in programs for ev in program.events)
+        return programs
+
     def _build_all(self, events: Iterable[PulseEvent]) -> None:
         """Build, read-only, the unitary of every event in ``events`` that the
         table lacks: the delays on stacked diagonals, the identity for each
@@ -468,13 +478,14 @@ class EventTable:
         todo = [ev for ev in dict.fromkeys(events) if ev not in self._unitaries]
         if not todo:
             return
-        dim = 2**self.n
+        n = self.machine.n
+        dim = 2**n
         if self._zz is None:
             # sum_{i<j} (pi/2) J_ij z_i z_j, in pair order from 0.0
-            z, j = _signs(self.n), self.machine.j_hz
+            z, j = _signs(n), self.machine.j_hz
             self._zz_diag = np.zeros(dim)
-            for a in range(self.n):
-                for b in range(a + 1, self.n):
+            for a in range(n):
+                for b in range(a + 1, n):
                     self._zz_diag += (0.5 * _PI * j[a, b]) * (z[:, a] * z[:, b])
             self._zz = np.diag(self._zz_diag.astype(complex))
         delays, idle, pulses = [], [], []
@@ -505,14 +516,14 @@ class EventTable:
             for ev in pulses:
                 groups.setdefault(ev.targets, []).append(ev)
             stacks = [
-                _rotation_unitary(self.n, targets, [ev.phase for ev in group], [ev.angle for ev in group])
+                _rotation_unitary(self.machine.n, targets, [ev.phase for ev in group], [ev.angle for ev in group])
                 for targets, group in groups.items()
             ]
             return [ev for group in groups.values() for ev in group], np.concatenate(stacks)
         t_pi = self.machine.t_pi
         if t_pi <= 0:
             raise ValueError("finite pulse mode needs machine.t_pi > 0")
-        fields = _axis_field(self.n, [ev.targets for ev in pulses], [ev.phase for ev in pulses])
+        fields = _axis_field(self.machine.n, [ev.targets for ev in pulses], [ev.phase for ev in pulses])
         omega1 = np.array([-math.copysign(_PI / t_pi, ev.angle) for ev in pulses])
         durations = np.array([t_pi * abs(ev.angle) / _PI for ev in pulses])
         values, vectors = np.linalg.eigh(_require_hermitian(omega1[:, None, None] * fields + self._zz))
@@ -545,13 +556,13 @@ def simulate_program(
     init: np.ndarray,
     pulse_mode: str = DELTA,
     table: EventTable | None = None,
-) -> tuple[np.ndarray, float]:
-    """Apply the program to a state; returns (final state, wall-clock duration).
-    Event unitaries come from ``table`` (a fresh one when None)."""
+) -> np.ndarray:
+    """Apply the program to a state and return the final state. Event
+    unitaries come from ``table`` (a fresh one when None)."""
     psi = np.asarray(init, dtype=complex)
     if psi.shape[0] != 2**program.n:
         raise ValueError("state dimension does not match program spin count")
     table = _table_for(program, machine, pulse_mode, table)
     for ev in program.events:
         psi = table.unitary(ev) @ psi
-    return psi, wall_time(program, machine.t_pi)
+    return psi

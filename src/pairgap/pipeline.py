@@ -62,13 +62,13 @@ class RunResult:
 
 @dataclass(frozen=True)
 class _Preparation:
-    """What a preparation hands the measurement: the run's ramp and pulse
-    table, the prepared state, its reachable level and that level's exact
-    gap."""
+    """What a preparation hands the measurement: the run's pulse table, the
+    prepared state, its population report, its reachable level and that
+    level's exact gap."""
 
-    ramp: Ramp
     table: EventTable
     state: np.ndarray
+    populations: list[tuple[int, float, float]]
     level: int
     delta_exact: float
 
@@ -86,7 +86,7 @@ def _prepare(cfg: ExperimentConfig) -> _Preparation:
     schedule = AdiabaticSchedule(cfg.t_ad, cfg.preparation_method, cfg.plan.k)
     prepared = prepare(ramp, init, schedule, table=table)
     level, delta_exact = reachable_gap(ramp, prepared, cfg.population_floor)
-    return _Preparation(ramp, table, prepared, level, delta_exact)
+    return _Preparation(table, prepared, sector_population_report(ramp, prepared), level, delta_exact)
 
 
 def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
@@ -116,7 +116,7 @@ def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
         fit=fit,
         series=series,
         spectrum=spectrum,
-        populations=sector_population_report(prep.ramp, prep.state),
+        populations=prep.populations,
         wall_per_step=wall_per_step,
         clamp_warnings=clamp_warnings,
     )

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -171,7 +174,7 @@ def test_compiled_preparation_applies_programs_event_by_event():
     want = INIT
     for s in range(5):
         program = compile_trotter_step(H1.with_coupling_scale(s / 4), TrotterPlan(1 / 700, 2), "w1", machine)
-        want, _ = simulate_program(program, machine, want, "finite")
+        want = simulate_program(program, machine, want, "finite")
     assert np.array_equal(psi, want)
 
 
@@ -333,11 +336,71 @@ def test_run_compiles_each_template_once(monkeypatch):
     # the ramp's s = 0 step is on-site only and its s >= 1 steps share one
     # coupling pattern: two preparation templates, plus one for acquisition
     templates = counting(monkeypatch, pairgap.nmr.StepCompiler, "_template")
-    compiled = counting(monkeypatch, pairgap.nmr, "compile_trotter_step")
-    monkeypatch.setattr(pairgap.backend, "compile_trotter_step", pairgap.nmr.compile_trotter_step)
+    compiled = counting(monkeypatch, pairgap.nmr.StepCompiler, "compile")
     cfg = build_config(preset="h1", overrides=("run.method=w2", "run.pulse_mode=finite"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
         run_experiment(cfg)
     assert len(templates) == 3
-    assert len(compiled) == 1
+    # the S + 1 ramp steps, then the one acquisition step, on one compiler
+    assert len(compiled) == cfg.schedule_steps + 2
+    assert len({id(compiler) for compiler in compiled}) == 1
+
+
+def fresh_compiles(monkeypatch):
+    """Record every call of compile_trotter_step, through any pairgap module
+    that binds it."""
+    calls = []
+    original = pairgap.nmr.compile_trotter_step
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pairgap" and getattr(module, "compile_trotter_step", None) is original:
+            monkeypatch.setattr(module, "compile_trotter_step", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "method, evolver, compilers",
+    [(m, e, 1) for m in ("w1", "w2") for e in ("default", "exact", "trotter", "nmr")]
+    + [("ideal", "nmr", 1), ("ideal", "exact", 0)],
+)
+def test_a_run_compiles_on_one_step_compiler_per_method(monkeypatch, method, evolver, compilers):
+    built = counting(monkeypatch, pairgap.nmr.StepCompiler, "__init__")
+    fresh = fresh_compiles(monkeypatch)
+    mode = "finite" if method == "w2" else "delta"
+    cfg = build_config(
+        preset="h1", overrides=(f"run.method={method}", f"run.pulse_mode={mode}", f"schedule.evolver={evolver}")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        run_experiment(cfg)
+    assert len(built) == compilers
+    assert fresh == []
+
+
+@pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
+def test_compiled_t0_sweep_compiles_every_point_on_one_step_compiler(monkeypatch):
+    built = counting(monkeypatch, pairgap.nmr.StepCompiler, "__init__")
+    templates = counting(monkeypatch, pairgap.nmr.StepCompiler, "_template")
+    fresh = fresh_compiles(monkeypatch)
+    cfg = build_config(preset="h1", overrides=("run.method=w2", "run.pulse_mode=finite"))
+    result = sweep_t0(cfg, [0.5e-3, 1e-3, 2e-3])
+    assert len(built) == 1
+    # two preparation templates, then one acquisition template per t0
+    assert len(templates) == 2 + 3
+    assert fresh == []
+    for row in result.rows:
+        assert row == sweep_row(cfg, row.t0, row.q)
+
+
+def test_backend_leaves_compiling_and_building_to_the_table():
+    tree = ast.parse(inspect.getsource(pairgap.backend))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"StepCompiler", "compile_trotter_step"}
+    assert not [attr for attr in attrs if attr.startswith("_")]

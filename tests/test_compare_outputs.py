@@ -26,7 +26,7 @@ def test_grid_covers_gap_exact_on_both_presets(tool):
     cases = tool.grid()
     assert ("gap-exact", "--preset", "h1") in cases
     assert ("gap-exact", "--preset", "h2") in cases
-    assert len(cases) == len(set(cases)) == 48
+    assert len(cases) == len(set(cases)) == 49
 
 
 def test_grid_covers_every_artifact_writer(tool):
@@ -38,6 +38,8 @@ def test_grid_covers_every_artifact_writer(tool):
         ("estimate", "--n", "3,4,5", "--eps-over-delta", "1,0.01,1e-4"),
         ("sweep", "--preset", "h2", "--vary", "plan.k=1,2,x"),
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
+        ("sweep", "--preset", "h1", "--override", "run.method=w2", "--override", "run.pulse_mode=finite",
+         "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3"),
     ]:
         assert case in cases, case
 

@@ -256,8 +256,8 @@ def test_shared_table_matches_fresh_programs(model, method, pulse_mode):
     fresh_psi = psi
     for prog in programs:
         assert np.array_equal(program_unitary(prog, MACHINE, pulse_mode, table), program_unitary(prog, MACHINE, pulse_mode))
-        psi, _ = simulate_program(prog, MACHINE, psi, pulse_mode, table)
-        fresh_psi, _ = simulate_program(prog, MACHINE, fresh_psi, pulse_mode)
+        psi = simulate_program(prog, MACHINE, psi, pulse_mode, table)
+        fresh_psi = simulate_program(prog, MACHINE, fresh_psi, pulse_mode)
         assert np.array_equal(psi, fresh_psi)
 
 
@@ -432,8 +432,8 @@ def ramp_outcomes(compile_one, model):
 def assert_ramp_matches_fresh_and_reference(model, plan, method, machine):
     """One shared StepCompiler across the ramp gives, at every s, the fresh
     compile's and the reference compiler's program or error."""
-    shared = StepCompiler(plan, method, machine)
-    got = ramp_outcomes(shared.compile, model)
+    shared = StepCompiler(method, machine)
+    got = ramp_outcomes(lambda m: shared.compile(m, plan), model)
     assert got == ramp_outcomes(lambda m: compile_trotter_step(m, plan, method, machine), model)
     reference = ramp_outcomes(lambda m: reference_compile_step(m, plan, method, machine), model)
     assert got == reference
@@ -529,6 +529,20 @@ def test_templates_follow_the_coupling_pattern(v12, templates):
     model = PairingModel(H1.nu, v)
     got, shared = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), "w2", MACHINE)
     assert len(shared._templates) == templates
+
+
+def test_one_compiler_keeps_a_template_per_tau_and_k():
+    # (1 ms, 1) and (2 ms, 2) share tau but not k; (2 ms, 1) shares k with
+    # the first; the last plan repeats the first
+    shared = StepCompiler("w2", MACHINE)
+    for plan in (TrotterPlan(1e-3, 1), TrotterPlan(2e-3, 2), TrotterPlan(2e-3, 1), TrotterPlan(1e-3, 1)):
+        for model in (H1, H2):
+            got = shared.compile(model, plan)
+            assert got == compile_trotter_step(model, plan, "w2", MACHINE)
+            assert program_to_text(got, MACHINE.t_pi) == program_to_text(
+                compile_trotter_step(model, plan, "w2", MACHINE), MACHINE.t_pi
+            )
+    assert len(shared._templates) == 3 * 2
 
 
 def test_compiled_angles_stay_in_range():
@@ -665,9 +679,11 @@ def test_simulate_program_threads_state_and_wall():
     prog = compile_trotter_step(H2, plan, "w1", MACHINE)
     psi = np.zeros(8, dtype=complex)
     psi[3] = 1.0
-    out, wall = simulate_program(prog, MACHINE, psi, "delta")
+    out = simulate_program(prog, MACHINE, psi, "delta")
     want = program_unitary(prog, MACHINE, "delta") @ psi
-    assert np.allclose(out, want, atol=1e-12)
+    assert out.shape == (8,) and np.allclose(out, want, atol=1e-12)
+    # the state is all it returns; the program's wall time is wall_time's
+    wall = sum(ev.duration if isinstance(ev, Delay) else MACHINE.t_pi * abs(ev.angle) / PI for ev in prog.events)
     assert math.isclose(wall, wall_time(prog, MACHINE.t_pi), rel_tol=1e-15)
 
 

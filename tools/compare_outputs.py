@@ -4,8 +4,8 @@ For every op of the benchmark workloads at one seed, plus a fixed grid of
 runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, a t0
 sweep and gap-exact on both presets; an ideal run and gap-exact on two
 fixed chains with no preset, at 5 and 8 modes; four compiled runs the
-presets miss, at 4 modes, with clamped delays and with zero-angle pulses)
-and of every other artifact the CLI
+presets miss, at 4 modes, with clamped delays and with zero-angle pulses;
+a compiled t0 sweep, h1 w2 finite) and of every other artifact the CLI
 writes (a t0 sweep without held epsilon_ft, a generic sweep with an error
 row, compile, estimate), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
 process. The exit code, stdout, stderr and the bytes of every file written
@@ -100,6 +100,8 @@ def grid() -> list[tuple[str, ...]]:
     for preset, items in COMPILED:
         cases.append(("run", *preset, *(arg for item in items for arg in ("--override", item))))
     cases += [
+        ("sweep", "--preset", "h1", "--override", "run.method=w2", "--override", "run.pulse_mode=finite",
+         "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3"),
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
         ("sweep", "--preset", "h2", "--vary", "plan.k=1,2,x"),
         ("compile", "--preset", "h1", "--override", "run.method=w1"),
