@@ -104,7 +104,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 def _cmd_gap_exact(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.init_bits.count("1"))
+    ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.pairs)
     init = computational_state(cfg.model.n, cfg.init_index)
     prepared = prepare(ramp, init, AdiabaticSchedule(cfg.t_ad), check_adiabaticity=False)
     values = ramp.values[-1]

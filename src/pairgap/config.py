@@ -107,6 +107,15 @@ class ExperimentConfig:
         return int(self.init_bits, 2)
 
     @property
+    def pairs(self) -> int:
+        """The pair sector of run.init, where the ramp works; all 0s or all 1s
+        is a one-state sector with no excited level, a ConfigError."""
+        pairs = self.init_bits.count("1")
+        if pairs in (0, self.model.n):
+            raise ConfigError(f"run.init: {self.init_bits} lies in a one-state pair sector, with no excited level")
+        return pairs
+
+    @property
     def compile_method(self) -> str:
         """run.method when it compiles a pulse program, else w1: an ideal
         run's `compile` output and NMR preparation use the w1 sequence."""
@@ -230,28 +239,18 @@ def _build_model(entries: dict[str, str], preset_name: str | None) -> PairingMod
 
 
 def _build_machine(entries: dict[str, str], preset_name: str | None, n: int) -> SpinSystem:
-    if preset_name is not None:
-        base = presets.spin_system()
-        j = np.array(base.j_hz)
-        t_pi = base.t_pi
-        t2 = list(base.t2)
-    else:
-        j = np.zeros((n, n))
-        t_pi = 20e-6
-        t2 = [0.25] * n
-    explicit = _matrix_entries(entries, "machine.j", n)
-    if explicit is not None:
-        j = explicit
-    if "machine.t_pi_s" in entries:
-        t_pi = _float(entries, "machine.t_pi_s")
-    if "machine.t2_s" in entries:
-        t2 = [_float(entries, "machine.t2_s")] * n
+    """The preset's machine (or SpinSystem's defaults with no couplings) with
+    every explicit machine entry replacing its part."""
+    base = presets.spin_system() if preset_name is not None else SpinSystem(np.zeros((n, n)))
+    j = _matrix_entries(entries, "machine.j", n)
+    t_pi = _float(entries, "machine.t_pi_s") if "machine.t_pi_s" in entries else base.t_pi
+    t2 = [_float(entries, "machine.t2_s")] * n if "machine.t2_s" in entries else list(base.t2)
     for spin in range(1, n + 1):
         key = f"machine.t2_{spin}_s"
         if key in entries:
             t2[spin - 1] = _float(entries, key)
     try:
-        return SpinSystem(j, t_pi, tuple(t2))
+        return SpinSystem(base.j_hz if j is None else j, t_pi, tuple(t2))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import PairingModel, _sector_block, _sector_blocks, sector_basis
+from .hamiltonian import PairingModel, _hop_list, _sector_blocks, sector_basis
 
 _HERMITICITY_TOL = 1e-9
 # Eigenvalues closer than this (relative to the spectral scale) are treated as
@@ -69,7 +69,7 @@ def sector_matrix(model: PairingModel, pairs: int) -> tuple[np.ndarray, np.ndarr
 
     Returns (matrix, basis indices); basis order follows sector_basis.
     """
-    return _sector_block(model, pairs), sector_basis(model.n, pairs)
+    return _sector_blocks(model, pairs, (1.0,))[0], sector_basis(model.n, pairs)
 
 
 class Ramp:
@@ -80,14 +80,14 @@ class Ramp:
     Scaling the couplings realizes the interpolation, because
     (1 - s/S) H_free + (s/S) H_full = H_free + (s/S) (H_full - H_free).
     The pairing Hamiltonian conserves pair number, so the ramp works inside
-    the sector: ``block(s)`` is the C(n, pairs)-dimensional sector block of
-    H_s, built from the hop list without the dense 2^n matrix. The ramp
-    builds its S + 1 blocks in one stacked call, read-only, and decomposes
-    them in one stacked ``eigh``. A run builds one ramp and hands it to
-    every stage: the exact preparation evolves the in-sector amplitudes
-    with the step eigensystems, the schedule gap reads their eigenvalues,
-    and the reachable level and the population report read the final one
-    (s = S), whose Hamiltonian is the model's own.
+    the sector: step s's C(n, pairs)-dimensional sector block of H_s comes
+    from the hop list without the dense 2^n matrix. The ramp builds its
+    S + 1 blocks in one stacked call, decomposes them in one stacked
+    ``eigh`` and keeps only the eigensystems. A run builds one ramp and
+    hands it to every stage: the exact preparation evolves the in-sector
+    amplitudes with the step eigensystems, the schedule gap reads their
+    eigenvalues, and the reachable level and the population report read
+    the final one (s = S), whose Hamiltonian is the model's own.
     """
 
     def __init__(self, model: PairingModel, steps: int, pairs: int):
@@ -96,25 +96,17 @@ class Ramp:
         self.model = model
         self.steps = steps
         self.pairs = pairs
-        self.idx = sector_basis(model.n, pairs)
-        self._blocks = _require_hermitian(_sector_blocks(model, pairs, [s / steps for s in range(steps + 1)]))
-        self._blocks.flags.writeable = False
-        self.values, self.vectors = np.linalg.eigh(self._blocks)
-
-    def _step(self, s: int) -> int:
-        if not 0 <= s <= self.steps:
-            raise ValueError("schedule step index out of range")
-        return s
+        self.idx = _hop_list(model.n, pairs)[0]
+        blocks = _sector_blocks(model, pairs, [s / steps for s in range(steps + 1)])
+        self.values, self.vectors = np.linalg.eigh(_require_hermitian(blocks))
 
     def step_model(self, s: int) -> PairingModel:
         """The model of ramp step s: couplings scaled by s/S, nu kept. Step 0's
         blocks hold the on-site diagonal and 0.0 on every hop; step S's are
         the model's own."""
-        return self.model.with_coupling_scale(self._step(s) / self.steps)
-
-    def block(self, s: int) -> np.ndarray:
-        """Step s's sector block, read-only: the block of ``step_model(s)``."""
-        return self._blocks[self._step(s)]
+        if not 0 <= s <= self.steps:
+            raise ValueError("schedule step index out of range")
+        return self.model.with_coupling_scale(s / self.steps)
 
     def final_eigensystem(self) -> EigenSystem:
         return EigenSystem(self.values[-1], self.vectors[-1])

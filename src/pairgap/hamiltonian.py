@@ -154,12 +154,6 @@ def _sector_blocks(model: PairingModel, pairs: int, scales) -> np.ndarray:
     return blocks
 
 
-def _sector_block(model: PairingModel, pairs: int) -> np.ndarray:
-    """The block of H on the sector of ``pairs`` pairs: ``_sector_blocks``
-    at scale 1.0, which leaves every coupling as it is."""
-    return _sector_blocks(model, pairs, (1.0,))[0]
-
-
 def realize(model: PairingModel) -> np.ndarray:
     """Dense H on all 2^n states: the direct sum of the sector blocks, each
     at its basis indices. Guarded at 12 qubits."""
@@ -167,5 +161,5 @@ def realize(model: PairingModel) -> np.ndarray:
     out = np.zeros((2**model.n, 2**model.n), dtype=complex)
     for pairs in range(model.n + 1):
         idx = _hop_list(model.n, pairs)[0]
-        out[np.ix_(idx, idx)] = _sector_block(model, pairs)
+        out[np.ix_(idx, idx)] = _sector_blocks(model, pairs, (1.0,))[0]
     return out

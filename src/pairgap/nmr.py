@@ -31,7 +31,8 @@ FINITE = "finite"
 @dataclass(frozen=True)
 class SpinSystem:
     """Machine description: scalar couplings J in Hz (symmetric, zero diagonal),
-    pi-pulse duration t_pi in seconds, per-spin dephasing times t2 in seconds."""
+    pi-pulse duration t_pi in seconds, per-spin dephasing times t2 in seconds
+    (empty: 0.25 s each). Its defaults are the package's one copy of them."""
 
     j_hz: np.ndarray
     t_pi: float = 20e-6
@@ -421,7 +422,7 @@ class EventTable:
 
     Each distinct event, keyed by the frozen Delay or RfPulse itself, is
     built once and then shared by every program applied through the table;
-    the ZZ diagonal is built once too. A run keeps one table, the one
+    the ZZ drift is held once, as its diagonal. A run keeps one table, the one
     carrier of its machine and pulse mode, and the table compiles and builds
     every program the run applies (``programs``): one StepCompiler per
     method serves the preparation ramp, the acquisition step and every t0
@@ -438,7 +439,6 @@ class EventTable:
         _check_dense(machine.n)
         self.machine = machine
         self.pulse_mode = pulse_mode
-        self._zz: np.ndarray | None = None
         self._zz_diag: np.ndarray | None = None
         self._unitaries: dict[PulseEvent, np.ndarray] = {}
         self._compilers: dict[str, StepCompiler] = {}
@@ -480,14 +480,13 @@ class EventTable:
             return
         n = self.machine.n
         dim = 2**n
-        if self._zz is None:
+        if self._zz_diag is None:
             # sum_{i<j} (pi/2) J_ij z_i z_j, in pair order from 0.0
             z, j = _signs(n), self.machine.j_hz
             self._zz_diag = np.zeros(dim)
             for a in range(n):
                 for b in range(a + 1, n):
                     self._zz_diag += (0.5 * _PI * j[a, b]) * (z[:, a] * z[:, b])
-            self._zz = np.diag(self._zz_diag.astype(complex))
         delays, idle, pulses = [], [], []
         for ev in todo:
             (delays if isinstance(ev, Delay) else pulses if ev.angle != 0.0 else idle).append(ev)
@@ -526,7 +525,8 @@ class EventTable:
         fields = _axis_field(self.machine.n, [ev.targets for ev in pulses], [ev.phase for ev in pulses])
         omega1 = np.array([-math.copysign(_PI / t_pi, ev.angle) for ev in pulses])
         durations = np.array([t_pi * abs(ev.angle) / _PI for ev in pulses])
-        values, vectors = np.linalg.eigh(_require_hermitian(omega1[:, None, None] * fields + self._zz))
+        zz = np.diag(self._zz_diag.astype(complex))
+        values, vectors = np.linalg.eigh(_require_hermitian(omega1[:, None, None] * fields + zz))
         phases = np.exp(-1j * values * durations[:, None])
         return pulses, (vectors * phases[:, None, :]) @ vectors.conj().swapaxes(-2, -1)
 

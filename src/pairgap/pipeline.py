@@ -82,7 +82,7 @@ def _prepare(cfg: ExperimentConfig) -> _Preparation:
     # table first, so a model above its qubit limit fails before the ramp's
     # eigensolve.
     table = EventTable(cfg.machine, cfg.pulse_mode)
-    ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.init_bits.count("1"))
+    ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.pairs)
     schedule = AdiabaticSchedule(cfg.t_ad, cfg.preparation_method, cfg.plan.k)
     prepared = prepare(ramp, init, schedule, table=table)
     level, delta_exact = reachable_gap(ramp, prepared, cfg.population_floor)

@@ -7,9 +7,9 @@ with V = pi * 224 rad/s. The h2 gap published for this instance matches
 coefficients twice the nominal ones, so h2 defaults to convention_factor 2
 (factor 1 is a documented alternative that halves the gap).
 
-Non-published machine parameters get typical values: t_pi = 20 us and
-T2 = 0.25 s for every spin (0.25 s is the carbon dephasing time the damped
-fits are anchored to).
+Non-published machine parameters take SpinSystem's typical values: t_pi =
+20 us and T2 = 0.25 s for every spin (0.25 s is the carbon dephasing time
+the damped fits are anchored to).
 """
 
 from __future__ import annotations
@@ -59,5 +59,5 @@ def pairing_model(name: str, convention_factor: float | None = None) -> PairingM
     raise ValueError(f"unknown preset {name!r} (choose from {PRESET_NAMES})")
 
 
-def spin_system(t_pi: float = 20e-6, t2: tuple[float, ...] = (0.25, 0.25, 0.25)) -> SpinSystem:
+def spin_system(t_pi: float = SpinSystem.t_pi, t2: tuple[float, ...] = SpinSystem.t2) -> SpinSystem:
     return SpinSystem(_J_HZ, t_pi, t2)

@@ -221,6 +221,26 @@ def test_run_above_twelve_modes_exit_4(tmp_path):
     assert "internal error" in proc.stderr and "12" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "gap-exact"])
+@pytest.mark.parametrize("model, bits", [
+    (("--override", "model.nu_hz=120,250,330,410"), "0000"),  # no run.init: all 0s by default
+    (("--preset", "h1", "--override", "run.init=111"), "111"),
+])
+def test_init_in_a_one_state_sector_exit_2(command, model, bits, tmp_path, capsys):
+    assert main([command, *model, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: run.init: {bits} lies in a one-state pair sector"), err
+    assert not list(tmp_path.iterdir())
+
+
+def test_one_state_init_fails_sweep_rows_and_not_compile(tmp_path, capsys):
+    chain = ("--override", "model.nu_hz=120,250,330,410")
+    assert main(["sweep", *chain, "--vary", "plan.t0_s=1e-3,2e-3", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all('"run.init: 0000 lies in a one-state pair sector' in row for row in rows)
+    assert main(["compile", *chain, "--out", str(tmp_path)]) == 0
+
+
 def test_estimate_table_and_summary(tmp_path):
     proc = run_cli("estimate", "--n", "4,10", "--eps-over-delta", "0.01,1",
                    "--out", str(tmp_path))

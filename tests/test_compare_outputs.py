@@ -26,7 +26,7 @@ def test_grid_covers_gap_exact_on_both_presets(tool):
     cases = tool.grid()
     assert ("gap-exact", "--preset", "h1") in cases
     assert ("gap-exact", "--preset", "h2") in cases
-    assert len(cases) == len(set(cases)) == 49
+    assert len(cases) == len(set(cases)) == 51
 
 
 def test_grid_covers_every_artifact_writer(tool):
@@ -37,6 +37,8 @@ def test_grid_covers_every_artifact_writer(tool):
         ("estimate",),
         ("estimate", "--n", "3,4,5", "--eps-over-delta", "1,0.01,1e-4"),
         ("sweep", "--preset", "h2", "--vary", "plan.k=1,2,x"),
+        ("run", "--override", "model.nu_hz=120,250,330,410"),
+        ("gap-exact", "--override", "model.nu_hz=120,250,330,410"),
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
         ("sweep", "--preset", "h1", "--override", "run.method=w2", "--override", "run.pulse_mode=finite",
          "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3"),

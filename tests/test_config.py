@@ -132,6 +132,21 @@ def test_presetless_model_from_nu_list():
     assert cfg.machine.t2 == (0.25, 0.25)
 
 
+@pytest.mark.parametrize("preset, overrides, bits", [
+    (None, ("model.nu_hz=120,250,330,410",), "0000"),  # a preset-less model's default init
+    ("h1", ("run.init=000",), "000"),
+    ("h1", ("run.init=111",), "111"),
+])
+def test_init_in_a_one_state_sector_is_a_config_error_when_read(preset, overrides, bits):
+    # the config builds, so compile still works; the pair sector is refused
+    cfg = build_config(preset, overrides=overrides)
+    assert cfg.init_bits == bits
+    with pytest.raises(ConfigError, match=f"^run.init: {bits} lies in a one-state pair sector"):
+        cfg.pairs
+    assert build_config("h1").pairs == 2
+    assert build_config(overrides=("model.nu_hz=1,2,3,4", "run.init=0110")).pairs == 2
+
+
 def test_presetless_model_nu_rad_s_taken_verbatim():
     cfg = build_config(config_text="model.nu_rad_s = 1.5, 2.5\nrun.init = 10\n")
     assert cfg.model.nu == (1.5, 2.5)

@@ -17,7 +17,7 @@ from pairgap.exact import (
     sector_gap,
     sector_matrix,
 )
-from pairgap.hamiltonian import PairingModel, sector_basis
+from pairgap.hamiltonian import PairingModel, _sector_blocks, sector_basis
 from pairgap.presets import pairing_model
 
 PI = math.pi
@@ -113,13 +113,15 @@ def ramp_models(draw):
 @given(ramp_models())
 def test_hop_list_block_equals_the_dense_slice_bit_for_bit(drawn):
     # the oracle is the Pauli sum's np.kron realization, built once per step
-    # model and sliced for every sector
+    # model and sliced for every sector; the blocks are the ramp's, stacked
+    # at its scales s/S
     model, steps = drawn
     ramps = [Ramp(model, steps, pairs) for pairs in range(model.n + 1)]
+    blocks = [_sector_blocks(model, ramp.pairs, [s / steps for s in range(steps + 1)]) for ramp in ramps]
     for s in range(steps + 1):
         dense = kron_realize(full_hamiltonian(ramps[0].step_model(s)))
-        for ramp in ramps:
-            assert same_bits(ramp.block(s), dense[np.ix_(ramp.idx, ramp.idx)]), (ramp.pairs, s)
+        for ramp, stack in zip(ramps, blocks):
+            assert same_bits(stack[s], dense[np.ix_(ramp.idx, ramp.idx)]), (ramp.pairs, s)
     dense = kron_realize(full_hamiltonian(model))
     for pairs in range(model.n + 1):
         sub, idx = sector_matrix(model, pairs)
@@ -139,14 +141,15 @@ def test_ramp_keeps_one_eigensystem_per_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     ramp = Ramp(pairing_model("h1"), 4, 2)
     assert solved == [(5, 3, 3)]
+    blocks = _sector_blocks(pairing_model("h1"), 2, [s / 4 for s in range(5)])
     for s in range(5):
-        assert np.array_equal(ramp.values[s], eigendecompose(ramp.block(s)).values)
+        assert np.array_equal(ramp.values[s], eigendecompose(blocks[s]).values)
     assert np.array_equal(ramp.final_eigensystem().vectors, ramp.vectors[4])
-    # the blocks are read from the ramp's one stack, which nobody may change
-    assert not ramp.block(2).flags.writeable
+    # the ramp keeps the eigensystems, not the blocks they came from
+    assert set(vars(ramp)) == {"model", "steps", "pairs", "idx", "values", "vectors"}
     for s in (-1, 5):
         with pytest.raises(ValueError, match="step index"):
-            ramp.block(s)
+            ramp.step_model(s)
     with pytest.raises(ValueError, match="schedule.steps"):
         Ramp(pairing_model("h1"), 0, 2)
 
@@ -166,8 +169,9 @@ def test_stacked_ramp_eigensystems_equal_per_block_eigh_bit_for_bit(drawn):
     model, steps = drawn
     for pairs in range(model.n + 1):
         ramp = Ramp(model, steps, pairs)
+        blocks = _sector_blocks(model, pairs, [s / steps for s in range(steps + 1)])
         for s in range(steps + 1):
-            values, vectors = np.linalg.eigh(ramp.block(s))
+            values, vectors = np.linalg.eigh(blocks[s])
             assert same_bits(ramp.values[s], values), (pairs, s)
             assert same_bits(ramp.vectors[s], vectors), (pairs, s)
 

@@ -3,13 +3,15 @@
 For every op of the benchmark workloads at one seed, plus a fixed grid of
 runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, a t0
 sweep and gap-exact on both presets; an ideal run and gap-exact on two
-fixed chains with no preset, at 5 and 8 modes; four compiled runs the
-presets miss, at 4 modes, with clamped delays and with zero-angle pulses;
-a compiled t0 sweep, h1 w2 finite) and of every other artifact the CLI
-writes (a t0 sweep without held epsilon_ft, a generic sweep with an error
-row, compile, estimate), both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh
-process. The exit code, stdout, stderr and the bytes of every file written
-must agree. Each side's output directory reads `<out>` and its source
+fixed chains with no preset, at 5 and 8 modes; run and gap-exact on a
+4-mode chain without run.init, whose all-0s default lies in a one-state
+sector; four compiled runs the presets miss, at 4 modes, with clamped
+delays and with zero-angle pulses; a compiled t0 sweep, h1 w2 finite) and
+of every other artifact the CLI writes (a t0 sweep without held
+epsilon_ft, a generic sweep with an error row, compile, estimate), both
+trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh process.
+The exit code, stdout, stderr and the bytes of every file written must
+agree. Each side's output directory reads `<out>` and its source
 directory `<src>` in both streams, so a message that names a path of either
 tree compares across trees.
 
@@ -97,6 +99,7 @@ def grid() -> list[tuple[str, ...]]:
         items += [f"model.v_{m}_{m + 1}_hz={v}" for m, v in enumerate(couplings, start=1)]
         overrides = tuple(arg for item in items for arg in ("--override", item))
         cases += [("run", *overrides), ("gap-exact", *overrides)]
+    cases += [(command, "--override", _CHAIN4[0]) for command in ("run", "gap-exact")]
     for preset, items in COMPILED:
         cases.append(("run", *preset, *(arg for item in items for arg in ("--override", item))))
     cases += [
