@@ -29,7 +29,6 @@ Recognized keys:
     run.q                     sample count, at least 8 (the fit's minimum)
     run.observed_spin         1-based spin measured
     run.damping               on | off
-    run.exclude_dc            on | off (peak picking)
     run.init                  initial basis state as bits, e.g. 011
     run.population_floor      reachable-level population threshold
     noise.amplitude           uniform measurement noise half-width
@@ -71,7 +70,6 @@ class ExperimentConfig:
     q: int = 200
     observed_spin: int = presets.OBSERVED_SPIN
     damping: bool = False
-    exclude_dc: bool = True
     init_bits: str = presets.INIT_BITS
     population_floor: float = 0.02
     noise_amplitude: float = 0.0
@@ -283,7 +281,6 @@ _RUN_KEYS = (
     ("run.q", "q", _int),
     ("run.observed_spin", "observed_spin", _int),
     ("run.damping", "damping", _flag),
-    ("run.exclude_dc", "exclude_dc", _flag),
     ("run.init", "init_bits", _text),
     ("run.population_floor", "population_floor", _float),
     ("noise.amplitude", "noise_amplitude", _float),

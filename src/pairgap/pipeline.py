@@ -102,7 +102,7 @@ def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
         series = TimeSeries(series.t0, np.clip(noisy, -1.0, 1.0), series.wall_times)
 
     spectrum = dft(series)
-    seed, _ = peak_pick(spectrum, cfg.exclude_dc)
+    seed, _ = peak_pick(spectrum)
     fit = fit_damped_sinusoid(series, seed)
 
     eps = epsilon_ft(cfg.q, cfg.plan.t0)
@@ -163,22 +163,8 @@ def result_record(result: RunResult) -> dict:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    t0: float
-    k: int
-    q: int
-    delta_exact: float | None
-    delta_exp: float | None
-    epsilon_ft: float | None
-    offset: float | None
-    tau_e: float | None
-    converged: bool
-    error: str = ""
-
-
-@dataclass(frozen=True)
 class SweepT0Result:
-    rows: tuple[SweepRow, ...]
+    rows: tuple[tuple[float, int, int, RunResult | Exception], ...]
     offset_exponent: float | None
 
 
@@ -189,8 +175,9 @@ def sweep_t0(
 
     With hold_epsilon_ft the sample count Q is co-varied to keep the Fourier
     precision of the base config, isolating the systematic offset. The
-    exponent is the log-log slope of |offset| against t0 (None if fewer than
-    two usable points). Failures are recorded per row and do not stop the sweep.
+    exponent is the log-log slope of |offset| against t0 over the points
+    that ran (None if fewer than two). Each row is (t0, k, q, the point's
+    RunResult or the error it raised); a failure does not stop the sweep.
     The points share one preparation, which neither t0 nor Q enters; when it
     fails, every point whose plan is valid gets its error.
     """
@@ -209,16 +196,9 @@ def sweep_t0(
             result = prep if isinstance(prep, Exception) else _measure(point, prep)
         except Exception as exc:  # noqa: BLE001 - per-point failures become rows
             result = exc
-        if isinstance(result, Exception):
-            rows.append(SweepRow(t0, cfg.plan.k, q, None, None, None, None, None, False, str(result)))
-        else:
-            rows.append(SweepRow(
-                t0, point.plan.k, point.q, result.delta_exact, result.delta_exp, result.epsilon_ft,
-                result.systematic_offset, result.fit.tau_e, result.fit.converged,
-            ))
-    done = [r for r in rows if r.offset is not None]
-    exponent = _log_slope([r.t0 for r in done], [abs(r.offset) for r in done], _OFFSET_FLOOR)
-    return SweepT0Result(tuple(rows), exponent)
+        rows.append((t0, cfg.plan.k, q, result))
+    done = [(t0, abs(r.systematic_offset)) for t0, _, _, r in rows if isinstance(r, RunResult)]
+    return SweepT0Result(tuple(rows), _log_slope([t for t, _ in done], [o for _, o in done], _OFFSET_FLOOR))
 
 
 # Artifacts. Each file has one row format over plain Python values (numpy
@@ -280,16 +260,19 @@ def report_to_csv(rows: list[tuple[int, float, float]]) -> str:
     return _csv("eigenindex,energy_rad_per_s,population", (f"{i},{e!r},{p!r}" for i, e, p in rows))
 
 
-def sweep_rows_to_csv(rows: tuple[SweepRow, ...]) -> str:
-    def fmt(x):
-        return "" if x is None else repr(float(x))
+def sweep_rows_to_csv(rows: tuple[tuple[float, int, int, RunResult | Exception], ...]) -> str:
+    """t0-sweep table: one row per (t0, k, q, its run or the error it raised).
+    Every number goes through float(): fit.tau_e is an np.float64, whose
+    repr under numpy 2 is np.float64(...)."""
+
+    def row(t0: float, k: int, q: int, r: RunResult | Exception) -> str:
+        if isinstance(r, Exception):
+            return f"{float(t0)!r},{k},{q},,,,,,0,{_error_cell(str(r))}"
+        cells = (r.delta_exact, r.delta_exp, r.epsilon_ft, r.systematic_offset, r.fit.tau_e)
+        return f"{float(t0)!r},{k},{q},{','.join(repr(float(x)) for x in cells)},{int(r.fit.converged)},"
 
     header = "t0_s,k,q,delta_exact_rad_s,delta_exp_rad_s,epsilon_ft_rad_s,systematic_offset_rad_s,tau_e_s,converged,error"
-    return _csv(header, (
-        f"{float(r.t0)!r},{r.k},{r.q},{fmt(r.delta_exact)},{fmt(r.delta_exp)},{fmt(r.epsilon_ft)},"
-        f"{fmt(r.offset)},{fmt(r.tau_e)},{int(r.converged)},{_error_cell(r.error) if r.error else ''}"
-        for r in rows
-    ))
+    return _csv(header, (row(*r) for r in rows))
 
 
 def sweep_points_to_csv(points: list[tuple[str, RunResult | Exception]]) -> str:

@@ -17,6 +17,11 @@ _MAX_FIT_ITERATIONS = 200
 # Fewest samples the four-parameter fit takes; run.q is checked against it.
 MIN_FIT_SAMPLES = 8
 _STEP_TOL = 1e-10
+# A series spread over at most this many q 2^-52 is flat to rounding, the <Z>
+# of a spin that never moves: spectators (h2 spin 3; chains of n = 4..10 with
+# an uncoupled last spin; Q = 200, 1600) spread 0.08-2.78 q 2^-52, so 64 keeps
+# a margin above 20x. It is 2.8e-12 at Q = 200.
+_FLAT_SPREAD_ULPS = 64
 # Parameter indices of (A, Delta, phi): the free set while the rate is held at 0.
 _FREE_OF_RATE = np.array([0, 2, 3])
 
@@ -147,18 +152,16 @@ def dft(series: TimeSeries) -> Spectrum:
     q = series.q
     x = np.fft.fft(values)
     j = np.arange(q)
-    j_sym = np.where(j <= q // 2, j, j - q) if q % 2 == 0 else np.where(j <= (q - 1) // 2, j, j - q)
+    j_sym = np.where(j <= q // 2, j, j - q)
     omega = 2 * math.pi * j_sym / (q * series.t0)
     order = np.argsort(omega)
     return Spectrum(omega[order], x[order], q, series.t0)
 
 
-def peak_pick(spectrum: Spectrum, exclude_dc: bool = True) -> tuple[float, float]:
-    """Frequency and magnitude of the largest non-negative-frequency bin.
-
-    exclude_dc drops the omega = 0 bin; ties resolve to the lower frequency.
-    """
-    mask = spectrum.omega > 0 if exclude_dc else spectrum.omega >= 0
+def peak_pick(spectrum: Spectrum) -> tuple[float, float]:
+    """Frequency and magnitude of the largest positive-frequency bin; ties
+    resolve to the lower frequency."""
+    mask = spectrum.omega > 0
     if not np.any(mask):
         raise ValueError("no peak: spectrum has no candidate bins")
     omega = spectrum.omega[mask]
@@ -219,22 +222,24 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
     gradient pushing it below, the bound is active: the step solves for
     (A, Delta, phi) alone and the rate stays 0 until the gradient turns. An
     undamped series thus converges with tau_e = 1e12 s (rate on its bound).
+    A series flat to rounding has no tone to fit and raises ValueError.
     """
     if series.q < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit four parameters")
     y = series.values
-    if np.ptp(y) == 0.0:
-        raise ValueError("degenerate flat series")
+    q = series.q
+    spread, flat = float(np.ptp(y)), _FLAT_SPREAD_ULPS * q * 2.0**-52
+    if spread <= flat:
+        raise ValueError(f"degenerate flat series: spread {spread:.3g} <= {flat:.3g} ({_FLAT_SPREAD_ULPS} q 2^-52)")
     t = series.times
     neg_t = -t
-    q = series.q
 
     x = np.fft.fft(y)
     bin_index = int(round(seed * q * series.t0 / (2 * math.pi)))
     bin_index = min(max(bin_index, 0), q // 2)
     a0 = 2.0 * abs(x[bin_index]) / q
     if a0 == 0.0:
-        a0 = np.ptp(y) / 2
+        a0 = spread / 2
     phi0 = float(np.angle(x[bin_index]))
     beta = np.array([a0, 1.0 / (q * series.t0), float(seed), phi0])
 

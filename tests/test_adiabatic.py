@@ -25,7 +25,7 @@ from pairgap.config import build_config, with_plan
 from pairgap.exact import Ramp, computational_state, reachable_gap
 from pairgap.hamiltonian import PairingModel, sector_basis
 from pairgap.nmr import EventTable, RfPulse, compile_trotter_step, simulate_program
-from pairgap.pipeline import SweepRow, report_to_csv, run_experiment, sweep_t0
+from pairgap.pipeline import report_to_csv, result_record, run_experiment, sweep_rows_to_csv, sweep_t0
 from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan
 
@@ -235,12 +235,15 @@ def test_run_builds_no_dense_ramp_and_one_eigensystem_per_step(monkeypatch, meth
     assert [h.shape for h in solved] == [(cfg.schedule_steps + 1, 3, 3)]
 
 
-def sweep_row(cfg, t0, q):
-    """The row of one t0 point, from a standalone run of its config."""
-    point = with_plan(cfg, t0, q=q)
-    r = run_experiment(point)
-    return SweepRow(t0, point.plan.k, point.q, r.delta_exact, r.delta_exp, r.epsilon_ft,
-                    r.systematic_offset, r.fit.tau_e, r.fit.converged)
+def assert_standalone_rows(cfg, rows):
+    """Each t0 row holds the run a standalone run of its point gives: the
+    same result.json record and the same sweep.csv line."""
+    lines = sweep_rows_to_csv(rows).splitlines()[1:]
+    for (t0, k, q, result), line in zip(rows, lines, strict=True):
+        alone = run_experiment(with_plan(cfg, t0, q=q))
+        assert (k, q) == (alone.config.plan.k, alone.config.q)
+        assert result_record(result) == result_record(alone)
+        assert line == sweep_rows_to_csv(((t0, k, q, alone),)).splitlines()[1]
 
 
 @pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
@@ -250,9 +253,8 @@ def test_sweep_prepares_once_and_gives_the_standalone_rows(monkeypatch, method):
     cfg = build_config(preset="h1", overrides=(f"run.method={method}",))
     result = sweep_t0(cfg, [0.5e-3, 1e-3, 2e-3, 4e-3])
     assert len(prepared) == 1
-    assert [r.q for r in result.rows] == [800, 400, 200, 100]
-    for row in result.rows:
-        assert row == sweep_row(cfg, row.t0, row.q)
+    assert [q for _, _, q, _ in result.rows] == [800, 400, 200, 100]
+    assert_standalone_rows(cfg, result.rows)
 
 
 @pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
@@ -261,8 +263,11 @@ def test_sweep_point_with_a_bad_plan_gets_its_own_error_row():
     rows = sweep_t0(cfg, [1e-3, -1e-3, 2e-3]).rows
     with pytest.raises(ValueError) as bad:
         with_plan(cfg, -1e-3)
-    assert rows[1].error == str(bad.value) and rows[1].delta_exp is None
-    assert rows[0] == sweep_row(cfg, 1e-3, rows[0].q) and rows[2] == sweep_row(cfg, 2e-3, rows[2].q)
+    assert isinstance(rows[1][3], ValueError) and str(rows[1][3]) == str(bad.value)
+    _, k, q, _ = rows[1]
+    assert sweep_rows_to_csv(rows).splitlines()[2] == f"-0.001,{k},{q},,,,,,0,\"{bad.value}\""
+    assert [t0 for t0, _, _, _ in rows] == [1e-3, -1e-3, 2e-3]
+    assert_standalone_rows(cfg, (rows[0], rows[2]))
 
 
 @pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
@@ -274,11 +279,12 @@ def test_failed_preparation_puts_its_error_on_every_row(monkeypatch):
     with pytest.raises(ValueError) as failed:
         run_experiment(with_plan(cfg, 1e-3))
     assert "population floor" in str(failed.value)
-    assert [r.error for r in rows[:2]] == [str(failed.value)] * 2
-    assert all(r.delta_exact is None and not r.converged for r in rows)
+    assert [str(r) for _, _, _, r in rows[:2]] == [str(failed.value)] * 2
+    assert all(isinstance(r, ValueError) for _, _, _, r in rows)
     with pytest.raises(ValueError) as bad:
         with_plan(cfg, -1e-3)
-    assert rows[2].error == str(bad.value)
+    assert str(rows[2][3]) == str(bad.value)
+    assert all(line.split(",")[3:9] == ["", "", "", "", "", "0"] for line in sweep_rows_to_csv(rows).splitlines()[1:])
 
 
 def test_run_builds_each_distinct_pulse_once(monkeypatch):
@@ -393,8 +399,7 @@ def test_compiled_t0_sweep_compiles_every_point_on_one_step_compiler(monkeypatch
     # two preparation templates, then one acquisition template per t0
     assert len(templates) == 2 + 3
     assert fresh == []
-    for row in result.rows:
-        assert row == sweep_row(cfg, row.t0, row.q)
+    assert_standalone_rows(cfg, result.rows)
 
 
 def test_backend_leaves_compiling_and_building_to_the_table():

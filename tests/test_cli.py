@@ -155,6 +155,20 @@ def test_unknown_key_exit_2():
     assert "model.mass" in proc.stderr
 
 
+def test_removed_exclude_dc_key_exit_2(capsys):
+    assert main(["run", "--preset", "h1", "--override", "run.exclude_dc=on"]) == 2
+    assert "run.exclude_dc: unknown configuration key" in capsys.readouterr().err
+
+
+def test_run_on_a_spin_that_never_moves_exit_4(tmp_path):
+    # h2's spin 3 is a spectator: its series is -1 to rounding and has no
+    # tone, so the fit refuses it instead of reporting a converged 3e14 Hz
+    proc = run_cli("run", "--preset", "h2", "--override", "run.observed_spin=3", "--out", str(tmp_path))
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("internal error: ValueError: degenerate flat series")
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_unrealizable_coupling_exit_4(tmp_path):
     cfgfile = tmp_path / "bare.cfg"
     cfgfile.write_text(

@@ -49,7 +49,7 @@ def test_preset_defaults_h1():
     assert cfg.method == "ideal" and cfg.pulse_mode == "delta"
     assert cfg.observed_spin == 1
     assert cfg.init_bits == "011" and cfg.init_index == 3
-    assert cfg.damping is False and cfg.exclude_dc is True
+    assert cfg.damping is False
 
 
 def test_preset_via_file_key():

@@ -55,3 +55,18 @@ def test_chain_run_matches_the_dense_oracles_and_repeats(monkeypatch, tmp_path, 
     for name in files[0]:
         with open(files[0][name], "rb") as a, open(files[1][name], "rb") as b:
             assert a.read() == b.read(), name
+
+
+@pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
+@pytest.mark.parametrize("n, seed", [(4, 1), (6, 0)])
+def test_chain_with_an_uncoupled_last_spin_refuses_its_flat_series(n, seed):
+    # spin n has no coupling, so <Z_n> never moves; at Q = 1600 its series
+    # spreads 2.8 (n = 4) and 1.8 (n = 6) q 2^-52, the widest spectators seen
+    rng = np.random.default_rng(seed)
+    nu = rng.uniform(100, 600, n)
+    v = rng.uniform(50, 200, n - 2)
+    overrides = ["model.nu_hz=" + ",".join(repr(float(x)) for x in nu), "run.init=" + ("01" * n)[:n],
+                 f"run.observed_spin={n}", "run.q=1600", "plan.t0_s=2e-4"]
+    overrides += [f"model.v_{m}_{m + 1}_hz={float(x)!r}" for m, x in enumerate(v, start=1)]
+    with pytest.raises(ValueError, match="flat"):
+        pipeline.run_experiment(build_config(None, None, tuple(overrides)))

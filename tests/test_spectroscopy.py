@@ -248,10 +248,9 @@ def test_peak_pick_dc_handling():
     t = np.arange(q) * t0
     y = 0.7 + 0.2 * np.cos(TWO_PI * 4 / (q * t0) * t)
     spec = dft(TimeSeries(t0, y, np.zeros(q)))
-    w_dc, _ = peak_pick(spec, exclude_dc=False)
-    assert w_dc == 0.0
+    assert spec.omega[np.argmax(np.abs(spec.amp))] == 0.0  # DC dominates
     w, _ = peak_pick(spec)
-    assert w > 0
+    assert w == TWO_PI * 4 / (q * t0)
     with pytest.raises(ValueError, match="no peak"):
         peak_pick(dft(TimeSeries(t0, np.zeros(q), np.zeros(q))))
 
@@ -311,6 +310,32 @@ def test_fit_input_guards():
     flat = TimeSeries(1e-3, np.full(16, 0.25), np.zeros(16))
     with pytest.raises(ValueError, match="flat"):
         fit_damped_sinusoid(flat, 1.0)
+
+
+def test_fit_refuses_a_series_flat_to_rounding():
+    # a spread up to 64 q 2^-52 is rounding, not a tone; a tone a few times
+    # above it is fitted
+    q, t0 = 200, 1e-3
+    ripple = np.cos(TWO_PI * 50.0 * np.arange(q) * t0)
+    bound = 64 * q * 2.0**-52
+    for spread in (1e-16, bound / 4, bound):
+        y = -1 + spread / np.ptp(ripple) * (ripple - ripple.min())
+        with pytest.raises(ValueError, match="flat"):
+            fit_damped_sinusoid(TimeSeries(t0, y, np.zeros(q)), TWO_PI * 50.0)
+    fit = fit_damped_sinusoid(TimeSeries(t0, 4 * bound * ripple, np.zeros(q)), TWO_PI * 50.0)
+    assert fit.delta_exp == pytest.approx(TWO_PI * 50.0, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
+def test_run_and_sweep_on_a_spectator_spin_raise_flat():
+    # h2's spin 3 has no coupling, so <Z_3> stays at -1 up to rounding (a
+    # spread of 0.3 q 2^-52); the fit used to converge on it at 3e14 Hz
+    cfg = build_config("h2", overrides=("run.observed_spin=3",))
+    with pytest.raises(ValueError, match="flat"):
+        run_experiment(cfg)
+    result = pipeline.sweep_t0(cfg, [0.25e-3, 0.5e-3])
+    assert all(isinstance(r, ValueError) and "flat series" in str(r) for _, _, _, r in result.rows)
+    assert result.offset_exponent is None
 
 
 def test_fit_frequency_robust_to_noise():

@@ -8,7 +8,8 @@ fixed chains with no preset, at 5 and 8 modes; run and gap-exact on a
 sector; four compiled runs the presets miss, at 4 modes, with clamped
 delays and with zero-angle pulses; a compiled t0 sweep, h1 w2 finite) and
 of every other artifact the CLI writes (a t0 sweep without held
-epsilon_ft, a generic sweep with an error row, compile, estimate), both
+epsilon_ft, a t0 sweep and a generic sweep each with an error row, compile,
+estimate), and a run on h2's spectator spin 3, whose series is flat, both
 trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh process.
 The exit code, stdout, stderr and the bytes of every file written must
 agree. Each side's output directory reads `<out>` and its source
@@ -106,6 +107,8 @@ def grid() -> list[tuple[str, ...]]:
         ("sweep", "--preset", "h1", "--override", "run.method=w2", "--override", "run.pulse_mode=finite",
          "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3"),
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
+        ("sweep", "--preset", "h1", "--vary", "plan.t0_s=1e-3,-1e-3,2e-3"),
+        ("run", "--preset", "h2", "--override", "run.observed_spin=3"),
         ("sweep", "--preset", "h2", "--vary", "plan.k=1,2,x"),
         ("compile", "--preset", "h1", "--override", "run.method=w1"),
         ("compile", "--preset", "h2", "--override", "run.method=w2"),
