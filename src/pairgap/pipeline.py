@@ -164,7 +164,7 @@ def result_record(result: RunResult) -> dict:
 
 @dataclass(frozen=True)
 class SweepT0Result:
-    rows: tuple[tuple[float, int, int, RunResult | Exception], ...]
+    rows: tuple[tuple[float, int, int | None, RunResult | Exception], ...]
     offset_exponent: float | None
 
 
@@ -190,8 +190,10 @@ def sweep_t0(
         prep = exc
     rows = []
     for t0 in t0_values:
-        q = int(round(2 * math.pi / (eps_ref * t0))) if hold_epsilon_ft else cfg.q
+        q = None if hold_epsilon_ft else cfg.q
         try:
+            if hold_epsilon_ft and t0 != 0 and not math.isnan(t0):  # no Q holds eps at 0 or nan: q None
+                q = int(round(2 * math.pi / (eps_ref * t0)))
             point = with_plan(cfg, t0, q=q)
             result = prep if isinstance(prep, Exception) else _measure(point, prep)
         except Exception as exc:  # noqa: BLE001 - per-point failures become rows
@@ -207,11 +209,16 @@ def sweep_t0(
 
 
 def write_text(path: str, body: str) -> None:
-    """Write through a sibling .tmp file and os.replace, so a reader never
-    sees a partly written artifact."""
+    """Write body as UTF-8 in one os.write (mode 0o666 less the umask) to a
+    sibling .tmp file and os.replace it, so no reader sees a partial file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
+    data = memoryview(body.encode())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
 
 
@@ -246,28 +253,44 @@ def write_run_artifacts(result: RunResult, out_dir: str) -> dict[str, str]:
 
 
 def series_to_csv(series: TimeSeries) -> str:
-    t0 = float(series.t0)
-    rows = zip(series.values.tolist(), series.wall_times.tolist())
-    return _csv("k,t_s,value,wall_s", (f"{k},{k * t0!r},{v!r},{w!r}" for k, (v, w) in enumerate(rows)))
+    """Rows k, t_s = k t0, value, wall_s; wall_s reuses t_s's strings where bit-equal (every ideal run)."""
+    times = series.times
+    t = list(map(repr, times.tolist()))
+    walls = t if series.wall_times.tobytes() == times.tobytes() else map(repr, series.wall_times.tolist())
+    rows = zip(map(str, range(series.q)), t, map(repr, series.values.tolist()), walls)
+    return _csv("k,t_s,value,wall_s", map(",".join, rows))
+
+
+def _negated(s: str) -> str:
+    """repr(-x) from repr(x) for a float x (repr drops the sign of a NaN)."""
+    return s[1:] if s[0] == "-" else s if s == "nan" else "-" + s
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:
-    rows = zip(spectrum.omega.tolist(), spectrum.amp.tolist())
-    return _csv("omega_rad_s,re,im,abs", (f"{w!r},{a.real!r},{a.imag!r},{abs(a)!r}" for w, a in rows))
+    """Rows omega, re, im, |X|; each omega < 0 row is its mirror's with omega and
+    im negated as text, so the bins must be dft's bit-exact conjugate mirror."""
+    w, a = spectrum.omega, spectrum.amp
+    neg = (len(w) - 1) // 2
+    mirror = slice(2 * neg, neg, -1)
+    if w[:neg].tobytes() != (-w[mirror]).tobytes() or a[:neg].tobytes() != a[mirror].conj().tobytes():
+        raise ValueError("spectrum: the omega < 0 bins are not the conjugate mirror of the omega > 0 bins")
+    rows = [(repr(x), repr(c.real), repr(c.imag), repr(abs(c))) for x, c in zip(w[neg:].tolist(), a[neg:].tolist())]
+    mirrored = [(_negated(x), re, _negated(im), mag) for x, re, im, mag in rows[neg:0:-1]]
+    return _csv("omega_rad_s,re,im,abs", map(",".join, mirrored + rows))
 
 
 def report_to_csv(rows: list[tuple[int, float, float]]) -> str:
     return _csv("eigenindex,energy_rad_per_s,population", (f"{i},{e!r},{p!r}" for i, e, p in rows))
 
 
-def sweep_rows_to_csv(rows: tuple[tuple[float, int, int, RunResult | Exception], ...]) -> str:
-    """t0-sweep table: one row per (t0, k, q, its run or the error it raised).
-    Every number goes through float(): fit.tau_e is an np.float64, whose
-    repr under numpy 2 is np.float64(...)."""
+def sweep_rows_to_csv(rows: tuple[tuple[float, int, int | None, RunResult | Exception], ...]) -> str:
+    """t0-sweep table: one row per (t0, k, q, its run or the error it raised);
+    a q of None is an empty cell. Every number goes through float():
+    fit.tau_e is an np.float64, whose repr under numpy 2 is np.float64(...)."""
 
-    def row(t0: float, k: int, q: int, r: RunResult | Exception) -> str:
+    def row(t0: float, k: int, q: int | None, r: RunResult | Exception) -> str:
         if isinstance(r, Exception):
-            return f"{float(t0)!r},{k},{q},,,,,,0,{_error_cell(str(r))}"
+            return f"{float(t0)!r},{k},{'' if q is None else q},,,,,,0,{_error_cell(str(r))}"
         cells = (r.delta_exact, r.delta_exp, r.epsilon_ft, r.systematic_offset, r.fit.tau_e)
         return f"{float(t0)!r},{k},{q},{','.join(repr(float(x)) for x in cells)},{int(r.fit.converged)},"
 

@@ -63,7 +63,7 @@ class TimeSeries:
 @dataclass(frozen=True)
 class Spectrum:
     """DFT bins sorted by frequency; omega_j = 2 pi j/(Q t0) with j taken in
-    (-Q/2, Q/2] so the Nyquist bin is positive."""
+    (-Q/2, Q/2] so the Nyquist bin is positive; bin -j is bin j's bit-exact mirror (-omega_j, conj amp_j)."""
 
     omega: np.ndarray
     amp: np.ndarray
@@ -147,15 +147,12 @@ def acquire(
 
 
 def dft(series: TimeSeries) -> Spectrum:
-    """X[j] = sum_k values[k] exp(-2 pi i j k / Q), reported on symmetric bins."""
-    values = series.values
+    """X[j] = sum_k values[k] exp(-2 pi i j k / Q): numpy's FFT for j >= 0, exactly conj X[-j] for j < 0."""
     q = series.q
-    x = np.fft.fft(values)
-    j = np.arange(q)
-    j_sym = np.where(j <= q // 2, j, j - q)
-    omega = 2 * math.pi * j_sym / (q * series.t0)
-    order = np.argsort(omega)
-    return Spectrum(omega[order], x[order], q, series.t0)
+    x = np.fft.fft(series.values)
+    neg = (q - 1) // 2
+    omega = 2 * math.pi * np.arange(-neg, q // 2 + 1) / (q * series.t0)
+    return Spectrum(omega, np.concatenate([x[neg:0:-1].conj(), x[: q // 2 + 1]]), q, series.t0)
 
 
 def peak_pick(spectrum: Spectrum) -> tuple[float, float]:

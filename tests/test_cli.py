@@ -322,6 +322,17 @@ def test_sweep_t0_writes_exponent(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("t0, cells", [
+    ("0", "0.0,2,"), ("nan", "nan,2,"),  # no Q holds epsilon_ft: the q cell is empty
+    ("-1e-3", "-0.001,2,-400"), ("inf", "inf,2,0"),
+])
+def test_sweep_t0_that_is_not_positive_and_finite_is_an_error_row(t0, cells, tmp_path):
+    assert main(["sweep", "--preset", "h1", "--vary", f"plan.t0_s=1e-3,{t0}", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1].startswith("0.001,2,400,1366.") and rows[1].endswith(",1,")
+    assert rows[2] == cells + ',,,,,,0,"plan.t0: must be positive and finite"'
+
+
 def test_sweep_generic_axis(tmp_path):
     proc = run_cli(
         "sweep", "--preset", "h1", "--vary", "plan.k=1,2",

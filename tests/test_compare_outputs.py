@@ -86,7 +86,35 @@ def test_sweep_difference_reports_the_largest_shift(describe):
     head = (0, "", "", {"sweep.csv": sweep_csv([10.004, 20.0], [1, 1])})
     assert describe(base, head) == [
         "files differ: sweep.csv",
+        "sweep.csv: rows differing 1, max |d cell| 1.00e+00",
         "max |d delta_exp|/eps_ft 1.00e-03; t0_s 0.001: converged 0 -> 1",
+    ]
+
+
+def spectrum_csv(rows):
+    return ("omega_rad_s,re,im,abs\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)).encode()
+
+
+def test_csv_difference_counts_rows_and_the_largest_cell_move(describe):
+    rows = [(-10.0, 1.0, -2.0, 3.0), (0.0, 4.0, 0.0, 4.0), (10.0, 1.0, 2.0, 3.0)]
+    moved = [(-10.0, 1.0 + 2e-16, -2.0, 3.0 + 4e-16), *rows[1:]]
+    base = (0, "", "", {"spectrum.csv": spectrum_csv(rows), "timeseries.csv": b"k,t_s\n0,0.0\n1,0.001\n"})
+    head = (0, "", "", {"spectrum.csv": spectrum_csv(moved), "timeseries.csv": b"k,t_s\n0,0.0\n1,0.002\n"})
+    assert describe(base, head) == [
+        "files differ: spectrum.csv, timeseries.csv",
+        "spectrum.csv: rows differing 1, max |d cell| 4.44e-16, all at omega < 0",
+        "timeseries.csv: rows differing 1, max |d cell| 1.00e-03",
+    ]
+    # a move at omega >= 0 is named, and a row on one side only or a changed
+    # non-number has no finite move
+    head = (0, "", "", {"spectrum.csv": spectrum_csv([*moved[:2], (10.0, 1.0, 2.5, 3.0)]),
+                        "timeseries.csv": b"k,t_s\n0,0.0\n1,0.001\n2,0.002\n",
+                        "resources.csv": b"n,note\n3,b\n"})
+    base[3]["resources.csv"] = b"n,note\n3,a\n"
+    assert describe(base, head)[1:] == [
+        "resources.csv: rows differing 1, max |d cell| inf",
+        "spectrum.csv: rows differing 2, max |d cell| 5.00e-01, not all at omega < 0",
+        "timeseries.csv: rows differing 1, max |d cell| inf",
     ]
 
 
@@ -147,9 +175,13 @@ def test_summary_line_names_the_worst_cases_and_counts_changes(tool):
     assert tool.summarize(differing) == (
         "summary of 5 differing: worst |d delta_exp|/eps_ft 5.00e-03 (run b); "
         "worst |d offset_exponent| 1.00e-02 (sweep c); worst |d gap.json| 4.00e+00 rad/s (gap d); "
-        "changed: exit 1, converged 2, reachable_level 2, stderr 1"
+        "worst |d csv cell| 1.00e+00 (sweep c); changed: exit 1, converged 2, reachable_level 2, stderr 1"
     )
     assert tool.summarize([]) == (
         "summary of 0 differing: worst |d delta_exp|/eps_ft 0.00e+00; worst |d offset_exponent| 0.00e+00; "
-        "worst |d gap.json| 0.00e+00 rad/s; changed: exit 0, converged 0, reachable_level 0, stderr 0"
+        "worst |d gap.json| 0.00e+00 rad/s; worst |d csv cell| 0.00e+00; "
+        "changed: exit 0, converged 0, reachable_level 0, stderr 0"
     )
+    spectrum = [("spectrum e", (0, "", "", {"spectrum.csv": b"omega_rad_s,re\n-1.0,0.5\n"}),
+                 (0, "", "", {"spectrum.csv": b"omega_rad_s,re\n-1.0,3.0\n"}))]
+    assert "; worst |d csv cell| 2.50e+00 (spectrum e); " in tool.summarize(differing + spectrum)

@@ -221,8 +221,11 @@ def test_dft_conjugate_symmetry_and_parseval():
     for w, a in zip(spec.omega, spec.amp):
         if w > 0 and -w in spec.omega:  # Nyquist has no mirror
             mirror = spec.amp[np.where(spec.omega == -w)[0][0]]
-            assert abs(a - np.conj(mirror)) < 1e-10
+            # the mirror bin is the conjugate to the bit, signed zeros included
+            assert np.array([mirror]).tobytes() == np.array([a]).conj().tobytes()
     assert math.isclose(np.sum(y**2), np.sum(np.abs(spec.amp) ** 2) / q, rel_tol=1e-12)
+    # the omega >= 0 bins are numpy's FFT bins, bit for bit
+    assert spec.amp[spec.omega >= 0].tobytes() == np.fft.fft(y)[: q // 2 + 1].tobytes()
 
 
 def test_dft_on_bin_cosine():
@@ -516,6 +519,39 @@ def test_csv_layouts():
     assert series_to_csv(series) == "\n".join(["k,t_s,value,wall_s", *rows]) + "\n"
     rows = [f"{float(w)!r},{float(a.real)!r},{float(a.imag)!r},{float(abs(a))!r}" for w, a in zip(spec.omega, spec.amp)]
     assert spectrum_to_csv(spec) == "\n".join(["omega_rad_s,re,im,abs", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("q", [8, 9, 200, 201])
+def test_csv_layouts_of_an_ideal_shaped_series(q):
+    # wall = t0, as in every ideal run, so wall_s reuses t_s; odd and even Q
+    # exercise the Nyquist bin and the mirrored half of the spectrum
+    rng = np.random.default_rng(q)
+    t0 = 0.7e-3
+    series = TimeSeries(t0, rng.uniform(-1, 1, q), np.arange(q) * t0)
+    rows = [f"{k},{float(k * t0)!r},{float(v)!r},{float(w)!r}"
+            for k, (v, w) in enumerate(zip(series.values, series.wall_times))]
+    assert series_to_csv(series) == "\n".join(["k,t_s,value,wall_s", *rows]) + "\n"
+    spec = dft(series)
+    assert len(spec.omega) == q and spec.omega[0] < 0 and spec.omega[-1] == TWO_PI * (q // 2) / (q * t0)
+    rows = [f"{float(w)!r},{float(a.real)!r},{float(a.imag)!r},{float(abs(a))!r}" for w, a in zip(spec.omega, spec.amp)]
+    assert spectrum_to_csv(spec) == "\n".join(["omega_rad_s,re,im,abs", *rows]) + "\n"
+
+
+def test_spectrum_csv_mirrors_signed_zeros_and_refuses_a_broken_mirror():
+    # a real bin's im of +0.0 mirrors to -0.0, and the text says so
+    omega = np.array([-100.0, 0.0, 100.0])
+    spec = Spectrum(omega, np.array([complex(2.0, -0.0), 1.0, 2.0]), 3, 1e-3)
+    assert spectrum_to_csv(spec).split("\n")[1:4] == ["-100.0,2.0,-0.0,2.0", "0.0,1.0,0.0,1.0", "100.0,2.0,0.0,2.0"]
+    # repr drops a NaN's sign, so a NaN im stays "nan" in its mirror
+    nan_bin = complex(2.0, math.nan)
+    spec = Spectrum(omega, np.array([nan_bin.conjugate(), 1.0, nan_bin]), 3, 1e-3)
+    assert spectrum_to_csv(spec).split("\n")[1:4] == ["-100.0,2.0,nan,nan", "0.0,1.0,0.0,1.0", "100.0,2.0,nan,nan"]
+    for amp in ([2.0, 1.0, 2.0],  # +0.0 where the mirror has -0.0
+                [complex(2.0, 1e-16), 1.0, 2.0]):  # a bin off its mirror by rounding
+        with pytest.raises(ValueError, match="conjugate mirror"):
+            spectrum_to_csv(Spectrum(omega, np.array(amp, dtype=complex), 3, 1e-3))
+    with pytest.raises(ValueError, match="conjugate mirror"):  # omega not symmetric
+        spectrum_to_csv(Spectrum(np.array([-99.0, 0.0, 100.0]), spec.amp, 3, 1e-3))
 
 
 def test_fit_record_keys_and_json():

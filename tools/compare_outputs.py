@@ -23,17 +23,20 @@ tree compares across trees.
 thread in both, as in the benchmark. Exit status is 0 when every case agrees.
 
 Under each case that differs, the tool names what differs (exit code, stdout,
-stderr, artifact files) and, from both sides' result.json, sweep.csv and
-sweep_summary.json, how far the fit moved: the largest |delta_exp change| in
-units of epsilon_ft (in rad/s on generic sweeps, which record no epsilon_ft),
-the relative change of residual_norm, the change of the offset exponent,
-every flip of `converged`, a run's reachable level on both sides with the
-change of its exact gap, and how far gap-exact's gap.json moved: the largest
-|change| in rad/s over its sector eigenvalues, first gap and reachable gap.
+stderr, artifact files); for each differing CSV artifact, how many rows
+differ and the largest |cell change|, and for spectrum.csv whether every
+differing row lies at omega < 0; and, from both sides' result.json,
+sweep.csv and sweep_summary.json, how far the fit moved: the largest
+|delta_exp change| in units of epsilon_ft (in rad/s on generic sweeps, which
+record no epsilon_ft), the relative change of residual_norm, the change of
+the offset exponent, every flip of `converged`, a run's reachable level on
+both sides with the change of its exact gap, and how far gap-exact's
+gap.json moved: the largest |change| in rad/s over its sector eigenvalues,
+first gap and reachable gap.
 The last line sums up every differing case: the worst delta_exp move in
-units of epsilon_ft, the worst offset-exponent move and the worst gap.json
-move, each with its case, and how many exit codes, converged flags,
-reachable levels and stderr streams changed.
+units of epsilon_ft, the worst offset-exponent move, the worst gap.json
+move and the worst CSV cell move, each with its case, and how many exit
+codes, converged flags, reachable levels and stderr streams changed.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +138,47 @@ def run(src: Path, argv: tuple[str, ...]) -> Outcome:
     return proc.returncode, scrub(proc.stdout), scrub(proc.stderr), files
 
 
+def _number(cell: str) -> float:
+    """A CSV cell as a float; nan for a cell that is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _cell_move(b: str, h: str) -> float:
+    """|change| of one CSV cell: 0 for equal text, inf unless both sides are
+    numbers that differ by a number."""
+    move = 0.0 if b == h else abs(_number(h) - _number(b))
+    return math.inf if math.isnan(move) else move
+
+
+def _csv_move(body_b: bytes, body_h: bytes) -> tuple[int, float, bool]:
+    """How a CSV artifact moved: how many rows differ (a row on one side only
+    counts), the largest |cell change| (inf for a row on one side only, a
+    changed row length or a changed non-number) and whether every differing
+    row has a negative first cell on both sides (spectrum.csv's omega < 0)."""
+    b_rows = list(csv.reader(io.StringIO(body_b.decode())))
+    h_rows = list(csv.reader(io.StringIO(body_h.decode())))
+    rows = abs(len(b_rows) - len(h_rows))
+    move = math.inf if rows else 0.0
+    negative = not rows
+    for b, h in zip(b_rows, h_rows):
+        if b == h:
+            continue
+        rows += 1
+        move = max(move, *map(_cell_move, b, h), math.inf if len(b) != len(h) else 0.0)
+        negative = negative and all(r and _number(r[0]) < 0 for r in (b, h))
+    return rows, move, negative
+
+
+def _csv_moves(base: dict[str, bytes], head: dict[str, bytes]) -> list[tuple[str, int, float, bool]]:
+    """(name, rows that differ, largest |cell change|, all at omega < 0) for
+    every *.csv artifact that both sides wrote and that differs."""
+    names = sorted(n for n in set(base) & set(head) if n.endswith(".csv") and base[n] != head[n])
+    return [(name, *_csv_move(base[name], head[name])) for name in names]
+
+
 def _sweep_rows(body: bytes) -> list[dict[str, str]]:
     return list(csv.DictReader(io.StringIO(body.decode())))
 
@@ -188,15 +233,18 @@ def _fit_moves(base: dict[str, bytes], head: dict[str, bytes]) -> list[str]:
     return moves
 
 
-def _tally(base: dict[str, bytes], head: dict[str, bytes]) -> tuple[list[float], list[float], list[float], int, int]:
+def _tally(
+    base: dict[str, bytes], head: dict[str, bytes]
+) -> tuple[list[float], list[float], list[float], list[float], int, int]:
     """What the summary line counts for one case: every |delta_exp change| in
     units of epsilon_ft (result.json and t0-sweep rows), every |change| of
-    the offset exponent, the gap.json move in rad/s, and the number of
-    converged flips and of reachable-level changes (result.json and
-    gap.json)."""
+    the offset exponent, the gap.json move in rad/s, the largest |cell
+    change| of each differing CSV artifact, and the number of converged
+    flips and of reachable-level changes (result.json and gap.json)."""
     shifts, exponents, flips, levels = [], [], 0, 0
     gap = _gap_move(base, head)
     gaps = [] if gap is None else [gap]
+    cells = [move for _, _, move, _ in _csv_moves(base, head)]
     for name in ("result.json", "gap.json"):
         if name in base and name in head:
             b, h = json.loads(base[name]), json.loads(head[name])
@@ -214,20 +262,22 @@ def _tally(base: dict[str, bytes], head: dict[str, bytes]) -> tuple[list[float],
         b, h = json.loads(base["sweep_summary.json"]), json.loads(head["sweep_summary.json"])
         if b["offset_exponent"] is not None and h["offset_exponent"] is not None:
             exponents.append(abs(h["offset_exponent"] - b["offset_exponent"]))
-    return shifts, exponents, gaps, flips, levels
+    return shifts, exponents, gaps, cells, flips, levels
 
 
 def summarize(differing: list[tuple[str, Outcome, Outcome]]) -> str:
     """One line over every differing (label, base, head) case: the worst
-    |delta_exp change|/epsilon_ft, the worst |offset exponent change| and
-    the worst gap.json move in rad/s, each with its case, and how many exit
-    codes, converged flags, reachable levels and stderr streams changed."""
-    worst = {"|d delta_exp|/eps_ft": (0.0, ""), "|d offset_exponent|": (0.0, ""), "|d gap.json|": (0.0, "")}
+    |delta_exp change|/epsilon_ft, the worst |offset exponent change|, the
+    worst gap.json move in rad/s and the worst |CSV cell change|, each with
+    its case, and how many exit codes, converged flags, reachable levels and
+    stderr streams changed."""
+    worst = {"|d delta_exp|/eps_ft": (0.0, ""), "|d offset_exponent|": (0.0, ""), "|d gap.json|": (0.0, ""),
+             "|d csv cell|": (0.0, "")}
     units = {"|d gap.json|": " rad/s"}
     exits = flips = levels = stderrs = 0
     for label, base, head in differing:
-        shifts, exponents, gaps, case_flips, case_levels = _tally(base[3], head[3])
-        for key, values in zip(worst, (shifts, exponents, gaps)):
+        shifts, exponents, gaps, cells, case_flips, case_levels = _tally(base[3], head[3])
+        for key, values in zip(worst, (shifts, exponents, gaps, cells)):
             if values and max(values) > worst[key][0]:
                 worst[key] = (max(values), label)
         exits += base[0] != head[0]
@@ -255,6 +305,9 @@ def describe(base: Outcome, head: Outcome) -> list[str]:
     changed = [n for n in names if base[3].get(n) != head[3].get(n)]
     if changed:
         lines.append("files differ: " + ", ".join(changed))
+    for name, rows, move, negative in _csv_moves(base[3], head[3]):
+        where = (", all at omega < 0" if negative else ", not all at omega < 0") if name == "spectrum.csv" else ""
+        lines.append(f"{name}: rows differing {rows}, max |d cell| {move:.2e}{where}")
     moves = _fit_moves(base[3], head[3])
     if moves:
         lines.append("; ".join(moves))
