@@ -62,9 +62,9 @@ def prepare(
 
     A compiled method runs on ``table``, the run's pulse-event table (its
     machine, pulse mode and step compilers), and raises ValueError without
-    one. The table compiles all S + 1 programs first, each step template
-    once and stamped for every s, and builds each distinct event once, in
-    one stacked batch for the whole ramp.
+    one. The table compiles all S + 1 programs first, on its one compiler
+    for the method, and builds each distinct event once, in one stacked
+    batch for the whole ramp.
     """
     psi = np.asarray(init, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:

@@ -70,7 +70,7 @@ class ExperimentConfig:
     q: int = 200
     observed_spin: int = presets.OBSERVED_SPIN
     damping: bool = False
-    init_bits: str = presets.INIT_BITS
+    init_bits: str | None = presets.INIT_BITS
     population_floor: float = 0.02
     noise_amplitude: float = 0.0
     noise_seed: int = 0
@@ -90,7 +90,7 @@ class ExperimentConfig:
             raise ConfigError(f"run.q: need at least {MIN_FIT_SAMPLES} samples, the fit's minimum")
         if not 1 <= self.observed_spin <= self.model.n:
             raise ConfigError("run.observed_spin: out of range")
-        if len(self.init_bits) != self.model.n or set(self.init_bits) - {"0", "1"}:
+        if self.init_bits is not None and (len(self.init_bits) != self.model.n or set(self.init_bits) - {"0", "1"}):
             raise ConfigError("run.init: need one bit per mode")
         if not 0.0 < self.population_floor < 1.0:
             raise ConfigError("run.population_floor: must lie in (0, 1)")
@@ -102,16 +102,22 @@ class ExperimentConfig:
 
     @property
     def init_index(self) -> int:
-        return int(self.init_bits, 2)
+        return int(self._init_bits(), 2)
 
     @property
     def pairs(self) -> int:
-        """The pair sector of run.init, where the ramp works; all 0s or all 1s
-        is a one-state sector with no excited level, a ConfigError."""
-        pairs = self.init_bits.count("1")
+        """The pair sector of run.init, where the ramp works. All 0s or all 1s
+        is a one-state sector with no excited level, and None (a model without
+        a preset and n != 3 has no default) is no init: each a ConfigError."""
+        pairs = self._init_bits().count("1")
         if pairs in (0, self.model.n):
             raise ConfigError(f"run.init: {self.init_bits} lies in a one-state pair sector, with no excited level")
         return pairs
+
+    def _init_bits(self) -> str:
+        if self.init_bits is None:
+            raise ConfigError("run.init: required for a model without a preset unless n = 3")
+        return self.init_bits
 
     @property
     def compile_method(self) -> str:
@@ -331,7 +337,7 @@ def build_config(
 
     fields = {field: parse(entries, key) for key, field, parse in _RUN_KEYS if key in entries}
     fields.setdefault("q", defaults["q"])
-    fields.setdefault("init_bits", presets.INIT_BITS if model.n == 3 else "0" * model.n)
+    fields.setdefault("init_bits", presets.INIT_BITS if model.n == 3 else None)
     try:
         return ExperimentConfig(model=model, machine=machine, plan=plan, **fields)
     except ValueError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -169,12 +170,7 @@ def _coupling_delay(model: PairingModel, t: float, machine: SpinSystem) -> tuple
     those pairs as 0-based (i, j) with i < j. Both tables are read as Python
     floats, whose arithmetic is the same IEEE arithmetic as numpy's."""
     v = (model.coupling * model.convention_factor).tolist()
-    pairs = tuple(
-        (i, j)
-        for i in range(model.n)
-        for j in range(i + 1, model.n)
-        if v[i][j] != 0.0
-    )
+    pairs = tuple((i, j) for i, j in combinations(range(model.n), 2) if v[i][j] != 0.0)
     if not pairs:
         return 0.0, pairs
     j_table = machine.j_hz.tolist()
@@ -194,36 +190,39 @@ def _coupling_delay(model: PairingModel, t: float, machine: SpinSystem) -> tuple
     return durations[0], pairs
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """A coupling delay in a step template: its block time t, whole or halved
-    around a refocusing pulse, and its w2 cut alpha (None when not cut)."""
-
-    t: float
-    half: bool
-    alpha: float | None = None
+def _refuse_open_couplings(machine: SpinSystem, pairs: tuple, coupled: tuple, idle: tuple) -> None:
+    """Raise a ValueError naming the spins of a layout whose shared delay
+    leaves a coupling on: spectators are flipped together, so two of them
+    with nonzero mutual J keep that coupling through the block; so do two
+    coupled spins with V = 0 but J != 0 between them, which share the delay."""
+    j = machine.j_hz
+    tied = [f"{a},{b}" for a, b in combinations(idle, 2) if j[a - 1, b - 1] != 0.0]
+    if tied:
+        raise ValueError(
+            f"spectator spins {'; '.join(tied)} have J != 0: the shared "
+            "refocusing pulse leaves their mutual coupling on"
+        )
+    leaked = [f"{a},{b}" for a, b in combinations(coupled, 2) if (a - 1, b - 1) not in pairs and j[a - 1, b - 1] != 0.0]
+    if leaked:
+        raise ValueError(
+            f"coupled spins {'; '.join(leaked)} have V = 0 but J != 0: the "
+            "shared delay leaves their mutual coupling on"
+        )
 
 
 def _coupling_events(
-    axis: str,
-    t: float,
-    machine: SpinSystem,
-    pairs: tuple[tuple[int, int], ...],
-    delayed: bool,
-    parity: dict[int, int],
-    out: list,
-    pulse,
+    axis: str, d: float, coupled: tuple, idle: tuple, parity: dict, out: list, pulse, cut=None, warnings=None
 ) -> None:
-    """One coupling block: basis-change sandwich on the coupled spins around a
-    shared ZZ delay, left as a slot; when the delay is nonzero (``delayed``),
-    uncoupled spins get a single X pi pulse at its midpoint, which cancels
-    their coupling to the active spins over the block. Every pulse comes
-    from ``pulse(targets, phase, angle)``.
+    """One coupling block: basis-change sandwich on the ``coupled`` spins
+    around their shared ZZ delay d; when d > 0, the ``idle`` spins get a
+    single X pi pulse at its midpoint, which cancels their coupling to the
+    active spins over the block. Every pulse comes from
+    ``pulse(targets, phase, angle)``.
 
-    Spectators are flipped together, so two of them with nonzero mutual J
-    would keep that coupling through the block; so would two coupled spins
-    with V = 0 but J != 0 between them, which share the delay. Such layouts
-    raise a ValueError that names the spins.
+    With ``cut`` (method "w2": t_pi / 2 pi), each delay is shortened by cut
+    times the summed |angle| of the two pulses that flank it; one the cut
+    would make negative is clamped to zero and reported in ``warnings`` by
+    its event index in ``out``.
     """
     if axis == "X":
         open_phase, close_phase = _PI / 2, -_PI / 2
@@ -231,74 +230,40 @@ def _coupling_events(
         open_phase, close_phase = _PI, 0.0
     else:
         raise ValueError("axis must be 'X' or 'Y'")
-    coupled = sorted({m + 1 for pair in pairs for m in pair})
     if not coupled:
         return
-    idle = tuple(m for m in range(1, machine.n + 1) if m not in coupled)
-    if delayed:
-        tied = [
-            f"{a},{b}"
-            for a in idle
-            for b in idle
-            if a < b and machine.j_hz[a - 1, b - 1] != 0.0
-        ]
-        if tied:
-            raise ValueError(
-                f"spectator spins {'; '.join(tied)} have J != 0: the shared "
-                "refocusing pulse leaves their mutual coupling on"
-            )
-        leaked = [
-            f"{a},{b}"
-            for a in coupled
-            for b in coupled
-            if a < b and (a - 1, b - 1) not in pairs and machine.j_hz[a - 1, b - 1] != 0.0
-        ]
-        if leaked:
-            raise ValueError(
-                f"coupled spins {'; '.join(leaked)} have V = 0 but J != 0: the "
-                "shared delay leaves their mutual coupling on"
-            )
-    out.append(pulse(tuple(coupled), open_phase, _PI / 2))
-    if idle and delayed:
-        out.append(_Slot(t, True))
-        out.append(pulse(idle, 0.0, _PI))
-        out.append(_Slot(t, True))
+
+    def delay(duration: float, before: RfPulse, after: RfPulse) -> None:
+        if cut is not None:
+            duration = float(duration) - cut * (abs(before.angle) + abs(after.angle))
+            if duration < 0:
+                warnings.append(f"event {len(out)}: compensated delay {duration:.3e} s clamped to 0")
+                duration = 0.0
+        out.append(Delay(duration))
+
+    opening = pulse(coupled, open_phase, _PI / 2)
+    closing = pulse(coupled, close_phase, _PI / 2)
+    out.append(opening)
+    if idle and d > 0:
+        flip = pulse(idle, 0.0, _PI)
+        delay(d / 2, opening, flip)
+        out.append(flip)
+        delay(d / 2, flip, closing)
         for m in idle:
             parity[m] += 1
     else:
-        out.append(_Slot(t, False))
-    out.append(pulse(tuple(coupled), close_phase, _PI / 2))
-
-
-def _stamp(template: tuple, delays: dict[float, float], n: int) -> PulseProgram:
-    """Fill a template's slots with the shared delay of each block time. A
-    cut delay that would go negative is clamped to zero and reported."""
-    events = list(template)
-    warnings = []
-    for i, ev in enumerate(template):
-        if not isinstance(ev, _Slot):
-            continue
-        duration = delays[ev.t] / 2 if ev.half else delays[ev.t]
-        if ev.alpha is not None:
-            duration = float(duration) - ev.alpha
-            if duration < 0:
-                warnings.append(f"event {i}: compensated delay {duration:.3e} s clamped to 0")
-                duration = 0.0
-        events[i] = Delay(duration)
-    return PulseProgram(tuple(events), n, tuple(warnings))
+        delay(d, opening, closing)
+    out.append(closing)
 
 
 class StepCompiler:
     """Compiles symmetric Trotter steps (see trotter.symmetric3_step) for
     ``machine`` with method "w1" or "w2", for any model and plan.
 
-    The event list depends on the model only through its on-site part, its
-    coupled pairs and which block delays are nonzero, and on the plan
-    through (tau, k). It is built once per such key as a template with a
-    slot per coupling delay, which each model stamps with its own delays: a
-    ramp's steps s >= 1 share one template. Each distinct pulse is built
-    and validated once per compiler, so its templates share their RfPulse
-    objects.
+    Each program is built event by event in one pass, with every w2 cut
+    applied as its delay is emitted. Each distinct pulse is built and
+    validated once per compiler, so the programs of one compiler, a run's
+    whole ramp and every acquisition step, share their RfPulse objects.
     """
 
     def __init__(self, method: str, machine: SpinSystem):
@@ -306,7 +271,6 @@ class StepCompiler:
             raise ValueError("method must be 'w1' or 'w2'")
         self.method = method
         self.machine = machine
-        self._templates: dict[tuple, tuple] = {}
         self._pulses: dict[tuple, RfPulse] = {}
 
     def _pulse(self, targets: tuple[int, ...], phase: float, angle: float) -> RfPulse:
@@ -319,44 +283,38 @@ class StepCompiler:
         return ev
 
     def compile(self, model: PairingModel, plan) -> PulseProgram:
-        if self.machine.n != model.n:
-            raise ValueError("machine and model spin counts differ")
-        tau = plan.t0 / plan.k
-        delays = {}
-        for t in (tau / 2, tau):
-            delays[t], pairs = _coupling_delay(model, t, self.machine)
-        key = (tau, plan.k, model.nu, model.convention_factor, pairs, tuple(d > 0 for d in delays.values()))
-        if key not in self._templates:
-            self._templates[key] = self._template(model, tau, plan.k, pairs, delays)
-        return _stamp(self._templates[key], delays, model.n)
-
-    def _template(self, model, tau, k, pairs, delays) -> tuple:
         """Refocusing parity is tracked across the whole program: spectator
         z-angles flip sign while the running flip count is odd, and one
-        restoring X pi pulse ends it when the final count is odd. Method "w2"
-        gives each slot between RF events its alpha (angles by magnitude)."""
-        parity = {m: 0 for m in range(1, model.n + 1)}
-        events: list = []
-        for _ in range(k):
+        restoring X pi pulse ends it when the final count is odd. The
+        tau / 2 and tau blocks each get their own delay (with subnormal
+        couplings one is not half the other). A layout the shared delay
+        cannot realize raises a ValueError that names the spins."""
+        if self.machine.n != model.n:
+            raise ValueError("machine and model spin counts differ")
+        n, tau = model.n, plan.t0 / plan.k
+        half, pairs = _coupling_delay(model, tau / 2, self.machine)
+        whole, pairs = _coupling_delay(model, tau, self.machine)
+        coupled = tuple(sorted({m + 1 for pair in pairs for m in pair}))
+        idle = tuple(m for m in range(1, n + 1) if m not in coupled)
+        if coupled and whole > 0:
+            _refuse_open_couplings(self.machine, pairs, coupled, idle)
+        cut = self.machine.t_pi / (2 * _PI) if self.method == W2 else None
+        parity = {m: 0 for m in range(1, n + 1)}
+        events, warnings = [], []
+        for _ in range(plan.k):
             _onsite_events(model, tau / 2, parity, events, self._pulse)
-            for axis, t in (("X", tau / 2), ("Y", tau), ("X", tau / 2)):
-                _coupling_events(axis, t, self.machine, pairs, delays[t] > 0, parity, events, self._pulse)
+            for axis, d in (("X", half), ("Y", whole), ("X", half)):
+                _coupling_events(axis, d, coupled, idle, parity, events, self._pulse, cut, warnings)
             _onsite_events(model, tau / 2, parity, events, self._pulse)
-        odd = tuple(m for m in range(1, model.n + 1) if parity[m] % 2)
+        odd = tuple(m for m in range(1, n + 1) if parity[m] % 2)
         if odd:
             events.append(self._pulse(odd, 0.0, _PI))
-        if self.method == W2:
-            for i in range(1, len(events) - 1):
-                prev, ev, nxt = events[i - 1 : i + 2]
-                if isinstance(ev, _Slot) and isinstance(prev, RfPulse) and isinstance(nxt, RfPulse):
-                    alpha = (self.machine.t_pi / (2 * _PI)) * (abs(prev.angle) + abs(nxt.angle))
-                    events[i] = _Slot(ev.t, ev.half, alpha)
-        return tuple(events)
+        return PulseProgram(tuple(events), n, tuple(warnings))
 
 
 def compile_trotter_step(model, plan, method: str, machine: SpinSystem) -> PulseProgram:
     """Compile one symmetric Trotter step into a pulse program, repeated
-    plan.k times (a fresh StepCompiler's template, stamped once)."""
+    plan.k times, on a fresh StepCompiler."""
     return StepCompiler(method, machine).compile(model, plan)
 
 
@@ -425,10 +383,10 @@ class EventTable:
     the ZZ drift is held once, as its diagonal. A run keeps one table, the one
     carrier of its machine and pulse mode, and the table compiles and builds
     every program the run applies (``programs``): one StepCompiler per
-    method serves the preparation ramp, the acquisition step and every t0
-    point, and the events the table lacks are built in stacked batches, one
-    numpy pass per event kind; ``unitary`` builds a missing event as a batch
-    of one. Using the table with another machine, spin count or pulse mode
+    method compiles the preparation ramp, the acquisition step and every t0
+    point, whose programs then share its pulses, and the events the table
+    lacks are built in stacked batches, one numpy pass per event kind;
+    ``unitary`` builds a missing event as a batch of one. Using the table with another machine, spin count or pulse mode
     raises ValueError instead of returning another machine's unitary, and so
     does building one for more than 12 spins.
     """

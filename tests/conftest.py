@@ -16,7 +16,7 @@ import numpy as np
 
 from pairgap.exact import propagator
 from pairgap.hamiltonian import sector_basis
-from pairgap.nmr import Delay, PulseProgram, RfPulse, _coupling_delay, _coupling_events, _onsite_events, _stamp
+from pairgap.nmr import Delay, PulseProgram, RfPulse, _coupling_delay, _coupling_events, _onsite_events
 from pairgap.spectroscopy import FitResult, TimeSeries
 
 _LINES: list[str] = []
@@ -137,15 +137,18 @@ def compile_coupling(model, axis: str, t: float, machine) -> PulseProgram:
     """The compiler's coupling block alone (axis 'X' or 'Y', time t). It
     leaves a spectator spin net-flipped; a full step program restores it."""
     d, pairs = _coupling_delay(model, t, machine)
+    coupled = tuple(sorted({m + 1 for pair in pairs for m in pair}))
+    idle = tuple(m for m in range(1, model.n + 1) if m not in coupled)
     events = []
-    _coupling_events(axis, t, machine, pairs, d > 0, {m: 0 for m in range(1, model.n + 1)}, events, RfPulse)
-    return _stamp(tuple(events), {t: d}, model.n)
+    _coupling_events(axis, d, coupled, idle, {m: 0 for m in range(1, model.n + 1)}, events, RfPulse)
+    return PulseProgram(tuple(events), model.n)
 
 
-# Reference compiler: the step compiler as it stood before templates, which
-# builds every event of every program afresh and compensates w2 delays in a
-# second pass. The package's templates, stamped per model, must give programs
-# equal to these, clamp warnings and errors included.
+# Reference compiler: every event of every program built afresh, the layout
+# refusals run per block and the w2 delays compensated in a second pass. The
+# package's one-pass compiler, which interns its pulses, cuts each delay as it
+# emits it and refuses a layout once per step, must give programs equal to
+# these, clamp warnings and errors included.
 
 
 def _reference_coupling_events(model, axis, t, machine, parity, out):
@@ -186,7 +189,7 @@ def _reference_coupling_events(model, axis, t, machine, parity, out):
 
 
 def reference_compile_step(model, plan, method, machine) -> PulseProgram:
-    """One palindromic step compiled event by event, as before templates."""
+    """One palindromic step compiled event by event, then cut for w2."""
     if machine.n != model.n:
         raise ValueError("machine and model spin counts differ")
     tau = plan.t0 / plan.k

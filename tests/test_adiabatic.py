@@ -338,16 +338,12 @@ def test_compiled_run_decomposes_its_pulses_in_one_eigh_per_batch(monkeypatch, e
     assert all(h.ndim == 3 and h.shape[1:] == (8, 8) for h in solved[1:])
 
 
-def test_run_compiles_each_template_once(monkeypatch):
-    # the ramp's s = 0 step is on-site only and its s >= 1 steps share one
-    # coupling pattern: two preparation templates, plus one for acquisition
-    templates = counting(monkeypatch, pairgap.nmr.StepCompiler, "_template")
+def test_run_compiles_each_step_once_on_one_compiler(monkeypatch):
     compiled = counting(monkeypatch, pairgap.nmr.StepCompiler, "compile")
     cfg = build_config(preset="h1", overrides=("run.method=w2", "run.pulse_mode=finite"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticityWarning)
         run_experiment(cfg)
-    assert len(templates) == 3
     # the S + 1 ramp steps, then the one acquisition step, on one compiler
     assert len(compiled) == cfg.schedule_steps + 2
     assert len({id(compiler) for compiler in compiled}) == 1
@@ -391,13 +387,13 @@ def test_a_run_compiles_on_one_step_compiler_per_method(monkeypatch, method, evo
 @pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
 def test_compiled_t0_sweep_compiles_every_point_on_one_step_compiler(monkeypatch):
     built = counting(monkeypatch, pairgap.nmr.StepCompiler, "__init__")
-    templates = counting(monkeypatch, pairgap.nmr.StepCompiler, "_template")
+    compiled = counting(monkeypatch, pairgap.nmr.StepCompiler, "compile")
     fresh = fresh_compiles(monkeypatch)
     cfg = build_config(preset="h1", overrides=("run.method=w2", "run.pulse_mode=finite"))
     result = sweep_t0(cfg, [0.5e-3, 1e-3, 2e-3])
     assert len(built) == 1
-    # two preparation templates, then one acquisition template per t0
-    assert len(templates) == 2 + 3
+    # the S + 1 ramp steps once, then one acquisition step per t0
+    assert len(compiled) == cfg.schedule_steps + 1 + 3
     assert fresh == []
     assert_standalone_rows(cfg, result.rows)
 

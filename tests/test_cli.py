@@ -237,7 +237,7 @@ def test_run_above_twelve_modes_exit_4(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "gap-exact"])
 @pytest.mark.parametrize("model, bits", [
-    (("--override", "model.nu_hz=120,250,330,410"), "0000"),  # no run.init: all 0s by default
+    (("--override", "model.nu_hz=120,250,330,410", "--override", "run.init=0000"), "0000"),
     (("--preset", "h1", "--override", "run.init=111"), "111"),
 ])
 def test_init_in_a_one_state_sector_exit_2(command, model, bits, tmp_path, capsys):
@@ -248,10 +248,24 @@ def test_init_in_a_one_state_sector_exit_2(command, model, bits, tmp_path, capsy
 
 
 def test_one_state_init_fails_sweep_rows_and_not_compile(tmp_path, capsys):
-    chain = ("--override", "model.nu_hz=120,250,330,410")
+    chain = ("--override", "model.nu_hz=120,250,330,410", "--override", "run.init=0000")
     assert main(["sweep", *chain, "--vary", "plan.t0_s=1e-3,2e-3", "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 and all('"run.init: 0000 lies in a one-state pair sector' in row for row in rows)
+    assert main(["compile", *chain, "--out", str(tmp_path)]) == 0
+
+
+def test_presetless_model_without_init_fails_every_command_that_prepares(tmp_path, capsys):
+    # a 4-mode model has no preset's init to fall back on; compile needs none
+    chain = ("--override", "model.nu_hz=120,250,330,410")
+    message = "run.init: required for a model without a preset unless n = 3"
+    for command in ("run", "gap-exact"):
+        assert main([command, *chain, "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not any((tmp_path / command).glob("*"))
+    assert main(["sweep", *chain, "--vary", "plan.t0_s=1e-3,2e-3", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(f',"{message}"') for row in rows)
     assert main(["compile", *chain, "--out", str(tmp_path)]) == 0
 
 

@@ -133,7 +133,7 @@ def test_presetless_model_from_nu_list():
 
 
 @pytest.mark.parametrize("preset, overrides, bits", [
-    (None, ("model.nu_hz=120,250,330,410",), "0000"),  # a preset-less model's default init
+    (None, ("model.nu_hz=120,250,330,410", "run.init=0000"), "0000"),
     ("h1", ("run.init=000",), "000"),
     ("h1", ("run.init=111",), "111"),
 ])
@@ -145,6 +145,19 @@ def test_init_in_a_one_state_sector_is_a_config_error_when_read(preset, override
         cfg.pairs
     assert build_config("h1").pairs == 2
     assert build_config(overrides=("model.nu_hz=1,2,3,4", "run.init=0110")).pairs == 2
+
+
+@pytest.mark.parametrize("nu, bits", [("120,250,330,410", None), ("120,250,330", "011")])
+def test_presetless_init_defaults_only_at_three_modes(nu, bits):
+    # the config builds, so compile still works; without a default a run is refused
+    cfg = build_config(overrides=(f"model.nu_hz={nu}",))
+    assert cfg.init_bits == bits
+    if bits is None:
+        for read in ("pairs", "init_index"):
+            with pytest.raises(ConfigError, match=r"^run.init: required for a model without a preset unless n = 3$"):
+                getattr(cfg, read)
+    else:
+        assert cfg.pairs == 2
 
 
 def test_presetless_model_nu_rad_s_taken_verbatim():

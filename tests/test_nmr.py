@@ -482,7 +482,7 @@ def realizable_layouts(draw):
 
 @settings(deadline=None, max_examples=80)
 @given(realizable_layouts(), st.sampled_from(["w1", "w2"]), st.integers(1, 3))
-def test_stamped_ramp_equals_fresh_and_reference_compiles(layout, method, k):
+def test_shared_compiler_ramp_equals_fresh_and_reference_compiles(layout, method, k):
     model, machine = layout
     got, _ = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, k), method, machine)
     assert all(isinstance(p, PulseProgram) for p in got)
@@ -490,12 +490,11 @@ def test_stamped_ramp_equals_fresh_and_reference_compiles(layout, method, k):
 
 @pytest.mark.parametrize("method", ["w1", "w2"])
 @pytest.mark.parametrize("model", [H1, H2], ids=["h1", "h2"])
-def test_stamped_preset_ramp_equals_fresh_and_reference_compiles(model, method):
+def test_shared_compiler_preset_ramp_equals_fresh_and_reference_compiles(model, method):
     # a 1 ms pulse is longer than most delays, so w2 clamps fire
     machine = spin_system(t_pi=1e-3)
-    got, shared = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), method, machine)
+    got, _ = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), method, machine)
     assert (method == "w2") == any(p.clamp_warnings for p in got)
-    assert len(shared._templates) == 2  # s = 0, on-site only, and s >= 1
 
 
 @pytest.mark.parametrize(
@@ -515,25 +514,24 @@ def test_unrealizable_ramp_raises_at_the_same_steps(case, message):
 
 
 @pytest.mark.parametrize(
-    "v12, templates",
+    "v12",
     [
         # 5e-324 * s/4 underflows to 0 at s = 1, 2 and rounds back to 5e-324
         # at s = 3: the coupled pairs change twice along the ramp
-        (5e-324, 2),
+        5e-324,
         # the pair stays coupled for s >= 1, but at s = 1 only the tau block's
         # delay is nonzero, so only it refocuses the spectator
-        (1e-317, 3),
+        1e-317,
     ],
 )
-def test_templates_follow_the_coupling_pattern(v12, templates):
+def test_shared_compiler_follows_the_coupling_pattern(v12):
     v = np.zeros((3, 3))
     v[0, 1] = v[1, 0] = v12
     model = PairingModel(H1.nu, v)
-    got, shared = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), "w2", MACHINE)
-    assert len(shared._templates) == templates
+    assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), "w2", MACHINE)
 
 
-def test_one_compiler_keeps_a_template_per_tau_and_k():
+def test_one_compiler_compiles_every_tau_and_k():
     # (1 ms, 1) and (2 ms, 2) share tau but not k; (2 ms, 1) shares k with
     # the first; the last plan repeats the first
     shared = StepCompiler("w2", MACHINE)
@@ -544,7 +542,6 @@ def test_one_compiler_keeps_a_template_per_tau_and_k():
             assert program_to_text(got, MACHINE.t_pi) == program_to_text(
                 compile_trotter_step(model, plan, "w2", MACHINE), MACHINE.t_pi
             )
-    assert len(shared._templates) == 3 * 2
 
 
 def test_compiled_angles_stay_in_range():

@@ -132,6 +132,24 @@ def test_walsh_step_matches_the_eigh_step(case):
     assert unitarity_defect(u) <= unitarity_defect(oracle) + 16 * 2.0**-52
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the fixed 16-ulp allowance is not derived from the step's dense products (ROADMAP direction 17)",
+)
+def test_walsh_step_defect_on_a_lone_coupling_fits_the_allowance():
+    # A draw that test_walsh_step_matches_the_eigh_step rarely reaches: the
+    # oracle's parts are nearly diagonal, so its defect (1.90e-15) sits at the
+    # rounding floor, while the Walsh step's three dense 32 x 32 products per
+    # repetition and matrix_power(rep, 4) leave 6.66e-15 > 5.46e-15.
+    v = np.zeros((5, 5))
+    v[3, 4] = v[4, 3] = 86.0
+    model, plan = PairingModel((0.0,) * 5, v, 0.5625), TrotterPlan(0.0016282831507157009, 4)
+    u, oracle = symmetric3_step(model, plan), eigh_step(model, plan)
+    assert float(np.abs(u - oracle).max()) <= 1e-13
+    assert unitarity_defect(u) <= unitarity_defect(oracle) + 16 * 2.0**-52
+
+
 def test_symmetric3_error_frozen():
     err = trotter_error(exact_u(2e-3), symmetric3_step(H1, TrotterPlan(2e-3, 2)))
     assert math.isclose(err, 0.11445803688371427, rel_tol=1e-9)

@@ -4,8 +4,8 @@ For every op of the benchmark workloads at one seed, plus a fixed grid of
 runs (h1/h2 x ideal/w1/w2 x delta/finite x every preparation evolver, a t0
 sweep and gap-exact on both presets; an ideal run and gap-exact on two
 fixed chains with no preset, at 5 and 8 modes; run and gap-exact on a
-4-mode chain without run.init, whose all-0s default lies in a one-state
-sector; four compiled runs the presets miss, at 4 modes, with clamped
+4-mode chain without run.init, which a model with no preset and n != 3
+requires; four compiled runs the presets miss, at 4 modes, with clamped
 delays and with zero-angle pulses; a compiled t0 sweep, h1 w2 finite) and
 of every other artifact the CLI writes (a t0 sweep without held
 epsilon_ft, a t0 sweep and a generic sweep each with an error row, compile,
