@@ -18,7 +18,8 @@ Recognized keys:
     machine.j_<i>_<j>_hz      scalar coupling entries, one key per entry
     machine.t_pi_s            pi-pulse duration
     machine.t2_s              dephasing time for all spins
-    machine.t2_<i>_s          per-spin dephasing time
+    machine.t2_<i>_s          per-spin dephasing time, i in 1..n (t2_1 or
+                              t2_01, not both)
     schedule.steps            interpolation step count S
     schedule.t_ad_s           per-step preparation time
     schedule.evolver          default | exact | trotter | nmr
@@ -33,7 +34,7 @@ Recognized keys:
     run.population_floor      reachable-level population threshold
     noise.amplitude           uniform measurement noise half-width
                               (finite, >= 0)
-    noise.seed                RNG seed for noise
+    noise.seed                RNG seed for noise (>= 0)
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class ExperimentConfig:
         # the noise is drawn from [-a, a], whose width 2a must be finite too
         if not (self.noise_amplitude >= 0 and math.isfinite(2 * self.noise_amplitude)):
             raise ConfigError("noise.amplitude: must be finite and non-negative, and 2 * amplitude finite")
+        if self.noise_seed < 0:
+            raise ConfigError("noise.seed: must be non-negative")
         if self.machine.n != self.model.n:
             raise ConfigError("machine.j_hz: spin count differs from the model")
 
@@ -182,6 +185,7 @@ def _float_list(entries: dict[str, str], key: str) -> list[float]:
 
 
 _MATRIX_KEY = re.compile(r"^(model\.v|machine\.j)_(\d+)_(\d+)_(hz|rad_s)$")
+_T2_KEY = re.compile(r"^machine\.t2_(\d+)_s$")
 
 
 def _matrix_entries(entries: dict[str, str], prefix: str, n: int) -> np.ndarray | None:
@@ -249,9 +253,15 @@ def _build_machine(entries: dict[str, str], preset_name: str | None, n: int) -> 
     j = _matrix_entries(entries, "machine.j", n)
     t_pi = _float(entries, "machine.t_pi_s") if "machine.t_pi_s" in entries else base.t_pi
     t2 = [_float(entries, "machine.t2_s")] * n if "machine.t2_s" in entries else list(base.t2)
-    for spin in range(1, n + 1):
-        key = f"machine.t2_{spin}_s"
-        if key in entries:
+    keys: dict[int, str] = {}
+    for key in entries:
+        if match := _T2_KEY.match(key):
+            spin = int(match.group(1))
+            if not 1 <= spin <= n:
+                raise ConfigError(f"{key}: spin index must lie within 1..{n}")
+            if spin in keys:
+                raise ConfigError(f"{keys[spin]}: give {keys[spin]} or {key}, not both")
+            keys[spin] = key
             t2[spin - 1] = _float(entries, key)
     try:
         return SpinSystem(base.j_hz if j is None else j, t_pi, tuple(t2))
@@ -297,7 +307,7 @@ _KNOWN_SCALARS = _BUILDER_KEYS | {key for key, _, _ in _RUN_KEYS}
 
 def check_key(key: str) -> None:
     """Raise ConfigError unless ``key`` is a recognized configuration key."""
-    if not (key in _KNOWN_SCALARS or _MATRIX_KEY.match(key) or re.match(r"^machine\.t2_\d+_s$", key)):
+    if not (key in _KNOWN_SCALARS or _MATRIX_KEY.match(key) or _T2_KEY.match(key)):
         raise ConfigError(f"{key}: unknown configuration key")
 
 

@@ -136,7 +136,7 @@ def _grouped_levels(values: np.ndarray) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups]
 
 
-def reachable_gap(ramp: Ramp, prepared: np.ndarray, population_floor: float = 0.02) -> tuple[int, float]:
+def reachable_gap(ramp: Ramp, prepared: np.ndarray, population_floor: float) -> tuple[int, float]:
     """Lowest excited level of the ramp's final sector eigensystem holding at
     least ``population_floor`` of the prepared state, and its gap to the
     ground level.

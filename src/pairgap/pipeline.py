@@ -42,6 +42,8 @@ _OFFSET_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run's gaps, fit, series (t0, Q, wall step), spectrum, populations and clamp warnings."""
+
     config: ExperimentConfig
     delta_exact: float
     reachable_level: int
@@ -52,12 +54,11 @@ class RunResult:
     series: TimeSeries
     spectrum: Spectrum
     populations: list[tuple[int, float, float]]
-    wall_per_step: float
     clamp_warnings: tuple[str, ...]
 
     @property
     def wall_total(self) -> float:
-        return float(self.series.wall_times[-1])
+        return (self.series.q - 1) * self.series.wall_per_step
 
 
 @dataclass(frozen=True)
@@ -99,25 +100,21 @@ def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
     if cfg.noise_amplitude > 0:
         rng = np.random.default_rng(cfg.noise_seed)
         noisy = series.values + rng.uniform(-cfg.noise_amplitude, cfg.noise_amplitude, cfg.q)
-        series = TimeSeries(series.t0, np.clip(noisy, -1.0, 1.0), series.wall_times)
+        series = TimeSeries(series.t0, np.clip(noisy, -1.0, 1.0), wall_per_step)
 
     spectrum = dft(series)
-    seed, _ = peak_pick(spectrum)
-    fit = fit_damped_sinusoid(series, seed)
-
-    eps = epsilon_ft(cfg.q, cfg.plan.t0)
+    fit = fit_damped_sinusoid(spectrum, peak_pick(spectrum)[0])
     return RunResult(
         config=cfg,
         delta_exact=prep.delta_exact,
         reachable_level=prep.level,
         delta_exp=fit.delta_exp,
-        epsilon_ft=eps,
+        epsilon_ft=epsilon_ft(cfg.q, cfg.plan.t0),
         systematic_offset=systematic_offset(fit.delta_exp, prep.delta_exact),
         fit=fit,
         series=series,
         spectrum=spectrum,
         populations=prep.populations,
-        wall_per_step=wall_per_step,
         clamp_warnings=clamp_warnings,
     )
 
@@ -156,7 +153,7 @@ def result_record(result: RunResult) -> dict:
         "schedule_steps": cfg.schedule_steps,
         "t_ad_s": cfg.t_ad,
         "convention_factor": cfg.model.convention_factor,
-        "wall_per_step_s": result.wall_per_step,
+        "wall_per_step_s": result.series.wall_per_step,
         "wall_total_s": result.wall_total,
         "clamp_warnings": list(result.clamp_warnings),
     }
@@ -253,10 +250,11 @@ def write_run_artifacts(result: RunResult, out_dir: str) -> dict[str, str]:
 
 
 def series_to_csv(series: TimeSeries) -> str:
-    """Rows k, t_s = k t0, value, wall_s; wall_s reuses t_s's strings where bit-equal (every ideal run)."""
-    times = series.times
-    t = list(map(repr, times.tolist()))
-    walls = t if series.wall_times.tobytes() == times.tobytes() else map(repr, series.wall_times.tolist())
+    """Rows k, t_s = k t0, value, wall_s = k wall_per_step; wall_s reuses
+    t_s's strings when wall_per_step == t0 (every ideal run)."""
+    t = list(map(repr, series.times.tolist()))
+    w = series.wall_per_step
+    walls = t if w == series.t0 else map(repr, (np.arange(series.q) * w).tolist())
     rows = zip(map(str, range(series.q)), t, map(repr, series.values.tolist()), walls)
     return _csv("k,t_s,value,wall_s", map(",".join, rows))
 
@@ -267,15 +265,11 @@ def _negated(s: str) -> str:
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:
-    """Rows omega, re, im, |X|; each omega < 0 row is its mirror's with omega and
-    im negated as text, so the bins must be dft's bit-exact conjugate mirror."""
-    w, a = spectrum.omega, spectrum.amp
-    neg = (len(w) - 1) // 2
-    mirror = slice(2 * neg, neg, -1)
-    if w[:neg].tobytes() != (-w[mirror]).tobytes() or a[:neg].tobytes() != a[mirror].conj().tobytes():
-        raise ValueError("spectrum: the omega < 0 bins are not the conjugate mirror of the omega > 0 bins")
-    rows = [(repr(x), repr(c.real), repr(c.imag), repr(abs(c))) for x, c in zip(w[neg:].tolist(), a[neg:].tolist())]
-    mirrored = [(_negated(x), re, _negated(im), mag) for x, re, im, mag in rows[neg:0:-1]]
+    """Rows omega, re, im, |X| for j in (-Q/2, Q/2]: the omega >= 0 rows are
+    the spectrum's bins, and each omega < 0 row is bin -j = conj X[j], written
+    as bin j's text with omega and im negated."""
+    rows = [(repr(x), repr(c.real), repr(c.imag), repr(abs(c))) for x, c in zip(spectrum.omega.tolist(), spectrum.amp.tolist())]
+    mirrored = [(_negated(x), re, _negated(im), mag) for x, re, im, mag in rows[(spectrum.series.q - 1) // 2 : 0 : -1]]
     return _csv("omega_rad_s,re,im,abs", map(",".join, mirrored + rows))
 
 
@@ -310,12 +304,7 @@ def sweep_points_to_csv(points: list[tuple[str, RunResult | Exception]]) -> str:
                 (row(p, r) for p, r in points))
 
 
-def grid_to_csv(
-    n_list: list[int],
-    eps_over_delta_list: list[float],
-    t_g_over_tau: float = 1e-5,
-    budget_in_tau: float = 1.0,
-) -> str:
+def grid_to_csv(n_list: list[int], eps_over_delta_list: list[float], t_g_over_tau: float, budget_in_tau: float) -> str:
     """Feasibility table over (n, epsilon/delta); delta scales out of the
     gate count, so only the ratio matters."""
     rows = []

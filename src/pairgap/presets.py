@@ -47,17 +47,17 @@ INIT_BITS = "011"
 OBSERVED_SPIN = 1
 
 
-def pairing_model(name: str, convention_factor: float | None = None) -> PairingModel:
-    """Preset model; ``convention_factor`` None takes the preset's own factor."""
+def pairing_model(name: str) -> PairingModel:
+    """Preset model with the preset's own convention factor."""
     if name == "h1":
-        coupling = _PI * _J_HZ
-        return PairingModel(_NU, coupling, 1.0 if convention_factor is None else convention_factor)
+        return PairingModel(_NU, _PI * _J_HZ, 1.0)
     if name == "h2":
         coupling = np.zeros((3, 3))
         coupling[0, 1] = coupling[1, 0] = _PI * 224.0
-        return PairingModel(_NU, coupling, 2.0 if convention_factor is None else convention_factor)
+        return PairingModel(_NU, coupling, 2.0)
     raise ValueError(f"unknown preset {name!r} (choose from {PRESET_NAMES})")
 
 
-def spin_system(t_pi: float = SpinSystem.t_pi, t2: tuple[float, ...] = SpinSystem.t2) -> SpinSystem:
-    return SpinSystem(_J_HZ, t_pi, t2)
+def spin_system() -> SpinSystem:
+    """The register's couplings with SpinSystem's default t_pi and T2."""
+    return SpinSystem(_J_HZ)

@@ -28,28 +28,23 @@ _FREE_OF_RATE = np.array([0, 2, 3])
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Q real samples <Z_r(k t0)> plus the physical wall-clock time that had
-    elapsed when each sample was taken."""
+    """Q real samples <Z_r(k t0)>; sample k was taken at physical wall-clock
+    time k wall_per_step, after k steps of wall_per_step seconds each."""
 
     t0: float
     values: np.ndarray
-    wall_times: np.ndarray
+    wall_per_step: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        walls = np.asarray(self.wall_times, dtype=float)
         if not (self.t0 > 0 and math.isfinite(self.t0)):
             raise ValueError("series.t0: must be positive and finite")
         if values.ndim != 1 or len(values) < 2:
             raise ValueError("series needs at least two samples")
-        if walls.shape != values.shape:
-            raise ValueError("wall_times must match values in length")
         if np.abs(values).max() > 1 + 1e-9:
             raise ValueError("expectation values must lie in [-1, 1]")
         values.flags.writeable = False
-        walls.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "wall_times", walls)
 
     @property
     def q(self) -> int:
@@ -62,13 +57,17 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """DFT bins sorted by frequency; omega_j = 2 pi j/(Q t0) with j taken in
-    (-Q/2, Q/2] so the Nyquist bin is positive; bin -j is bin j's bit-exact mirror (-omega_j, conj amp_j)."""
+    """The series' DFT X[j] = sum_k values[k] exp(-2 pi i j k / Q) at
+    omega_j = 2 pi j / (Q t0), numpy's FFT bins j = 0..Q//2 only: the series
+    is real, so bin -j is conj X[j] and holds nothing more."""
 
-    omega: np.ndarray
+    series: TimeSeries
     amp: np.ndarray
-    q: int
-    t0: float
+
+    @property
+    def omega(self) -> np.ndarray:
+        q = self.series.q
+        return 2 * math.pi * np.arange(q // 2 + 1) / (q * self.series.t0)
 
 
 @dataclass(frozen=True)
@@ -143,30 +142,22 @@ def acquire(
     values = np.ascontiguousarray(np.matmul(states.conj()[:, None, :], (zdiag * states)[:, :, None])[:, 0, 0].real)
     if t2 is not None:
         values *= [math.exp(-k * wall_per_step / t2) for k in range(q)]
-    return TimeSeries(t0, values, np.arange(q) * wall_per_step)
+    return TimeSeries(t0, values, wall_per_step)
 
 
 def dft(series: TimeSeries) -> Spectrum:
-    """X[j] = sum_k values[k] exp(-2 pi i j k / Q): numpy's FFT for j >= 0, exactly conj X[-j] for j < 0."""
-    q = series.q
-    x = np.fft.fft(series.values)
-    neg = (q - 1) // 2
-    omega = 2 * math.pi * np.arange(-neg, q // 2 + 1) / (q * series.t0)
-    return Spectrum(omega, np.concatenate([x[neg:0:-1].conj(), x[: q // 2 + 1]]), q, series.t0)
+    """numpy's FFT of the series, bins j = 0..Q//2."""
+    return Spectrum(series, np.fft.fft(series.values)[: series.q // 2 + 1])
 
 
 def peak_pick(spectrum: Spectrum) -> tuple[float, float]:
-    """Frequency and magnitude of the largest positive-frequency bin; ties
-    resolve to the lower frequency."""
-    mask = spectrum.omega > 0
-    if not np.any(mask):
-        raise ValueError("no peak: spectrum has no candidate bins")
-    omega = spectrum.omega[mask]
-    mag = np.abs(spectrum.amp[mask])
+    """Frequency and magnitude of the largest bin above DC; ties resolve to
+    the lower frequency."""
+    mag = np.abs(spectrum.amp[1:])
     if mag.max() == 0.0:
         raise ValueError("no peak: spectrum is identically zero")
     best = int(np.argmax(mag))  # first maximum = lowest frequency on ties
-    return float(omega[best]), float(mag[best])
+    return float(spectrum.omega[best + 1]), float(mag[best])
 
 
 def epsilon_ft(q: int, t0: float) -> float:
@@ -207,13 +198,15 @@ def _model_and_jacobian(beta: np.ndarray, t: np.ndarray, neg_t: np.ndarray | Non
     return ae * c, jac
 
 
-def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
-    """Least-squares fit of A exp(-t/tau_e) cos(Delta t + phi) to the series.
+def fit_damped_sinusoid(spectrum: Spectrum, seed: float) -> FitResult:
+    """Least-squares fit of A exp(-t/tau_e) cos(Delta t + phi) to the series
+    the spectrum transforms.
 
     Damped Gauss-Newton (Levenberg) iteration on (A, 1/tau_e, Delta, phi),
-    seeded from the DFT bin nearest the seed frequency: amplitude 2|X|/Q,
-    tau_e = Q t0, phase arg(X). Accepted steps never increase the residual;
-    convergence means a relative step below 1e-10 within 200 iterations.
+    seeded from the spectrum's bin nearest the seed frequency (clamped to
+    0..Q//2): amplitude 2|X|/Q, tau_e = Q t0, phase arg(X). Accepted steps
+    never increase the residual; convergence means a relative step below
+    1e-10 within 200 iterations.
 
     The decay rate is clamped to rate >= 0. Once it sits on 0 with the cost
     gradient pushing it below, the bound is active: the step solves for
@@ -221,6 +214,7 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
     undamped series thus converges with tau_e = 1e12 s (rate on its bound).
     A series flat to rounding has no tone to fit and raises ValueError.
     """
+    series = spectrum.series
     if series.q < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit four parameters")
     y = series.values
@@ -231,13 +225,12 @@ def fit_damped_sinusoid(series: TimeSeries, seed: float) -> FitResult:
     t = series.times
     neg_t = -t
 
-    x = np.fft.fft(y)
     bin_index = int(round(seed * q * series.t0 / (2 * math.pi)))
-    bin_index = min(max(bin_index, 0), q // 2)
-    a0 = 2.0 * abs(x[bin_index]) / q
+    x = spectrum.amp[min(max(bin_index, 0), q // 2)]
+    a0 = 2.0 * abs(x) / q
     if a0 == 0.0:
         a0 = spread / 2
-    phi0 = float(np.angle(x[bin_index]))
+    phi0 = float(np.angle(x))
     beta = np.array([a0, 1.0 / (q * series.t0), float(seed), phi0])
 
     # The accepted point's Jacobian and a spare that each trial writes into;

@@ -362,16 +362,14 @@ def loop_acquire(prepared, u, wall_per_step, q, t0, observed_spin, t2=None) -> T
     n = int(round(math.log2(psi.shape[0])))
     zdiag = 1.0 - 2.0 * ((np.arange(2**n) >> (n - observed_spin)) & 1)
     values = np.empty(q)
-    walls = np.empty(q)
     for k in range(q):
         expectation = float(np.real(np.vdot(psi, zdiag * psi)))
         if t2 is not None:
             expectation *= math.exp(-k * wall_per_step / t2)
         values[k] = expectation
-        walls[k] = k * wall_per_step
         if k + 1 < q:
             psi = u @ psi
-    return TimeSeries(t0, values, walls)
+    return TimeSeries(t0, values, wall_per_step)
 
 
 # Reference fit: the damped-cosine Levenberg fit as it stood before the rate

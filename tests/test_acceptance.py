@@ -15,6 +15,7 @@ line's Trotter shift is wider than one Fourier bin.
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -58,7 +59,7 @@ def test_criterion_1_exact_gap_oracle():
             for _ in range(50)
         )
         gap_h2_hz = sector_gap(pairing_model("h2"), 2, 2) / TWO_PI
-        gap_h2_f1_hz = sector_gap(pairing_model("h2", 1.0), 2, 2) / TWO_PI
+        gap_h2_f1_hz = sector_gap(replace(pairing_model("h2"), convention_factor=1.0), 2, 2) / TWO_PI
         ok = (
             216.5 <= gap_h1_hz <= 218.5
             and runtime < 1e-3
@@ -241,15 +242,16 @@ def test_criterion_8_property_battery():
             )
 
         y = rng.uniform(-1.0, 1.0, 64)
-        series = TimeSeries(1e-3, tuple(y), tuple(1e-3 * np.arange(64)))
-        spec = dft(series)
-        if not math.isclose(float(np.sum(y**2)), float(np.sum(np.abs(spec.amp) ** 2)) / 64, rel_tol=1e-12):
+        spec = dft(TimeSeries(1e-3, tuple(y), 1e-3))
+        # one-sided: bins 1..31 stand for their mirrors, DC and Nyquist for themselves
+        power = np.abs(spec.amp) ** 2
+        if not math.isclose(float(np.sum(y**2)), float(power[0] + 2 * np.sum(power[1:-1]) + power[-1]) / 64, rel_tol=1e-12):
             failures.append("Parseval identity broken")
 
         t = 1e-3 * np.arange(256)
         amp, rate, omega, phase = 0.8, 55.0, 1350.0, 0.4
         clean = amp * np.exp(-rate * t) * np.cos(omega * t + phase)
-        fit = fit_damped_sinusoid(TimeSeries(1e-3, tuple(clean), tuple(t)), seed=1300.0)
+        fit = fit_damped_sinusoid(dft(TimeSeries(1e-3, tuple(clean), 1e-3)), seed=1300.0)
         recovered = (fit.amplitude, 1.0 / fit.tau_e, fit.delta_exp, fit.phase)
         for got, want in zip(recovered, (amp, rate, omega, phase)):
             if abs(got - want) > 1e-6 * abs(want):
@@ -260,12 +262,12 @@ def test_criterion_8_property_battery():
         program = compile_trotter_step(h1, plan, "w1", machine)
         if _fidelity_deficit(ideal, program_unitary(program, machine, "delta")) > 1e-9:
             failures.append("delta-pulse W1 differs from the ideal step")
-        sharp = spin_system(t_pi=1e-10)
+        sharp = replace(machine, t_pi=1e-10)
         prog_sharp = compile_trotter_step(h1, plan, "w1", sharp)
         if _fidelity_deficit(ideal, program_unitary(prog_sharp, sharp, "finite")) > 1e-9:
             failures.append("t_pi -> 0 finite W1 differs from the ideal step")
 
-        zero = spin_system(t_pi=0.0)
+        zero = replace(machine, t_pi=0.0)
         w1 = compile_trotter_step(h1, plan, "w1", zero)
         w2 = compile_trotter_step(h1, plan, "w2", zero)
         if w1.events != w2.events:
@@ -291,7 +293,7 @@ def test_criterion_9_damping_self_consistency():
             warnings.simplefilter("ignore")
             result = run_experiment(cfg)
         t2 = cfg.machine.t2[cfg.observed_spin - 1]
-        implied = t2 * cfg.plan.t0 / result.wall_per_step
+        implied = t2 * cfg.plan.t0 / result.series.wall_per_step
         ratio = result.fit.tau_e / implied
         ok = result.fit.converged and 0.8 <= ratio <= 1.25
         detail = (

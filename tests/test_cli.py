@@ -149,6 +149,39 @@ def test_noise_amplitude_with_an_infinite_range_exit_2(tmp_path, capsys):
     assert (tmp_path / "ok" / "result.json").exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (("machine.t2_4_s=0.01",), "machine.t2_4_s: spin index must lie within 1..3"),
+    (("machine.t2_1_s=0.01", "machine.t2_01_s=0.01"), "machine.t2_1_s: give machine.t2_1_s or machine.t2_01_s, not both"),
+])
+def test_per_spin_t2_key_off_the_register_or_given_twice_exit_2(tmp_path, capsys, overrides, message):
+    argv = ["run", "--preset", "h1", "--override", "run.damping=on", "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::pairgap.adiabatic.AdiabaticityWarning")
+def test_per_spin_t2_key_with_a_leading_zero_damps_its_spin(tmp_path):
+    records = []
+    for key in ("machine.t2_1_s", "machine.t2_01_s"):
+        out = tmp_path / key
+        assert main(["run", "--preset", "h1", "--override", "run.damping=on", "--override", f"{key}=0.05",
+                     "--out", str(out)]) == 0
+        records.append((out / "result.json").read_text())
+    assert records[0] == records[1]
+    assert json.loads(records[0])["tau_e_s"] < 0.1  # the 0.25 s default fits about 0.26 s
+
+
+def test_negative_noise_seed_exit_2(tmp_path, capsys):
+    argv = ["run", "--preset", "h2", "--override", "noise.amplitude=0.01", "--override", "noise.seed=-1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "config error: noise.seed: must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_unknown_key_exit_2():
     proc = run_cli("gap-exact", "--preset", "h1", "--override", "model.mass=3")
     assert proc.returncode == 2

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,28 @@ def test_t2_scalar_then_per_spin():
     assert cfg.machine.t2 == (0.5, 0.1, 0.5)
 
 
+def test_per_spin_t2_keys_parse_the_index_and_refuse_the_rest():
+    # a leading zero names the same spin, as in model.v_01_2_hz
+    assert build_config("h1", overrides=("machine.t2_03_s=0.1",)).machine.t2 == (0.25, 0.25, 0.1)
+    for key in ("machine.t2_0_s", "machine.t2_4_s", "machine.t2_04_s"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: spin index must lie within 1\.\.3$"):
+            build_config("h1", overrides=(f"{key}=0.01",))
+    with pytest.raises(ConfigError, match=r"^machine\.t2_1_s: give machine\.t2_1_s or machine\.t2_01_s, not both$"):
+        build_config("h1", overrides=("machine.t2_1_s=0.1", "machine.t2_01_s=0.1"))
+    # a preset-less model's range is its own n
+    text = "model.nu_hz = 10, 20\nrun.init = 01\nmachine.t2_2_s = 0.1\n"
+    assert build_config(None, text).machine.t2 == (0.25, 0.1)
+    with pytest.raises(ConfigError, match=r"^machine\.t2_3_s: spin index must lie within 1\.\.2$"):
+        build_config(None, text + "machine.t2_3_s = 0.1\n")
+
+
+def test_negative_noise_seed_is_a_config_error_with_or_without_noise():
+    for amplitude in ("0", "0.01"):
+        with pytest.raises(ConfigError, match=r"^noise\.seed: must be non-negative$"):
+            build_config("h2", overrides=(f"noise.amplitude={amplitude}", "noise.seed=-1"))
+    assert build_config("h2", overrides=("noise.amplitude=0.01", "noise.seed=0")).noise_seed == 0
+
+
 def test_negative_t0_names_the_key():
     with pytest.raises(ConfigError, match="plan.t0"):
         build_config(preset="h1", overrides=("plan.t0_s=-1e-3",))
@@ -278,4 +301,4 @@ def test_invalid_convention_factor_is_a_config_error(preset, factor):
         build_config(preset, text, (f"model.convention_factor={factor}",))
     if preset:
         with pytest.raises(ValueError, match="model.convention_factor"):
-            pairing_model(preset, float(factor))
+            replace(pairing_model(preset), convention_factor=float(factor))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import full_hamiltonian, kron_realize, same_bits
+from pairgap.config import ExperimentConfig
 from pairgap.exact import (
     Ramp,
     _require_hermitian,
@@ -19,6 +21,9 @@ from pairgap.exact import (
 )
 from pairgap.hamiltonian import PairingModel, _sector_blocks, sector_basis
 from pairgap.presets import pairing_model
+
+# the run's default population floor
+FLOOR = ExperimentConfig.population_floor
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -206,7 +211,7 @@ def test_sector_gap_h1_frozen():
 def test_sector_gap_h2_closed_form():
     # one coupled pair at 224 Hz-equivalents: the connected level sits
     # sqrt(50^2 + 4*224^2)*pi above the ground level (factor 1)
-    m1 = pairing_model("h2", convention_factor=1.0)
+    m1 = replace(pairing_model("h2"), convention_factor=1.0)
     want = math.sqrt(50.0**2 + 4 * 224.0**2) / 2.0
     assert math.isclose(sector_gap(m1, 2, target=2) / TWO_PI, want, rel_tol=1e-12)
     # factor 2 doubles every eigenvalue
@@ -234,7 +239,7 @@ def test_reachable_gap_skips_empty_levels():
     psi = np.zeros(8, dtype=complex)
     mix = 0.8 * es.vectors[:, 0] + 0.6 * es.vectors[:, 2]
     psi[idx] = mix
-    level, gap = reachable_gap(Ramp(m, 1, 2), psi)
+    level, gap = reachable_gap(Ramp(m, 1, 2), psi, FLOOR)
     assert level == 2
     assert math.isclose(gap, es.values[2] - es.values[0], rel_tol=1e-12)
 
@@ -246,7 +251,7 @@ def test_reachable_gap_floor():
     psi = np.zeros(8, dtype=complex)
     psi[idx] = math.sqrt(0.99) * es.vectors[:, 0] + math.sqrt(0.01) * es.vectors[:, 1]
     with pytest.raises(ValueError, match="reachable"):
-        reachable_gap(Ramp(m, 1, 2), psi)  # 1% is below the default floor
+        reachable_gap(Ramp(m, 1, 2), psi, FLOOR)  # 1% is below the run's default floor
     level, _ = reachable_gap(Ramp(m, 1, 2), psi, population_floor=0.005)
     assert level == 1
     with pytest.raises(ValueError):
@@ -263,7 +268,7 @@ def test_reachable_gap_groups_degenerate_levels():
     es = eigendecompose(sub)
     psi = np.zeros(8, dtype=complex)
     psi[idx] = math.sqrt(0.5) * es.vectors[:, 0] + math.sqrt(0.5) * es.vectors[:, 1]
-    level, gap = reachable_gap(Ramp(m, 1, 2), psi)
+    level, gap = reachable_gap(Ramp(m, 1, 2), psi, FLOOR)
     assert level == 1
     assert gap > 0
 
@@ -271,4 +276,4 @@ def test_reachable_gap_groups_degenerate_levels():
 def test_reachable_gap_norm_check():
     m = pairing_model("h1")
     with pytest.raises(ValueError):
-        reachable_gap(Ramp(m, 1, 2), np.ones(8))
+        reachable_gap(Ramp(m, 1, 2), np.ones(8), FLOOR)

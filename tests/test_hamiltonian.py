@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,8 +174,8 @@ def test_full_hamiltonian_hermitian_and_real():
 
 
 def test_convention_factor_scales_everything():
-    m1 = pairing_model("h2", convention_factor=1.0)
-    m2 = pairing_model("h2", convention_factor=2.0)
+    m1 = replace(pairing_model("h2"), convention_factor=1.0)
+    m2 = replace(pairing_model("h2"), convention_factor=2.0)
     assert np.allclose(realize(m2), 2.0 * realize(m1))
 
 

@@ -4,6 +4,7 @@ the matrix exponential it is supposed to realize."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ def test_table_bound_to_another_machine_size_or_mode_raises():
     # an equal machine built afresh is the same machine
     assert np.array_equal(program_unitary(prog, spin_system(), "delta", table), want)
     with pytest.raises(ValueError, match="another machine"):
-        program_unitary(prog, spin_system(t_pi=30e-6), "delta", table)
+        program_unitary(prog, replace(spin_system(), t_pi=30e-6), "delta", table)
     with pytest.raises(ValueError, match="another machine"):
         program_unitary(prog, SpinSystem(np.zeros((3, 3))), "delta", table)
     with pytest.raises(ValueError, match="delta unitaries, not finite"):
@@ -492,7 +493,7 @@ def test_shared_compiler_ramp_equals_fresh_and_reference_compiles(layout, method
 @pytest.mark.parametrize("model", [H1, H2], ids=["h1", "h2"])
 def test_shared_compiler_preset_ramp_equals_fresh_and_reference_compiles(model, method):
     # a 1 ms pulse is longer than most delays, so w2 clamps fire
-    machine = spin_system(t_pi=1e-3)
+    machine = replace(spin_system(), t_pi=1e-3)
     got, _ = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), method, machine)
     assert (method == "w2") == any(p.clamp_warnings for p in got)
 
@@ -579,7 +580,7 @@ def test_compensation_shortens_wall_time():
 
 
 def test_compensation_vanishes_with_instant_pulses():
-    machine = spin_system(t_pi=0.0)
+    machine = replace(spin_system(), t_pi=0.0)
     plan = TrotterPlan(1e-3, 2)
     w1 = compile_trotter_step(H1, plan, "w1", machine)
     w2 = compile_trotter_step(H1, plan, "w2", machine)
@@ -598,7 +599,7 @@ def test_finite_pulses_converge_to_delta():
     plan = TrotterPlan(0.5e-3, 2)
     deficits = []
     for t_pi in (20e-6, 10e-6, 5e-6, 2.5e-6):
-        machine = spin_system(t_pi=t_pi)
+        machine = replace(spin_system(), t_pi=t_pi)
         prog = compile_trotter_step(H2, plan, "w1", machine)
         ud = program_unitary(prog, machine, "delta")
         uf = program_unitary(prog, machine, "finite")
@@ -607,7 +608,7 @@ def test_finite_pulses_converge_to_delta():
     assert all(a > b for a, b in zip(deficits, deficits[1:]))
     # roughly second order in the pulse width
     assert deficits[0] / deficits[1] > 3.0
-    machine = spin_system(t_pi=1e-10)
+    machine = replace(spin_system(), t_pi=1e-10)
     prog = compile_trotter_step(H2, plan, "w1", machine)
     ud = program_unitary(prog, machine, "delta")
     uf = program_unitary(prog, machine, "finite")
@@ -626,7 +627,7 @@ def test_compensated_step_beats_uncompensated_under_finite_pulses():
 
 
 def test_finite_mode_needs_a_pulse_width():
-    machine = spin_system(t_pi=0.0)
+    machine = replace(spin_system(), t_pi=0.0)
     prog = PulseProgram((RfPulse((1,), 0.0, PI),), n=3)
     with pytest.raises(ValueError):
         program_unitary(prog, machine, "finite")
@@ -698,8 +699,8 @@ def test_damping_factor_uses_observed_spin():
                 for d in ("off", "on")
             )
         k = np.arange(on.config.q)
-        assert on.wall_per_step == wall_time(compile_trotter_step(H1, on.config.plan, "w1", MACHINE), MACHINE.t_pi)
-        assert np.allclose(on.series.values, off.series.values * np.exp(-k * on.wall_per_step / t2), rtol=1e-12, atol=0)
+        assert on.series.wall_per_step == wall_time(compile_trotter_step(H1, on.config.plan, "w1", MACHINE), MACHINE.t_pi)
+        assert np.allclose(on.series.values, off.series.values * np.exp(-k * on.series.wall_per_step / t2), rtol=1e-12, atol=0)
 
 
 def test_program_text_keeps_repr_precision_and_wall():

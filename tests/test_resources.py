@@ -84,7 +84,7 @@ def test_max_feasible_n_without_a_bound_raises():
 
 
 def test_grid_csv_layout():
-    text = grid_to_csv([4, 5], [0.01, 1.0])
+    text = grid_to_csv([4, 5], [0.01, 1.0], 1e-5, 1.0)
     lines = text.strip().split("\n")
     assert lines[0] == "n,eps_over_delta,gates,time_in_tau,feasible"
     assert len(lines) == 5

@@ -29,7 +29,7 @@ TWO_PI = 2 * math.pi
 def cosine_series(freq_hz, t0, q, amp=0.8, decay=0.0, phase=0.0):
     t = np.arange(q) * t0
     y = amp * np.exp(-decay * t) * np.cos(TWO_PI * freq_hz * t + phase)
-    return TimeSeries(t0, y, np.zeros(q))
+    return TimeSeries(t0, y, t0)
 
 
 def x_rotation(omega, t0):
@@ -42,15 +42,14 @@ def x_rotation(omega, t0):
 
 def test_series_validation():
     with pytest.raises(ValueError):
-        TimeSeries(0.0, np.zeros(4), np.zeros(4))
+        TimeSeries(0.0, np.zeros(4), 1e-3)
     with pytest.raises(ValueError):
-        TimeSeries(1e-3, np.zeros(1), np.zeros(1))
+        TimeSeries(1e-3, np.zeros(1), 1e-3)
     with pytest.raises(ValueError):
-        TimeSeries(1e-3, np.array([0.0, 1.2]), np.zeros(2))
-    with pytest.raises(ValueError):
-        TimeSeries(1e-3, np.zeros(4), np.zeros(3))
-    s = TimeSeries(1e-3, np.zeros(4), np.zeros(4))
-    assert s.q == 4
+        TimeSeries(1e-3, np.array([0.0, 1.2]), 1e-3)
+    s = TimeSeries(1e-3, np.zeros(4), 2e-3)
+    assert s.q == 4 and s.wall_per_step == 2e-3
+    assert not s.values.flags.writeable
     assert np.allclose(s.times, [0.0, 1e-3, 2e-3, 3e-3])
 
 
@@ -60,7 +59,7 @@ def test_acquire_single_spin_cosine():
     psi = np.array([1.0, 0.0], dtype=complex)
     series = acquire(psi, x_rotation(omega, t0), t0, q, t0, observed_spin=1)
     assert np.allclose(series.values, np.cos(omega * np.arange(q) * t0), atol=1e-12)
-    assert np.allclose(series.wall_times, np.arange(q) * t0, atol=0)
+    assert series.wall_per_step == t0
 
 
 def test_acquire_damping_uses_wall_clock():
@@ -72,7 +71,7 @@ def test_acquire_damping_uses_wall_clock():
     expected = np.cos(omega * k * t0) * np.exp(-k * wall / t2)
     expected[0] = 1.0  # the k = 0 sample is taken before any evolution
     assert np.allclose(series.values, expected, atol=1e-12)
-    assert np.allclose(series.wall_times, k * wall, atol=0)
+    assert series.wall_per_step == wall
 
 
 def test_acquire_observed_spin_selects_bit():
@@ -135,7 +134,7 @@ def test_acquire_matches_the_loop_on_random_unitaries(n, q, seed, damped, data):
     series = acquire(psi, u, wall, q, 1e-3, spin, t2)
     reference = loop_acquire(psi, u, wall, q, 1e-3, spin, t2)
     assert within_doubling_rounding(series.values, reference.values)
-    assert np.array_equal(series.wall_times, reference.wall_times)
+    assert series.wall_per_step == reference.wall_per_step
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -180,14 +179,16 @@ def test_pipeline_acquire_and_fit_match_the_references(monkeypatch, preset, meth
         return call
 
     monkeypatch.setattr(pipeline, "acquire", recording(acquire, loop_acquire))
-    monkeypatch.setattr(pipeline, "fit_damped_sinusoid", recording(fit_damped_sinusoid, column_stack_fit))
+    reference_fit = lambda spectrum, seed: column_stack_fit(spectrum.series, seed)  # noqa: E731
+    monkeypatch.setattr(pipeline, "fit_damped_sinusoid", recording(fit_damped_sinusoid, reference_fit))
     overrides = (f"run.method={method}", f"run.pulse_mode={mode}", f"run.damping={damping}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the default ramps are quasiadiabatic
         pipeline.run_experiment(build_config(preset, None, overrides))
-    (series, loop_series, _), (fit, reference_fit, (_, seed)) = seen
+    (series, loop_series, _), (fit, reference_fit, (spectrum, seed)) = seen
     assert within_doubling_rounding(series.values, loop_series.values)
-    assert np.array_equal(series.wall_times, loop_series.wall_times)
+    assert series.wall_per_step == loop_series.wall_per_step
+    assert spectrum.series is series  # the fit reads the series the pipeline transformed
     assert fit == reference_fit
     # The fit of the stepped-one-at-a-time series ends the same way, on the
     # same line to far below a Fourier bin.
@@ -200,32 +201,38 @@ def test_pipeline_acquire_and_fit_match_the_references(monkeypatch, preset, meth
 
 def test_dft_bin_layout_even():
     q, t0 = 8, 1e-3
-    spec = dft(TimeSeries(t0, np.ones(q) * 0.5, np.zeros(q)))
+    spec = dft(TimeSeries(t0, np.ones(q) * 0.5, t0))
     unit = TWO_PI / (q * t0)
-    assert np.allclose(spec.omega / unit, [-3, -2, -1, 0, 1, 2, 3, 4], atol=1e-12)
+    assert np.allclose(spec.omega / unit, [0, 1, 2, 3, 4], atol=1e-12)
+    assert len(spec.amp) == len(spec.omega)
 
 
 def test_dft_bin_layout_odd():
     q, t0 = 7, 2e-3
-    spec = dft(TimeSeries(t0, np.ones(q) * 0.5, np.zeros(q)))
+    spec = dft(TimeSeries(t0, np.ones(q) * 0.5, t0))
     unit = TWO_PI / (q * t0)
-    assert np.allclose(spec.omega / unit, [-3, -2, -1, 0, 1, 2, 3], atol=1e-12)
+    assert np.allclose(spec.omega / unit, [0, 1, 2, 3], atol=1e-12)
+    assert len(spec.amp) == len(spec.omega)
 
 
 def test_dft_conjugate_symmetry_and_parseval():
     rng = np.random.default_rng(5)
-    q, t0 = 64, 1e-3
-    y = rng.uniform(-1, 1, size=q)
-    series = TimeSeries(t0, y, np.zeros(q))
-    spec = dft(series)
-    for w, a in zip(spec.omega, spec.amp):
-        if w > 0 and -w in spec.omega:  # Nyquist has no mirror
-            mirror = spec.amp[np.where(spec.omega == -w)[0][0]]
-            # the mirror bin is the conjugate to the bit, signed zeros included
-            assert np.array([mirror]).tobytes() == np.array([a]).conj().tobytes()
-    assert math.isclose(np.sum(y**2), np.sum(np.abs(spec.amp) ** 2) / q, rel_tol=1e-12)
-    # the omega >= 0 bins are numpy's FFT bins, bit for bit
-    assert spec.amp[spec.omega >= 0].tobytes() == np.fft.fft(y)[: q // 2 + 1].tobytes()
+    t0 = 1e-3
+    for q in (64, 63):
+        y = rng.uniform(-1, 1, size=q)
+        spec = dft(TimeSeries(t0, y, t0))
+        full = np.fft.fft(y)
+        # the kept bins are numpy's FFT bins j = 0..Q//2, bit for bit, and
+        # each dropped bin -j is the conjugate of bin j
+        assert spec.amp.tobytes() == full[: q // 2 + 1].tobytes()
+        mirrored = (q - 1) // 2
+        assert np.allclose(full[: -mirrored - 1 : -1], spec.amp[1 : mirrored + 1].conj(), rtol=0, atol=1e-12)
+        # Parseval, one-sided: bins 1..(Q-1)//2 stand for their mirrors too
+        weight = np.full(q // 2 + 1, 2.0)
+        weight[0] = 1.0
+        if q % 2 == 0:
+            weight[-1] = 1.0  # the Nyquist bin has no mirror
+        assert math.isclose(np.sum(y**2), np.sum(weight * np.abs(spec.amp) ** 2) / q, rel_tol=1e-12)
 
 
 def test_dft_on_bin_cosine():
@@ -239,23 +246,22 @@ def test_dft_on_bin_cosine():
 
 
 def test_peak_pick_tie_resolves_low():
-    # bins at 100 and 300 rad/s with bit-identical magnitudes
-    omega = np.array([-300.0, -100.0, 0.0, 100.0, 300.0])
-    amp = np.array([3.0 - 4.0j, 5.0j, 1.0, -5.0j, 3.0 + 4.0j])
-    w, mag = peak_pick(Spectrum(omega, amp, 5, 1e-3))
-    assert w == 100.0 and mag == 5.0
+    # bins 1 and 2 with bit-identical magnitudes
+    spec = Spectrum(TimeSeries(1e-3, np.zeros(5), 1e-3), np.array([1.0, -5.0j, 3.0 + 4.0j]))
+    w, mag = peak_pick(spec)
+    assert w == spec.omega[1] == TWO_PI / 5e-3 and mag == 5.0
 
 
 def test_peak_pick_dc_handling():
     q, t0 = 32, 1e-3
     t = np.arange(q) * t0
     y = 0.7 + 0.2 * np.cos(TWO_PI * 4 / (q * t0) * t)
-    spec = dft(TimeSeries(t0, y, np.zeros(q)))
+    spec = dft(TimeSeries(t0, y, t0))
     assert spec.omega[np.argmax(np.abs(spec.amp))] == 0.0  # DC dominates
     w, _ = peak_pick(spec)
     assert w == TWO_PI * 4 / (q * t0)
     with pytest.raises(ValueError, match="no peak"):
-        peak_pick(dft(TimeSeries(t0, np.zeros(q), np.zeros(q))))
+        peak_pick(dft(TimeSeries(t0, np.zeros(q), t0)))
 
 
 def test_epsilon_ft_reference_values():
@@ -277,7 +283,7 @@ def test_systematic_offset_signed():
 
 def test_fit_recovers_damped_generator():
     series = cosine_series(100.0, 1e-3, 400, amp=0.8, decay=5.0, phase=0.3)
-    fit = fit_damped_sinusoid(series, TWO_PI * 100)
+    fit = fit_damped_sinusoid(dft(series), TWO_PI * 100)
     assert abs(fit.amplitude - 0.8) < 1e-6 * 0.8
     assert abs(fit.tau_e - 0.2) < 1e-6 * 0.2
     assert abs(fit.delta_exp - TWO_PI * 100) < 1e-6 * TWO_PI * 100
@@ -289,7 +295,7 @@ def test_fit_recovers_damped_generator():
 def test_fit_zero_decay_regime():
     q, t0 = 400, 1e-3
     series = cosine_series(100.0, t0, q, amp=0.8, decay=0.0, phase=0.3)
-    fit = fit_damped_sinusoid(series, TWO_PI * 100)
+    fit = fit_damped_sinusoid(dft(series), TWO_PI * 100)
     assert abs(fit.delta_exp - TWO_PI * 100) < 1e-6 * TWO_PI * 100
     assert fit.tau_e >= 10 * q * t0
 
@@ -299,7 +305,7 @@ def test_fit_canonical_parameters():
     q, t0 = 256, 1e-3
     t = np.arange(q) * t0
     y = -0.5 * np.exp(-3.0 * t) * np.cos(TWO_PI * 60 * t - 0.4)
-    fit = fit_damped_sinusoid(TimeSeries(t0, y, np.zeros(q)), TWO_PI * 60)
+    fit = fit_damped_sinusoid(dft(TimeSeries(t0, y, t0)), TWO_PI * 60)
     assert fit.amplitude > 0
     assert fit.delta_exp > 0
     assert -math.pi < fit.phase <= math.pi
@@ -309,10 +315,10 @@ def test_fit_canonical_parameters():
 
 def test_fit_input_guards():
     with pytest.raises(ValueError):
-        fit_damped_sinusoid(TimeSeries(1e-3, np.zeros(4), np.zeros(4)), 1.0)
-    flat = TimeSeries(1e-3, np.full(16, 0.25), np.zeros(16))
+        fit_damped_sinusoid(dft(TimeSeries(1e-3, np.zeros(4), 1e-3)), 1.0)
+    flat = TimeSeries(1e-3, np.full(16, 0.25), 1e-3)
     with pytest.raises(ValueError, match="flat"):
-        fit_damped_sinusoid(flat, 1.0)
+        fit_damped_sinusoid(dft(flat), 1.0)
 
 
 def test_fit_refuses_a_series_flat_to_rounding():
@@ -324,8 +330,8 @@ def test_fit_refuses_a_series_flat_to_rounding():
     for spread in (1e-16, bound / 4, bound):
         y = -1 + spread / np.ptp(ripple) * (ripple - ripple.min())
         with pytest.raises(ValueError, match="flat"):
-            fit_damped_sinusoid(TimeSeries(t0, y, np.zeros(q)), TWO_PI * 50.0)
-    fit = fit_damped_sinusoid(TimeSeries(t0, 4 * bound * ripple, np.zeros(q)), TWO_PI * 50.0)
+            fit_damped_sinusoid(dft(TimeSeries(t0, y, t0)), TWO_PI * 50.0)
+    fit = fit_damped_sinusoid(dft(TimeSeries(t0, 4 * bound * ripple, t0)), TWO_PI * 50.0)
     assert fit.delta_exp == pytest.approx(TWO_PI * 50.0, rel=1e-9)
 
 
@@ -351,7 +357,7 @@ def test_fit_frequency_robust_to_noise():
         rng = np.random.default_rng(seed)
         y = 0.8 * np.exp(-t / 0.15) * np.cos(TWO_PI * 87.0 * t + 0.2)
         y = np.clip(y + rng.uniform(-eta, eta, size=q), -1, 1)
-        fit = fit_damped_sinusoid(TimeSeries(t0, y, np.zeros(q)), TWO_PI * 87.0)
+        fit = fit_damped_sinusoid(dft(TimeSeries(t0, y, t0)), TWO_PI * 87.0)
         worst = max(worst, abs(fit.delta_exp - TWO_PI * 87.0))
     assert worst < 5 * eta * bin_width
 
@@ -373,11 +379,16 @@ def tone_series(q, t0, comps, noise=0.0, noise_seed=0):
     t = np.arange(q) * t0
     y = sum(a * np.exp(-rate * t) * np.cos(omega * t + phi) for a, rate, omega, phi in comps)
     y = y + noise * np.random.default_rng(noise_seed).standard_normal(q)
-    return TimeSeries(t0, np.clip(y, -1.0, 1.0), np.zeros(q))
+    return TimeSeries(t0, np.clip(y, -1.0, 1.0), t0)
 
 
 def peak_fit(fit, series):
     return fit(series, peak_pick(dft(series))[0])
+
+
+def package_fit(series, seed):
+    """The package's fit on the series' spectrum, called as the references are."""
+    return fit_damped_sinusoid(dft(series), seed)
 
 
 def assert_no_worse_than_reference(fit, series):
@@ -407,7 +418,7 @@ def assert_kkt_on_rate_bound(fit, series):
 def test_fit_off_the_rate_bound_matches_reference_exactly(case, decay_per_window):
     q, t0, omega, a, phi = case
     series = tone_series(q, t0, [(a, decay_per_window / (q * t0), omega, phi)])
-    assert peak_fit(fit_damped_sinusoid, series) == peak_fit(capped_lm_fit, series)
+    assert peak_fit(package_fit, series) == peak_fit(capped_lm_fit, series)
 
 
 @settings(deadline=None, max_examples=80)
@@ -415,7 +426,7 @@ def test_fit_off_the_rate_bound_matches_reference_exactly(case, decay_per_window
 def test_fit_matches_the_column_stack_reference(case, decay_per_window, noise, noise_seed):
     q, t0, omega, a, phi = case
     series = tone_series(q, t0, [(a, decay_per_window / (q * t0), omega, phi)], noise, noise_seed)
-    assert peak_fit(fit_damped_sinusoid, series) == peak_fit(column_stack_fit, series)
+    assert peak_fit(package_fit, series) == peak_fit(column_stack_fit, series)
 
 
 @settings(deadline=None, max_examples=40)
@@ -423,7 +434,7 @@ def test_fit_matches_the_column_stack_reference(case, decay_per_window, noise, n
 def test_fit_of_noisy_undamped_tone_converges_no_worse(case, noise, noise_seed):
     q, t0, omega, a, phi = case
     series = tone_series(q, t0, [(a, 0.0, omega, phi)], noise, noise_seed)
-    fit = peak_fit(fit_damped_sinusoid, series)
+    fit = peak_fit(package_fit, series)
     assert fit.converged
     assert_no_worse_than_reference(fit, series)
     assert_kkt_on_rate_bound(fit, series)
@@ -438,7 +449,7 @@ def test_fit_of_two_undamped_tones_converges_no_worse(case, bins_apart, side, ra
     # outside (0, Nyquist) the second tone aliases, possibly onto the first
     assume(bin_width < omega2 < math.pi / t0 - bin_width)
     series = tone_series(q, t0, [(a, 0.0, omega, phi), (ratio * a, 0.0, omega2, phi2)])
-    fit = peak_fit(fit_damped_sinusoid, series)
+    fit = peak_fit(package_fit, series)
     assert fit.converged
     assert_no_worse_than_reference(fit, series)
     assert_kkt_on_rate_bound(fit, series)
@@ -452,7 +463,7 @@ def test_fit_of_clean_undamped_tone_recovers_it(case):
     # above the reference's, so the check is recovery of the tone.
     q, t0, omega, a, phi = case
     series = tone_series(q, t0, [(a, 0.0, omega, phi)])
-    fit = peak_fit(fit_damped_sinusoid, series)
+    fit = peak_fit(package_fit, series)
     assert fit.delta_exp == pytest.approx(omega, rel=1e-9)
     assert fit.amplitude == pytest.approx(a, rel=1e-8)
     assert math.remainder(fit.phase - phi, TWO_PI) == pytest.approx(0.0, abs=1e-7)
@@ -465,7 +476,7 @@ def test_fit_of_clean_tone_with_phase_near_zero_converges():
     # The fit reaches the tone exactly, but rounding still moves the phase of
     # 1e-9 by more than 1e-10 of itself on every step, so it runs to its cap.
     series = tone_series(110, 2e-4, [(1.0, 0.0, 0.1 * math.pi / 2e-4, 1e-9)])
-    assert peak_fit(fit_damped_sinusoid, series).converged
+    assert peak_fit(package_fit, series).converged
 
 
 def test_default_h1_fit_stops_on_the_rate_bound(monkeypatch):
@@ -475,9 +486,21 @@ def test_default_h1_fit_stops_on_the_rate_bound(monkeypatch):
     calls = []
     model = spectroscopy._model_and_jacobian
     monkeypatch.setattr(spectroscopy, "_model_and_jacobian", lambda *args: calls.append(1) or model(*args))
-    fit = peak_fit(fit_damped_sinusoid, series)
+    fit = peak_fit(package_fit, series)
     assert fit.converged and fit.tau_e == 1e12
     assert len(calls) <= 60  # 532 when the fit ran to its iteration cap
+
+
+def test_a_run_takes_one_fft(monkeypatch):
+    # the fit seeds from the spectrum's bins instead of transforming again
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: calls.append(1) or fft(*args, **kwargs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the default ramp is quasiadiabatic
+        result = run_experiment(build_config("h1", None, ("run.damping=on",)))
+    assert len(calls) == 1
+    assert result.spectrum.series is result.series
 
 
 def test_program_stepper_wall_clock():
@@ -498,7 +521,7 @@ def test_program_stepper_wall_clock():
 
 
 def test_csv_layouts():
-    series = TimeSeries(1e-3, np.array([0.5, -0.5]), np.array([0.0, 2e-3]))
+    series = TimeSeries(1e-3, np.array([0.5, -0.5]), 2e-3)
     text = series_to_csv(series)
     lines = text.strip().split("\n")
     assert lines[0] == "k,t_s,value,wall_s"
@@ -512,13 +535,21 @@ def test_csv_layouts():
 
     # every cell is the repr of the per-element float, |a| included, to the last bit
     rng = np.random.default_rng(3)
-    series = TimeSeries(1e-3, rng.uniform(-1, 1, 4096), rng.uniform(0, 1, 4096))
+    series = TimeSeries(1e-3, rng.uniform(-1, 1, 4096), rng.uniform(0, 1))
     spec = dft(series)
-    rows = [f"{k},{float(k * series.t0)!r},{float(v)!r},{float(w)!r}"
-            for k, (v, w) in enumerate(zip(series.values, series.wall_times))]
+    rows = [f"{k},{float(k * series.t0)!r},{float(v)!r},{float(k * series.wall_per_step)!r}"
+            for k, v in enumerate(series.values)]
     assert series_to_csv(series) == "\n".join(["k,t_s,value,wall_s", *rows]) + "\n"
-    rows = [f"{float(w)!r},{float(a.real)!r},{float(a.imag)!r},{float(abs(a))!r}" for w, a in zip(spec.omega, spec.amp)]
-    assert spectrum_to_csv(spec) == "\n".join(["omega_rad_s,re,im,abs", *rows]) + "\n"
+    assert spectrum_to_csv(spec) == "\n".join(["omega_rad_s,re,im,abs", *two_sided_rows(spec)]) + "\n"
+
+
+def two_sided_rows(spec):
+    """spectrum.csv's rows from per-element floats: bins -j = (-omega_j,
+    conj X[j]) for j = (Q-1)//2..1, then bins j = 0..Q//2."""
+    omega, amp = spec.omega, spec.amp
+    bins = [(-omega[j], amp[j].conjugate()) for j in range((spec.series.q - 1) // 2, 0, -1)]
+    bins += list(zip(omega, amp))
+    return [f"{float(w)!r},{float(a.real)!r},{float(a.imag)!r},{float(abs(a))!r}" for w, a in bins]
 
 
 @pytest.mark.parametrize("q", [8, 9, 200, 201])
@@ -527,38 +558,33 @@ def test_csv_layouts_of_an_ideal_shaped_series(q):
     # exercise the Nyquist bin and the mirrored half of the spectrum
     rng = np.random.default_rng(q)
     t0 = 0.7e-3
-    series = TimeSeries(t0, rng.uniform(-1, 1, q), np.arange(q) * t0)
-    rows = [f"{k},{float(k * t0)!r},{float(v)!r},{float(w)!r}"
-            for k, (v, w) in enumerate(zip(series.values, series.wall_times))]
+    series = TimeSeries(t0, rng.uniform(-1, 1, q), t0)
+    rows = [f"{k},{float(k * t0)!r},{float(v)!r},{float(k * t0)!r}" for k, v in enumerate(series.values)]
     assert series_to_csv(series) == "\n".join(["k,t_s,value,wall_s", *rows]) + "\n"
     spec = dft(series)
-    assert len(spec.omega) == q and spec.omega[0] < 0 and spec.omega[-1] == TWO_PI * (q // 2) / (q * t0)
-    rows = [f"{float(w)!r},{float(a.real)!r},{float(a.imag)!r},{float(abs(a))!r}" for w, a in zip(spec.omega, spec.amp)]
-    assert spectrum_to_csv(spec) == "\n".join(["omega_rad_s,re,im,abs", *rows]) + "\n"
+    assert len(spec.omega) == q // 2 + 1 and spec.omega[0] == 0.0 and spec.omega[-1] == TWO_PI * (q // 2) / (q * t0)
+    text = spectrum_to_csv(spec)
+    assert text == "\n".join(["omega_rad_s,re,im,abs", *two_sided_rows(spec)]) + "\n"
+    assert len(text.splitlines()) == 1 + q
 
 
-def test_spectrum_csv_mirrors_signed_zeros_and_refuses_a_broken_mirror():
+def test_spectrum_csv_mirrors_signed_zeros_and_nan():
+    # Q = 3: bins 0 and 1 are stored, and bin -1 is written as bin 1's mirror
+    series = TimeSeries(1e-3, np.zeros(3), 1e-3)
+    w = repr(TWO_PI / 3e-3)
     # a real bin's im of +0.0 mirrors to -0.0, and the text says so
-    omega = np.array([-100.0, 0.0, 100.0])
-    spec = Spectrum(omega, np.array([complex(2.0, -0.0), 1.0, 2.0]), 3, 1e-3)
-    assert spectrum_to_csv(spec).split("\n")[1:4] == ["-100.0,2.0,-0.0,2.0", "0.0,1.0,0.0,1.0", "100.0,2.0,0.0,2.0"]
+    spec = Spectrum(series, np.array([1.0, 2.0], dtype=complex))
+    assert spectrum_to_csv(spec).split("\n")[1:4] == [f"-{w},2.0,-0.0,2.0", "0.0,1.0,0.0,1.0", f"{w},2.0,0.0,2.0"]
     # repr drops a NaN's sign, so a NaN im stays "nan" in its mirror
-    nan_bin = complex(2.0, math.nan)
-    spec = Spectrum(omega, np.array([nan_bin.conjugate(), 1.0, nan_bin]), 3, 1e-3)
-    assert spectrum_to_csv(spec).split("\n")[1:4] == ["-100.0,2.0,nan,nan", "0.0,1.0,0.0,1.0", "100.0,2.0,nan,nan"]
-    for amp in ([2.0, 1.0, 2.0],  # +0.0 where the mirror has -0.0
-                [complex(2.0, 1e-16), 1.0, 2.0]):  # a bin off its mirror by rounding
-        with pytest.raises(ValueError, match="conjugate mirror"):
-            spectrum_to_csv(Spectrum(omega, np.array(amp, dtype=complex), 3, 1e-3))
-    with pytest.raises(ValueError, match="conjugate mirror"):  # omega not symmetric
-        spectrum_to_csv(Spectrum(np.array([-99.0, 0.0, 100.0]), spec.amp, 3, 1e-3))
+    spec = Spectrum(series, np.array([1.0, complex(2.0, math.nan)]))
+    assert spectrum_to_csv(spec).split("\n")[1:4] == [f"-{w},2.0,nan,nan", "0.0,1.0,0.0,1.0", f"{w},2.0,nan,nan"]
 
 
 def test_fit_record_keys_and_json():
     # the fit's fields lead the result.json record
     series = cosine_series(100.0, 1e-3, 64, amp=0.5, decay=2.0)
-    fit = fit_damped_sinusoid(series, TWO_PI * 100)
-    result = RunResult(build_config("h1"), 1.0, 1, fit.delta_exp, 1.0, 0.0, fit, series, dft(series), [], 1e-3, ())
+    fit = fit_damped_sinusoid(dft(series), TWO_PI * 100)
+    result = RunResult(build_config("h1"), 1.0, 1, fit.delta_exp, 1.0, 0.0, fit, series, dft(series), [], ())
     rec = result_record(result)
     assert list(rec)[:7] == [
         "delta_exp_rad_s",
