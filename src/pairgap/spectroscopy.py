@@ -146,8 +146,8 @@ def acquire(
 
 
 def dft(series: TimeSeries) -> Spectrum:
-    """numpy's FFT of the series, bins j = 0..Q//2."""
-    return Spectrum(series, np.fft.fft(series.values)[: series.q // 2 + 1])
+    """numpy's FFT of the series, bins j = 0..Q//2, copied off the full array."""
+    return Spectrum(series, np.fft.fft(series.values)[: series.q // 2 + 1].copy())
 
 
 def peak_pick(spectrum: Spectrum) -> tuple[float, float]:

@@ -225,6 +225,7 @@ def test_dft_conjugate_symmetry_and_parseval():
         # the kept bins are numpy's FFT bins j = 0..Q//2, bit for bit, and
         # each dropped bin -j is the conjugate of bin j
         assert spec.amp.tobytes() == full[: q // 2 + 1].tobytes()
+        assert spec.amp.base is None  # not a view that keeps the dropped half alive
         mirrored = (q - 1) // 2
         assert np.allclose(full[: -mirrored - 1 : -1], spec.amp[1 : mirrored + 1].conj(), rtol=0, atol=1e-12)
         # Parseval, one-sided: bins 1..(Q-1)//2 stand for their mirrors too
