@@ -19,7 +19,7 @@ Recognized keys:
     machine.t_pi_s            pi-pulse duration
     machine.t2_s              dephasing time for all spins
     machine.t2_<i>_s          per-spin dephasing time, i in 1..n (t2_1 or
-                              t2_01, not both)
+                              t2_01, not both); each T2 positive and finite
     schedule.steps            interpolation step count S
     schedule.t_ad_s           per-step preparation time
     schedule.evolver          default | exact | trotter | nmr
@@ -27,7 +27,7 @@ Recognized keys:
     plan.k                    inner Trotter repetitions
     run.method                ideal | w1 | w2
     run.pulse_mode            delta | finite
-    run.q                     sample count, at least 8 (the fit's minimum)
+    run.q                     sample count, at least 8 (the fit's minimum); q * 2^n <= 4^12 at n <= 12
     run.observed_spin         1-based spin measured
     run.damping               on | off
     run.init                  initial basis state as bits, e.g. 011
@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import presets
-from .hamiltonian import PairingModel
+from .hamiltonian import _MAX_DENSE_QUBITS, PairingModel
 from .nmr import SpinSystem
 from .spectroscopy import MIN_FIT_SAMPLES
 from .trotter import TrotterPlan
@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError("schedule.t_ad_s: must be non-negative and finite")
         if self.q < MIN_FIT_SAMPLES:
             raise ConfigError(f"run.q: need at least {MIN_FIT_SAMPLES} samples, the fit's minimum")
+        # acquire's Q states of 2^n fit one 12-qubit operator; a run above 12 qubits fails before any
+        n = self.model.n
+        if n <= _MAX_DENSE_QUBITS and self.q * 2**n > 4**_MAX_DENSE_QUBITS:
+            raise ConfigError(f"run.q: at most {4**_MAX_DENSE_QUBITS // 2**n} samples at n = {n} (q * 2^n <= 4^{_MAX_DENSE_QUBITS})")
         if not 1 <= self.observed_spin <= self.model.n:
             raise ConfigError("run.observed_spin: out of range")
         if self.init_bits is not None and (len(self.init_bits) != self.model.n or set(self.init_bits) - {"0", "1"}):
@@ -240,10 +244,7 @@ def _build_model(entries: dict[str, str], preset_name: str | None) -> PairingMod
     factor = base.convention_factor if base is not None else 1.0
     if "model.convention_factor" in entries:
         factor = _float(entries, "model.convention_factor")
-    try:
-        return PairingModel(nu, coupling, factor)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return PairingModel(nu, coupling, factor)
 
 
 def _build_machine(entries: dict[str, str], preset_name: str | None, n: int) -> SpinSystem:
@@ -252,7 +253,7 @@ def _build_machine(entries: dict[str, str], preset_name: str | None, n: int) -> 
     base = presets.spin_system() if preset_name is not None else SpinSystem(np.zeros((n, n)))
     j = _matrix_entries(entries, "machine.j", n)
     t_pi = _float(entries, "machine.t_pi_s") if "machine.t_pi_s" in entries else base.t_pi
-    t2 = [_float(entries, "machine.t2_s")] * n if "machine.t2_s" in entries else list(base.t2)
+    t2 = [_t2(entries, "machine.t2_s")] * n if "machine.t2_s" in entries else list(base.t2)
     keys: dict[int, str] = {}
     for key in entries:
         if match := _T2_KEY.match(key):
@@ -262,11 +263,15 @@ def _build_machine(entries: dict[str, str], preset_name: str | None, n: int) -> 
             if spin in keys:
                 raise ConfigError(f"{keys[spin]}: give {keys[spin]} or {key}, not both")
             keys[spin] = key
-            t2[spin - 1] = _float(entries, key)
-    try:
-        return SpinSystem(base.j_hz if j is None else j, t_pi, tuple(t2))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+            t2[spin - 1] = _t2(entries, key)
+    return SpinSystem(base.j_hz if j is None else j, t_pi, tuple(t2))
+
+
+def _t2(entries: dict[str, str], key: str) -> float:
+    t2 = _float(entries, key)
+    if not (t2 > 0 and math.isfinite(t2)):
+        raise ConfigError(f"{key}: must be positive and finite")
+    return t2
 
 
 def _text(entries: dict[str, str], key: str) -> str:
@@ -319,7 +324,7 @@ def build_config(
     """Assemble a config from (in increasing precedence) preset defaults, a
     config file body and repeatable 'key=value' override strings. A preset
     argument and a model.preset entry that name different presets are a
-    ConfigError."""
+    ConfigError, as is a ValueError the model, machine or plan raises."""
     entries: dict[str, str] = {}
     if config_text is not None:
         entries.update(parse_config_text(config_text))
@@ -334,29 +339,20 @@ def build_config(
 
     for key in entries:
         check_key(key)
-    model = _build_model(entries, preset_name)
-    machine = _build_machine(entries, preset_name, model.n)
-
-    defaults = presets.DEFAULTS.get(preset_name or "", {"t0": 1e-3, "k": 1, "q": 200})
-    t0 = _float(entries, "plan.t0_s") if "plan.t0_s" in entries else defaults["t0"]
-    k = _int(entries, "plan.k") if "plan.k" in entries else defaults["k"]
     try:
+        model = _build_model(entries, preset_name)
+        machine = _build_machine(entries, preset_name, model.n)
+
+        defaults = presets.DEFAULTS.get(preset_name or "", {"t0": 1e-3, "k": 1, "q": 200})
+        t0 = _float(entries, "plan.t0_s") if "plan.t0_s" in entries else defaults["t0"]
+        k = _int(entries, "plan.k") if "plan.k" in entries else defaults["k"]
         plan = TrotterPlan(t0, k)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
-    fields = {field: parse(entries, key) for key, field, parse in _RUN_KEYS if key in entries}
-    fields.setdefault("q", defaults["q"])
-    fields.setdefault("init_bits", presets.INIT_BITS if model.n == 3 else None)
-    try:
+        fields = {field: parse(entries, key) for key, field, parse in _RUN_KEYS if key in entries}
+        fields.setdefault("q", defaults["q"])
+        fields.setdefault("init_bits", presets.INIT_BITS if model.n == 3 else None)
         return ExperimentConfig(model=model, machine=machine, plan=plan, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def with_plan(cfg: ExperimentConfig, t0: float, q: int | None = None) -> ExperimentConfig:
-    """Derived config with a different sampling step t0 (used by sweeps)."""
-    try:
-        return replace(cfg, plan=TrotterPlan(t0, cfg.plan.k), q=q if q is not None else cfg.q)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .adiabatic import AdiabaticSchedule, prepare, sector_population_report
 from .backend import step
-from .config import ConfigError, ExperimentConfig, with_plan
+from .config import ConfigError, ExperimentConfig
 from .exact import Ramp, computational_state, reachable_gap
 from .nmr import Delay, EventTable, PulseProgram, wall_time
 from .resources import feasibility, gate_count
@@ -34,7 +34,7 @@ from .spectroscopy import (
     peak_pick,
     systematic_offset,
 )
-from .trotter import _log_slope
+from .trotter import TrotterPlan, _log_slope
 
 # Offsets below this (rad/s) are treated as numerically zero in exponent fits.
 _OFFSET_FLOOR = 1e-9
@@ -171,12 +171,13 @@ def sweep_t0(
     """Run the pipeline across sampling steps t0.
 
     With hold_epsilon_ft the sample count Q is co-varied to keep the Fourier
-    precision of the base config, isolating the systematic offset. The
-    exponent is the log-log slope of |offset| against t0 over the points
-    that ran (None if fewer than two). Each row is (t0, k, q, the point's
-    RunResult or the error it raised); a failure does not stop the sweep.
-    The points share one preparation, which neither t0 nor Q enters; when it
-    fails, every point whose plan is valid gets its error.
+    precision of the base config, isolating the systematic offset; a held Q
+    not finite or past run.q's bound is that point's error. The exponent is
+    the log-log slope of |offset| against t0 over the points that ran (None
+    if fewer than two). Each row is (t0, k, q, the point's RunResult or the
+    error it raised); a failure does not stop the sweep. The points share
+    one preparation, which neither t0 nor Q enters; when it fails, every
+    point whose plan is valid gets its error.
     """
     if not t0_values:
         raise ConfigError("sweep: need at least one t0 value")
@@ -190,8 +191,10 @@ def sweep_t0(
         q = None if hold_epsilon_ft else cfg.q
         try:
             if hold_epsilon_ft and t0 != 0 and not math.isnan(t0):  # no Q holds eps at 0 or nan: q None
-                q = int(round(2 * math.pi / (eps_ref * t0)))
-            point = with_plan(cfg, t0, q=q)
+                if not math.isfinite(held := 2 * math.pi / (eps_ref * t0)):
+                    raise ConfigError(f"plan.t0: {t0!r} s is too small to hold epsilon_ft with a finite q")
+                q = int(round(held))
+            point = replace(cfg, plan=TrotterPlan(t0, cfg.plan.k), q=q)
             result = prep if isinstance(prep, Exception) else _measure(point, prep)
         except Exception as exc:  # noqa: BLE001 - per-point failures become rows
             result = exc

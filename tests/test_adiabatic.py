@@ -3,6 +3,7 @@ import inspect
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pairgap.adiabatic import (
     sector_population_report,
 )
 from pairgap.backend import step
-from pairgap.config import build_config, with_plan
+from pairgap.config import build_config
 from pairgap.exact import Ramp, computational_state, reachable_gap
 from pairgap.hamiltonian import PairingModel, sector_basis
 from pairgap.nmr import EventTable, RfPulse, compile_trotter_step, simulate_program
@@ -240,7 +241,7 @@ def assert_standalone_rows(cfg, rows):
     same result.json record and the same sweep.csv line."""
     lines = sweep_rows_to_csv(rows).splitlines()[1:]
     for (t0, k, q, result), line in zip(rows, lines, strict=True):
-        alone = run_experiment(with_plan(cfg, t0, q=q))
+        alone = run_experiment(replace(cfg, plan=TrotterPlan(t0, cfg.plan.k), q=q))
         assert (k, q) == (alone.config.plan.k, alone.config.q)
         assert result_record(result) == result_record(alone)
         assert line == sweep_rows_to_csv(((t0, k, q, alone),)).splitlines()[1]
@@ -262,7 +263,7 @@ def test_sweep_point_with_a_bad_plan_gets_its_own_error_row():
     cfg = build_config(preset="h1")
     rows = sweep_t0(cfg, [1e-3, -1e-3, 2e-3]).rows
     with pytest.raises(ValueError) as bad:
-        with_plan(cfg, -1e-3)
+        TrotterPlan(-1e-3, cfg.plan.k)
     assert isinstance(rows[1][3], ValueError) and str(rows[1][3]) == str(bad.value)
     _, k, q, _ = rows[1]
     assert sweep_rows_to_csv(rows).splitlines()[2] == f"-0.001,{k},{q},,,,,,0,\"{bad.value}\""
@@ -277,12 +278,12 @@ def test_failed_preparation_puts_its_error_on_every_row(monkeypatch):
     rows = sweep_t0(cfg, [1e-3, 2e-3, -1e-3]).rows
     assert len(prepared) == 1
     with pytest.raises(ValueError) as failed:
-        run_experiment(with_plan(cfg, 1e-3))
+        run_experiment(replace(cfg, plan=TrotterPlan(1e-3, cfg.plan.k)))
     assert "population floor" in str(failed.value)
     assert [str(r) for _, _, _, r in rows[:2]] == [str(failed.value)] * 2
     assert all(isinstance(r, ValueError) for _, _, _, r in rows)
     with pytest.raises(ValueError) as bad:
-        with_plan(cfg, -1e-3)
+        TrotterPlan(-1e-3, cfg.plan.k)
     assert str(rows[2][3]) == str(bad.value)
     assert all(line.split(",")[3:9] == ["", "", "", "", "", "0"] for line in sweep_rows_to_csv(rows).splitlines()[1:])
 

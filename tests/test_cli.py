@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import pairgap.cli as cli
+import pairgap.pipeline
 from pairgap.cli import main
 from pairgap.config import build_config
 from pairgap.nmr import compile_trotter_step
@@ -378,6 +379,44 @@ def test_sweep_t0_that_is_not_positive_and_finite_is_an_error_row(t0, cells, tmp
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[1].startswith("0.001,2,400,1366.") and rows[1].endswith(",1,")
     assert rows[2] == cells + ',,,,,,0,"plan.t0: must be positive and finite"'
+
+
+def test_sweep_t0_too_small_for_a_finite_q_is_an_error_row(tmp_path):
+    assert main(["sweep", "--preset", "h1", "--vary", "plan.t0_s=1e-3,1e-320", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1].startswith("0.001,2,400,1366.") and rows[1].endswith(",1,")
+    assert rows[2] == '1e-320,2,,,,,,,0,"plan.t0: 1e-320 s is too small to hold epsilon_ft with a finite q"'
+
+
+@pytest.fixture
+def bounded_acquire(monkeypatch):
+    """acquire refuses a Q past the bound instead of allocating Q states."""
+    acquire = pairgap.pipeline.acquire
+
+    def guarded(state, u, wall_per_step, q, *args):
+        assert q <= 2**21, f"acquire asked for {q} samples"
+        return acquire(state, u, wall_per_step, q, *args)
+
+    monkeypatch.setattr(pairgap.pipeline, "acquire", guarded)
+
+
+def test_sweep_t0_whose_held_q_is_past_the_bound_is_an_error_row(bounded_acquire, tmp_path):
+    # held epsilon_ft at t0 = 1e-9 asks for Q = 4e8 states, 51 GB at n = 3
+    assert main(["sweep", "--preset", "h1", "--vary", "plan.t0_s=1e-3,1e-9", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1].startswith("0.001,2,400,1366.") and rows[1].endswith(",1,")
+    assert rows[2] == '1e-09,2,400000000,,,,,,0,"run.q: at most 2097152 samples at n = 3 (q * 2^n <= 4^12)"'
+
+
+def test_run_q_past_the_bound_exit_2(bounded_acquire, tmp_path, capsys):
+    assert main(["run", "--preset", "h1", "--override", "run.q=100000000", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: run.q: at most 2097152 samples at n = 3 (q * 2^n <= 4^12)\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_with_a_bad_per_spin_t2_exit_2(tmp_path, capsys):
+    assert main(["run", "--preset", "h1", "--override", "machine.t2_1_s=0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: machine.t2_1_s: must be positive and finite\n"
 
 
 def test_sweep_generic_axis(tmp_path):

@@ -26,7 +26,7 @@ def test_grid_covers_gap_exact_on_both_presets(tool):
     cases = tool.grid()
     assert ("gap-exact", "--preset", "h1") in cases
     assert ("gap-exact", "--preset", "h2") in cases
-    assert len(cases) == len(set(cases)) == 53
+    assert len(cases) == len(set(cases)) == 55
 
 
 def test_grid_covers_every_artifact_writer(tool):
@@ -41,6 +41,8 @@ def test_grid_covers_every_artifact_writer(tool):
         ("gap-exact", "--override", "model.nu_hz=120,250,330,410"),
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=1e-3,-1e-3,2e-3"),
+        ("sweep", "--preset", "h1", "--vary", "plan.t0_s=1e-3,1e-320"),
+        ("run", "--preset", "h1", "--override", "machine.t2_1_s=0"),
         ("run", "--preset", "h2", "--override", "run.observed_spin=3"),
         ("sweep", "--preset", "h1", "--override", "run.method=w2", "--override", "run.pulse_mode=finite",
          "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3"),

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pairgap.config import ConfigError, build_config, parse_config_text, with_plan
+from pairgap.config import ConfigError, build_config, parse_config_text
 from pairgap.presets import pairing_model, spin_system
 
 TWO_PI = 2 * math.pi
@@ -212,6 +212,32 @@ def test_t2_scalar_then_per_spin():
     assert cfg.machine.t2 == (0.5, 0.1, 0.5)
 
 
+@pytest.mark.parametrize("item", ["machine.t2_s=0", "machine.t2_1_s=0", "machine.t2_02_s=nan", "machine.t2_3_s=-1"])
+def test_bad_t2_names_its_key(item):
+    key = item.partition("=")[0]
+    with pytest.raises(ConfigError) as bad:
+        build_config("h1", overrides=(item,))
+    assert str(bad.value) == f"{key}: must be positive and finite"
+
+
+def test_run_q_is_bounded_by_one_twelve_qubit_operator():
+    # Q states of 2^n amplitudes: 4^12 / 2^3 samples at n = 3, 4^12 / 2^12 at n = 12
+    assert build_config("h1", overrides=("run.q=2097152",)).q == 2**21
+    with pytest.raises(ConfigError) as big:
+        build_config("h1", overrides=("run.q=2097153",))
+    assert str(big.value) == "run.q: at most 2097152 samples at n = 3 (q * 2^n <= 4^12)"
+
+    def chain(n, q):
+        return build_config(None, f"model.nu_hz = {','.join(str(100 + 10 * m) for m in range(n))}\nrun.q = {q}\n"
+                            f"run.init = 1{'0' * (n - 1)}\n")
+
+    assert chain(12, 4096).q == 4096
+    with pytest.raises(ConfigError, match=r"^run\.q: at most 4096 samples at n = 12 "):
+        chain(12, 4097)
+    # above 12 modes a run fails before any dense array, so Q is not bounded there
+    assert chain(13, 4097).q == 4097
+
+
 def test_per_spin_t2_keys_parse_the_index_and_refuse_the_rest():
     # a leading zero names the same spin, as in model.v_01_2_hz
     assert build_config("h1", overrides=("machine.t2_03_s=0.1",)).machine.t2 == (0.25, 0.25, 0.1)
@@ -280,17 +306,6 @@ def test_run_section_validation():
 def test_init_index_parses_binary():
     cfg = build_config(preset="h1", overrides=("run.init=101",))
     assert cfg.init_index == 5
-
-
-def test_with_plan_replaces_only_the_plan():
-    cfg = build_config(preset="h1")
-    alt = with_plan(cfg, 1e-3)
-    assert alt.plan.t0 == 1e-3 and alt.plan.k == cfg.plan.k and alt.q == cfg.q
-    alt = with_plan(cfg, 1e-3, q=512)
-    assert (alt.plan.t0, alt.plan.k, alt.q) == (1e-3, cfg.plan.k, 512)
-    assert alt.model is cfg.model and alt.machine is cfg.machine
-    with pytest.raises(ValueError):
-        with_plan(cfg, -1e-3)
 
 
 @pytest.mark.parametrize("factor", ["0", "-0.0", "-1", "nan"])
