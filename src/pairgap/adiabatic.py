@@ -95,12 +95,15 @@ def prepare(
 
 
 def sector_population_report(ramp: Ramp, state: np.ndarray) -> list[tuple[int, float, float]]:
-    """Population report against the ramp's final sector eigensystem; the
-    state is projected onto the sector first, so rows sum to the in-sector
-    weight."""
+    """Rows (index, energy, population) of the normalized ``state`` against
+    the ramp's final sector eigensystem: the one projection of a prepared
+    state, which ``reachable_gap`` reads. The state is projected onto the
+    sector first, so rows sum to the in-sector weight."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (2**ramp.model.n,):
         raise ValueError("state and model dimensions differ")
-    es = ramp.final_eigensystem()
-    pops = np.abs(es.vectors.conj().T @ state[ramp.idx]) ** 2
-    return [(i, float(es.values[i]), float(pops[i])) for i in range(len(pops))]
+    if abs(np.linalg.norm(state) - 1.0) > 1e-8:
+        raise ValueError("prepared state must be normalized")
+    values, vectors = ramp.values[-1], ramp.vectors[-1]
+    pops = np.abs(vectors.conj().T @ state[ramp.idx]) ** 2
+    return [(i, float(values[i]), float(pops[i])) for i in range(len(pops))]

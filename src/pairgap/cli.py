@@ -22,7 +22,7 @@ import sys
 import warnings
 
 from . import presets
-from .adiabatic import AdiabaticSchedule, prepare
+from .adiabatic import AdiabaticSchedule, prepare, sector_population_report
 from .config import ConfigError, ExperimentConfig, build_config, check_key
 from .exact import Ramp, computational_state, reachable_gap
 from .nmr import compile_trotter_step, wall_time
@@ -95,7 +95,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
         ]
         print(f"  couplings: {', '.join(couplings)}")
         print(
-            f"  defaults: t0={d['t0']:g} s, k={d['k']}, Q={d['q']}, "
+            f"  defaults: t0={d['t0']:g} s, k={d['k']}, Q={ExperimentConfig.q}, "
             f"S={presets.SCHEDULE_STEPS}, t_ad={presets.SCHEDULE_T_AD:g} s, "
             f"init=|{presets.INIT_BITS}>, observed spin {presets.OBSERVED_SPIN}"
         )
@@ -108,7 +108,7 @@ def _cmd_gap_exact(args: argparse.Namespace) -> int:
     init = computational_state(cfg.model.n, cfg.init_index)
     prepared = prepare(ramp, init, AdiabaticSchedule(cfg.t_ad), check_adiabaticity=False)
     values = ramp.values[-1]
-    level, gap = reachable_gap(ramp, prepared, cfg.population_floor)
+    level, gap = reachable_gap(sector_population_report(ramp, prepared), cfg.population_floor)
     record = {
         "pairs": ramp.pairs,
         "sector_eigenvalues_rad_s": [float(v) for v in values],

@@ -343,13 +343,12 @@ def build_config(
         model = _build_model(entries, preset_name)
         machine = _build_machine(entries, preset_name, model.n)
 
-        defaults = presets.DEFAULTS.get(preset_name or "", {"t0": 1e-3, "k": 1, "q": 200})
+        defaults = presets.DEFAULTS.get(preset_name or "", {"t0": 1e-3, "k": 1})
         t0 = _float(entries, "plan.t0_s") if "plan.t0_s" in entries else defaults["t0"]
         k = _int(entries, "plan.k") if "plan.k" in entries else defaults["k"]
         plan = TrotterPlan(t0, k)
 
         fields = {field: parse(entries, key) for key, field, parse in _RUN_KEYS if key in entries}
-        fields.setdefault("q", defaults["q"])
         fields.setdefault("init_bits", presets.INIT_BITS if model.n == 3 else None)
         return ExperimentConfig(model=model, machine=machine, plan=plan, **fields)
     except ConfigError:

@@ -86,8 +86,8 @@ class Ramp:
     ``eigh`` and keeps only the eigensystems. A run builds one ramp and
     hands it to every stage: the exact preparation evolves the in-sector
     amplitudes with the step eigensystems, the schedule gap reads their
-    eigenvalues, and the reachable level and the population report read
-    the final one (s = S), whose Hamiltonian is the model's own.
+    eigenvalues, and the population report, whose rows give the reachable
+    level, reads the final one (s = S), whose Hamiltonian is the model's own.
     """
 
     def __init__(self, model: PairingModel, steps: int, pairs: int):
@@ -107,9 +107,6 @@ class Ramp:
         if not 0 <= s <= self.steps:
             raise ValueError("schedule step index out of range")
         return self.model.with_coupling_scale(s / self.steps)
-
-    def final_eigensystem(self) -> EigenSystem:
-        return EigenSystem(self.values[-1], self.vectors[-1])
 
 
 def sector_gap(model: PairingModel, pairs: int, target: int | str = "first") -> float:
@@ -136,25 +133,20 @@ def _grouped_levels(values: np.ndarray) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups]
 
 
-def reachable_gap(ramp: Ramp, prepared: np.ndarray, population_floor: float) -> tuple[int, float]:
-    """Lowest excited level of the ramp's final sector eigensystem holding at
-    least ``population_floor`` of the prepared state, and its gap to the
-    ground level.
+def reachable_gap(populations: list[tuple[int, float, float]], population_floor: float) -> tuple[int, float]:
+    """Lowest excited level holding at least ``population_floor`` of a
+    prepared state, and its gap to the ground level, read off the state's
+    ``sector_population_report`` rows (index, energy, population).
 
     The series may oscillate more strongly at another populated pair's gap.
     Degenerate eigenvalues are grouped and their populations summed.
     """
     if not 0.0 < population_floor < 1.0:
         raise ValueError("population_floor must lie in (0, 1)")
-    prepared = np.asarray(prepared, dtype=complex)
-    if abs(np.linalg.norm(prepared) - 1.0) > 1e-8:
-        raise ValueError("prepared state must be normalized")
-    es = ramp.final_eigensystem()
-    amps = es.vectors.conj().T @ prepared[ramp.idx]
-    pops = np.abs(amps) ** 2
-    levels = _grouped_levels(es.values)
-    e0 = float(np.mean(es.values[levels[0]]))
+    _, values, pops = (np.array(column) for column in zip(*populations))
+    levels = _grouped_levels(values)
+    e0 = float(np.mean(values[levels[0]]))
     for k, members in enumerate(levels[1:], start=1):
         if float(pops[members].sum()) >= population_floor:
-            return k, float(np.mean(es.values[members])) - e0
+            return k, float(np.mean(values[members])) - e0
     raise ValueError("no reachable excited state above the population floor")

@@ -224,12 +224,7 @@ def _coupling_events(
     would make negative is clamped to zero and reported in ``warnings`` by
     its event index in ``out``.
     """
-    if axis == "X":
-        open_phase, close_phase = _PI / 2, -_PI / 2
-    elif axis == "Y":
-        open_phase, close_phase = _PI, 0.0
-    else:
-        raise ValueError("axis must be 'X' or 'Y'")
+    open_phase, close_phase = {"X": (_PI / 2, -_PI / 2), "Y": (_PI, 0.0)}[axis]
     if not coupled:
         return
 

@@ -42,7 +42,7 @@ _OFFSET_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run's gaps, fit, series (t0, Q, wall step), spectrum, populations and clamp warnings."""
+    """One run's gaps, fit, spectrum (which holds the series), populations and clamp warnings."""
 
     config: ExperimentConfig
     delta_exact: float
@@ -51,14 +51,13 @@ class RunResult:
     epsilon_ft: float
     systematic_offset: float
     fit: FitResult
-    series: TimeSeries
     spectrum: Spectrum
     populations: list[tuple[int, float, float]]
     clamp_warnings: tuple[str, ...]
 
     @property
     def wall_total(self) -> float:
-        return (self.series.q - 1) * self.series.wall_per_step
+        return (self.spectrum.series.q - 1) * self.spectrum.series.wall_per_step
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,9 @@ class _Preparation:
 
 
 def _prepare(cfg: ExperimentConfig) -> _Preparation:
-    """Prepare once with ``schedule.evolver`` and take the reachable level
-    and its exact gap from that state. Neither t0 nor Q enters, so the points
-    of a t0 sweep share one preparation."""
+    """Prepare once with ``schedule.evolver``, project that state once, and
+    take the reachable level and its exact gap from the projection. Neither
+    t0 nor Q enters, so the points of a t0 sweep share one preparation."""
     init = computational_state(cfg.model.n, cfg.init_index)
     # One pulse-event table and one ramp serve every stage of this run; the
     # table first, so a model above its qubit limit fails before the ramp's
@@ -86,8 +85,8 @@ def _prepare(cfg: ExperimentConfig) -> _Preparation:
     ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.pairs)
     schedule = AdiabaticSchedule(cfg.t_ad, cfg.preparation_method, cfg.plan.k)
     prepared = prepare(ramp, init, schedule, table=table)
-    level, delta_exact = reachable_gap(ramp, prepared, cfg.population_floor)
-    return _Preparation(table, prepared, sector_population_report(ramp, prepared), level, delta_exact)
+    populations = sector_population_report(ramp, prepared)
+    return _Preparation(table, prepared, populations, *reachable_gap(populations, cfg.population_floor))
 
 
 def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
@@ -112,7 +111,6 @@ def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
         epsilon_ft=epsilon_ft(cfg.q, cfg.plan.t0),
         systematic_offset=systematic_offset(fit.delta_exp, prep.delta_exact),
         fit=fit,
-        series=series,
         spectrum=spectrum,
         populations=prep.populations,
         clamp_warnings=clamp_warnings,
@@ -153,7 +151,7 @@ def result_record(result: RunResult) -> dict:
         "schedule_steps": cfg.schedule_steps,
         "t_ad_s": cfg.t_ad,
         "convention_factor": cfg.model.convention_factor,
-        "wall_per_step_s": result.series.wall_per_step,
+        "wall_per_step_s": result.spectrum.series.wall_per_step,
         "wall_total_s": result.wall_total,
         "clamp_warnings": list(result.clamp_warnings),
     }
@@ -191,7 +189,9 @@ def sweep_t0(
         q = None if hold_epsilon_ft else cfg.q
         try:
             if hold_epsilon_ft and t0 != 0 and not math.isnan(t0):  # no Q holds eps at 0 or nan: q None
-                if not math.isfinite(held := 2 * math.pi / (eps_ref * t0)):
+                # eps_ref * t0 may underflow to 0, which no finite Q holds either
+                held = 2 * math.pi / (eps_ref * t0) if eps_ref * t0 else math.inf
+                if not math.isfinite(held):
                     raise ConfigError(f"plan.t0: {t0!r} s is too small to hold epsilon_ft with a finite q")
                 q = int(round(held))
             point = replace(cfg, plan=TrotterPlan(t0, cfg.plan.k), q=q)
@@ -245,7 +245,7 @@ def write_run_artifacts(result: RunResult, out_dir: str) -> dict[str, str]:
         "populations": os.path.join(out_dir, "populations.csv"),
         "result": os.path.join(out_dir, "result.json"),
     }
-    write_text(paths["timeseries"], series_to_csv(result.series))
+    write_text(paths["timeseries"], series_to_csv(result.spectrum.series))
     write_text(paths["spectrum"], spectrum_to_csv(result.spectrum))
     write_text(paths["populations"], report_to_csv(result.populations))
     write_text(paths["result"], json_text(result_record(result)))

@@ -35,11 +35,12 @@ _J_HZ = np.array(
 )
 
 # Default pipeline parameters per preset. h1 runs at the published
-# (t0 = 2 ms, Q = 200) point; h2 at (t0 = 0.5 ms, Q = 200). Both use k = 2,
-# a 4-step interpolation at t_ad = 1/700 s from |011>, and observe spin 1.
+# t0 = 2 ms, h2 at t0 = 0.5 ms, both with ExperimentConfig's default Q. Both
+# use k = 2, a 4-step interpolation at t_ad = 1/700 s from |011>, and observe
+# spin 1.
 DEFAULTS = {
-    "h1": {"t0": 2e-3, "k": 2, "q": 200},
-    "h2": {"t0": 0.5e-3, "k": 2, "q": 200},
+    "h1": {"t0": 2e-3, "k": 2},
+    "h2": {"t0": 0.5e-3, "k": 2},
 }
 SCHEDULE_STEPS = 4
 SCHEDULE_T_AD = 1.0 / 700.0

@@ -293,7 +293,7 @@ def test_criterion_9_damping_self_consistency():
             warnings.simplefilter("ignore")
             result = run_experiment(cfg)
         t2 = cfg.machine.t2[cfg.observed_spin - 1]
-        implied = t2 * cfg.plan.t0 / result.series.wall_per_step
+        implied = t2 * cfg.plan.t0 / result.spectrum.series.wall_per_step
         ratio = result.fit.tau_e / implied
         ok = result.fit.converged and 0.8 <= ratio <= 1.25
         detail = (

@@ -23,7 +23,7 @@ from pairgap.adiabatic import (
 )
 from pairgap.backend import step
 from pairgap.config import build_config
-from pairgap.exact import Ramp, computational_state, reachable_gap
+from pairgap.exact import Ramp, computational_state
 from pairgap.hamiltonian import PairingModel, sector_basis
 from pairgap.nmr import EventTable, RfPulse, compile_trotter_step, simulate_program
 from pairgap.pipeline import report_to_csv, result_record, run_experiment, sweep_rows_to_csv, sweep_t0

@@ -27,8 +27,14 @@ def run_cli(*argv, cwd=None):
 def test_presets_lists_both_instances():
     proc = run_cli("presets")
     assert proc.returncode == 0
-    assert "h1" in proc.stdout and "h2" in proc.stdout
-    assert "convention_factor" in proc.stdout
+    assert proc.stdout == (
+        "h1: n=3, nu/2pi = [75, 50, 25] Hz, convention_factor=1\n"
+        "  couplings: V12/2pi=112 Hz, V13/2pi=25 Hz, V23/2pi=-155.5 Hz\n"
+        "  defaults: t0=0.002 s, k=2, Q=200, S=4, t_ad=0.00142857 s, init=|011>, observed spin 1\n"
+        "h2: n=3, nu/2pi = [75, 50, 25] Hz, convention_factor=2\n"
+        "  couplings: V12/2pi=112 Hz\n"
+        "  defaults: t0=0.0005 s, k=2, Q=200, S=4, t_ad=0.00142857 s, init=|011>, observed spin 1\n"
+    )
 
 
 def test_run_prints_the_adiabaticity_warning_as_one_line(tmp_path):
@@ -386,6 +392,15 @@ def test_sweep_t0_too_small_for_a_finite_q_is_an_error_row(tmp_path):
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[1].startswith("0.001,2,400,1366.") and rows[1].endswith(",1,")
     assert rows[2] == '1e-320,2,,,,,,,0,"plan.t0: 1e-320 s is too small to hold epsilon_ft with a finite q"'
+
+
+@pytest.mark.parametrize("base, t0", [("1e300", "1e-30"), ("0.1", "5e-324")])
+def test_sweep_t0_whose_eps_t0_product_underflows_is_a_named_error_row(base, t0, tmp_path):
+    # epsilon_ft(base) * t0 rounds to 0.0, which holds no finite q either
+    argv = ["sweep", "--preset", "h1", "--override", f"plan.t0_s={base}", "--vary", f"plan.t0_s={t0}"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1] == f'{t0},2,,,,,,,0,"plan.t0: {t0} s is too small to hold epsilon_ft with a finite q"'
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ def test_grid_covers_gap_exact_on_both_presets(tool):
     cases = tool.grid()
     assert ("gap-exact", "--preset", "h1") in cases
     assert ("gap-exact", "--preset", "h2") in cases
-    assert len(cases) == len(set(cases)) == 55
+    assert len(cases) == len(set(cases)) == 56
 
 
 def test_grid_covers_every_artifact_writer(tool):
@@ -42,6 +42,7 @@ def test_grid_covers_every_artifact_writer(tool):
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3", "--no-hold-epsilon-ft"),
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=1e-3,-1e-3,2e-3"),
         ("sweep", "--preset", "h1", "--vary", "plan.t0_s=1e-3,1e-320"),
+        ("sweep", "--preset", "h1", "--override", "plan.t0_s=1e300", "--vary", "plan.t0_s=1e-3,1e-30"),
         ("run", "--preset", "h1", "--override", "machine.t2_1_s=0"),
         ("run", "--preset", "h2", "--override", "run.observed_spin=3"),
         ("sweep", "--preset", "h1", "--override", "run.method=w2", "--override", "run.pulse_mode=finite",

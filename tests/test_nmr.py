@@ -699,8 +699,9 @@ def test_damping_factor_uses_observed_spin():
                 for d in ("off", "on")
             )
         k = np.arange(on.config.q)
-        assert on.series.wall_per_step == wall_time(compile_trotter_step(H1, on.config.plan, "w1", MACHINE), MACHINE.t_pi)
-        assert np.allclose(on.series.values, off.series.values * np.exp(-k * on.series.wall_per_step / t2), rtol=1e-12, atol=0)
+        wall = on.spectrum.series.wall_per_step
+        assert wall == wall_time(compile_trotter_step(H1, on.config.plan, "w1", MACHINE), MACHINE.t_pi)
+        assert np.allclose(on.spectrum.series.values, off.spectrum.series.values * np.exp(-k * wall / t2), rtol=1e-12, atol=0)
 
 
 def test_program_text_keeps_repr_precision_and_wall():

@@ -50,7 +50,7 @@ def test_chain_run_matches_the_dense_oracles_and_repeats(monkeypatch, tmp_path, 
     assert np.max(np.abs(prepared - dense_prepare(cfg.model, init, cfg.schedule_steps, cfg.t_ad))) < 1e-13
     reference = loop_acquire(*seen[0])
     bound = 8 * (np.arange(cfg.q) + 1) * 2.0**-52
-    assert np.all(np.abs(results[0].series.values - reference.values) <= bound)
+    assert np.all(np.abs(results[0].spectrum.series.values - reference.values) <= bound)
     files = [pipeline.write_run_artifacts(r, str(tmp_path / str(i))) for i, r in enumerate(results)]
     for name in files[0]:
         with open(files[0][name], "rb") as a, open(files[1][name], "rb") as b:
