@@ -2,7 +2,7 @@
 with an exact oracle, a pulse-level NMR control-error model and resource
 scaling estimators."""
 
-from .adiabatic import AdiabaticityWarning, AdiabaticSchedule, prepare, sector_population_report
+from .adiabatic import AdiabaticityWarning, prepare, sector_population_report
 from .backend import step
 from .config import ConfigError, ExperimentConfig, build_config
 from .exact import computational_state, reachable_gap, sector_gap

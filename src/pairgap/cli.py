@@ -9,7 +9,8 @@ Subcommands:
     compile     dump the pulse program for the configured step
 
 Exit codes: 0 success, 2 configuration error, 3 fit did not converge,
-4 internal contract violation.
+4 internal contract violation, 5 the prepared state holds no excited level
+above run.population_floor.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import sys
 import warnings
 
 from . import presets
-from .adiabatic import AdiabaticSchedule, prepare, sector_population_report
+from .adiabatic import prepare, sector_population_report
 from .config import ConfigError, ExperimentConfig, build_config, check_key
-from .exact import Ramp, computational_state, reachable_gap
+from .exact import LineIdentityError, Ramp, computational_state, reachable_gap
 from .nmr import compile_trotter_step, wall_time
 from .pipeline import (
     grid_to_csv,
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
+EXIT_LINE = 5
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -106,7 +108,7 @@ def _cmd_gap_exact(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.pairs)
     init = computational_state(cfg.model.n, cfg.init_index)
-    prepared = prepare(ramp, init, AdiabaticSchedule(cfg.t_ad), check_adiabaticity=False)
+    prepared = prepare(ramp, init, cfg.t_ad, check_adiabaticity=False)
     values = ramp.values[-1]
     level, gap = reachable_gap(sector_population_report(ramp, prepared), cfg.population_floor)
     record = {
@@ -275,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except LineIdentityError as exc:
+        print(f"line error: {exc}", file=sys.stderr)
+        return EXIT_LINE
     except Exception as exc:  # noqa: BLE001 - contract violations exit 4
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

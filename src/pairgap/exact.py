@@ -18,6 +18,10 @@ _HERMITICITY_TOL = 1e-9
 _DEGENERACY_RTOL = 1e-8
 
 
+class LineIdentityError(ValueError):
+    """A prepared state holds no excited level the run can measure."""
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues (rad/s) and orthonormal eigenvector columns."""
@@ -149,4 +153,4 @@ def reachable_gap(populations: list[tuple[int, float, float]], population_floor:
     for k, members in enumerate(levels[1:], start=1):
         if float(pops[members].sum()) >= population_floor:
             return k, float(np.mean(values[members])) - e0
-    raise ValueError("no reachable excited state above the population floor")
+    raise LineIdentityError("no reachable excited state above the population floor")

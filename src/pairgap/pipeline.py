@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adiabatic import AdiabaticSchedule, prepare, sector_population_report
+from .adiabatic import prepare, sector_population_report
 from .backend import step
 from .config import ConfigError, ExperimentConfig
 from .exact import Ramp, computational_state, reachable_gap
@@ -83,8 +83,7 @@ def _prepare(cfg: ExperimentConfig) -> _Preparation:
     # eigensolve.
     table = EventTable(cfg.machine, cfg.pulse_mode)
     ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.pairs)
-    schedule = AdiabaticSchedule(cfg.t_ad, cfg.preparation_method, cfg.plan.k)
-    prepared = prepare(ramp, init, schedule, table=table)
+    prepared = prepare(ramp, init, cfg.t_ad, cfg.preparation_method, cfg.plan.k, table=table)
     populations = sector_population_report(ramp, prepared)
     return _Preparation(table, prepared, populations, *reachable_gap(populations, cfg.population_floor))
 

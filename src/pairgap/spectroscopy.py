@@ -176,13 +176,10 @@ def systematic_offset(delta_exp: float, delta_exact: float) -> float:
     return delta_exp - delta_exact
 
 
-def _model_and_jacobian(beta: np.ndarray, t: np.ndarray, neg_t: np.ndarray | None = None,
-                        jac: np.ndarray | None = None):
+def _model_and_jacobian(beta: np.ndarray, t: np.ndarray, neg_t: np.ndarray, jac: np.ndarray | None = None):
     """Model values and their (Q, 4) Jacobian, written into ``jac`` when a
-    C-contiguous buffer is given; ``neg_t`` is -t, computed when absent."""
+    C-contiguous buffer is given; ``neg_t`` is -t."""
     a, rate, omega, phi = beta
-    if neg_t is None:
-        neg_t = -t
     if jac is None:
         jac = np.empty((len(t), 4))
     envelope = np.exp(-rate * t)

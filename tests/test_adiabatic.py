@@ -17,7 +17,6 @@ import pairgap.nmr
 import pairgap.pipeline
 from pairgap.adiabatic import (
     AdiabaticityWarning,
-    AdiabaticSchedule,
     prepare,
     sector_population_report,
 )
@@ -40,19 +39,27 @@ TABLE = EventTable(spin_system(), "delta")
 
 
 def fast_schedule(method=None, k=1, t_ad=1 / 700):
-    return AdiabaticSchedule(t_ad, method, k)
+    """prepare's (t_ad, method, k) for a deliberately fast ramp."""
+    return t_ad, method, k
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError, match="schedule.steps"):
         Ramp(H1, 0, 2)
-    with pytest.raises(ValueError):
-        AdiabaticSchedule(-1e-3)
-    with pytest.raises(ValueError):
-        AdiabaticSchedule(1e-3, "ideal", k=0)
-    assert AdiabaticSchedule(0.0).k == 1
     with pytest.raises(ValueError, match="method"):
-        prepare(RAMP1, INIT, fast_schedule("w3"), check_adiabaticity=False, table=TABLE)
+        prepare(RAMP1, INIT, *fast_schedule("w3"), check_adiabaticity=False, table=TABLE)
+
+
+@pytest.mark.parametrize("method", [None, "ideal"])
+@pytest.mark.parametrize("t_ad", [-1e-3, math.inf, math.nan])
+def test_prepare_refuses_a_negative_or_non_finite_t_ad(t_ad, method):
+    with pytest.raises(ValueError, match=r"^schedule\.t_ad: must be non-negative and finite$"):
+        prepare(RAMP1, INIT, t_ad, method, check_adiabaticity=False)
+
+
+def test_stepped_prepare_refuses_k_below_one():
+    with pytest.raises(ValueError, match=r"^plan\.k: must be >= 1$"):
+        prepare(RAMP1, INIT, *fast_schedule("ideal", k=0), check_adiabaticity=False)
 
 
 @pytest.mark.parametrize("method", ["w1", "w2"])
@@ -60,16 +67,16 @@ def test_compiled_method_without_a_table_raises(method):
     with pytest.raises(ValueError, match=f"method {method}: .*EventTable"):
         step(H1, TrotterPlan(1e-3), method)
     with pytest.raises(ValueError, match=f"method {method}: .*EventTable"):
-        prepare(RAMP1, INIT, fast_schedule(method), check_adiabaticity=False)
+        prepare(RAMP1, INIT, *fast_schedule(method), check_adiabaticity=False)
 
 
 def test_prepare_requires_normalized_state():
     with pytest.raises(ValueError):
-        prepare(RAMP1, np.ones(8), fast_schedule(), check_adiabaticity=False)
+        prepare(RAMP1, np.ones(8), *fast_schedule(), check_adiabaticity=False)
 
 
 def test_prepare_stays_in_sector():
-    psi = prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False)
+    psi = prepare(RAMP1, INIT, *fast_schedule(), check_adiabaticity=False)
     outside = np.delete(np.arange(8), sector_basis(3, 2))
     assert np.max(np.abs(psi[outside])) < 1e-12
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
@@ -87,7 +94,7 @@ def test_in_sector_preparation_matches_the_dense_one(n, seed, data):
     init[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
     init /= np.linalg.norm(init)
     steps, t_ad = data.draw(st.integers(1, 6)), data.draw(st.floats(0.0, 3e-3))
-    psi = prepare(Ramp(model, steps, pairs), init, AdiabaticSchedule(t_ad), check_adiabaticity=False)
+    psi = prepare(Ramp(model, steps, pairs), init, t_ad, check_adiabaticity=False)
     assert np.max(np.abs(psi - dense_prepare(model, init, steps, t_ad))) < 1e-13
     assert not np.any(np.delete(psi, idx))
 
@@ -96,15 +103,15 @@ def test_init_outside_the_ramp_sector_raises():
     spread = (computational_state(3, 3) + computational_state(3, 1)) / math.sqrt(2)
     for init in (spread, computational_state(3, 1), np.ones(4) / 2):
         with pytest.raises(ValueError, match="sector of 2 pairs on 3 modes"):
-            prepare(RAMP1, init, fast_schedule(), check_adiabaticity=False)
+            prepare(RAMP1, init, *fast_schedule(), check_adiabaticity=False)
     # rounding dust below 1e-12 outside the sector is dropped
     dusty = INIT + 1e-13 * computational_state(3, 1)
-    dropped = prepare(RAMP1, dusty, fast_schedule(), check_adiabaticity=False)
-    assert np.array_equal(dropped, prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False))
+    dropped = prepare(RAMP1, dusty, *fast_schedule(), check_adiabaticity=False)
+    assert np.array_equal(dropped, prepare(RAMP1, INIT, *fast_schedule(), check_adiabaticity=False))
 
 
 def test_prepare_h1_populations_frozen():
-    psi = prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False)
+    psi = prepare(RAMP1, INIT, *fast_schedule(), check_adiabaticity=False)
     pops = [p for _, _, p in sector_population_report(RAMP1, psi)]
     want = [0.353667074372997, 0.589629281220753, 0.0567036444062517]
     assert np.allclose(pops, want, atol=1e-12)
@@ -112,7 +119,7 @@ def test_prepare_h1_populations_frozen():
 
 def test_prepare_h2_leaves_decoupled_level_empty():
     ramp = Ramp(H2, 4, 2)
-    psi = prepare(ramp, INIT, fast_schedule(), check_adiabaticity=False)
+    psi = prepare(ramp, INIT, *fast_schedule(), check_adiabaticity=False)
     pops = [p for _, _, p in sector_population_report(ramp, psi)]
     assert np.allclose(pops, [0.675400947196885, 0.0, 0.324599052803114], atol=1e-12)
     assert pops[1] < 1e-12
@@ -120,40 +127,40 @@ def test_prepare_h2_leaves_decoupled_level_empty():
 
 def test_deliberately_fast_ramp_warns():
     with pytest.warns(AdiabaticityWarning):
-        prepare(RAMP1, INIT, fast_schedule())
+        prepare(RAMP1, INIT, *fast_schedule())
 
 
 def test_slow_ramp_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        prepare(Ramp(H1, 200, 2), INIT, fast_schedule(t_ad=0.02))
+        prepare(Ramp(H1, 200, 2), INIT, *fast_schedule(t_ad=0.02))
 
 
 def test_ground_population_grows_with_steps():
     grounds = []
     for s in (4, 8, 16, 32, 64):
         ramp = Ramp(H1, s, 2)
-        psi = prepare(ramp, INIT, fast_schedule(), check_adiabaticity=False)
+        psi = prepare(ramp, INIT, *fast_schedule(), check_adiabaticity=False)
         grounds.append(sector_population_report(ramp, psi)[0][2])
     assert all(a < b for a, b in zip(grounds, grounds[1:]))
     assert grounds[0] < 0.4
     # a genuinely slow ramp pins the ground state
     ramp = Ramp(H1, 200, 2)
-    psi = prepare(ramp, INIT, fast_schedule(t_ad=0.02), check_adiabaticity=False)
+    psi = prepare(ramp, INIT, *fast_schedule(t_ad=0.02), check_adiabaticity=False)
     assert sector_population_report(ramp, psi)[0][2] > 0.99
 
 
 def test_zero_duration_schedule_is_identity():
     for method in (None, "ideal", "w1"):
-        psi = prepare(RAMP1, INIT, fast_schedule(method, t_ad=0.0), check_adiabaticity=False, table=TABLE)
+        psi = prepare(RAMP1, INIT, *fast_schedule(method, t_ad=0.0), check_adiabaticity=False, table=TABLE)
         assert np.allclose(psi, INIT, atol=1e-12)
 
 
 def test_trotter_evolver_tracks_exact():
-    exact = prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False)
+    exact = prepare(RAMP1, INIT, *fast_schedule(), check_adiabaticity=False)
     fids = []
     for k in (1, 4, 16):
-        approx = prepare(RAMP1, INIT, fast_schedule("ideal", k), check_adiabaticity=False)
+        approx = prepare(RAMP1, INIT, *fast_schedule("ideal", k), check_adiabaticity=False)
         fids.append(abs(np.vdot(exact, approx)) ** 2)
     assert all(a < b for a, b in zip(fids, fids[1:]))
     assert fids[0] > 0.97
@@ -161,8 +168,8 @@ def test_trotter_evolver_tracks_exact():
 
 
 def test_nmr_evolver_matches_trotter_with_delta_pulses():
-    a = prepare(RAMP1, INIT, fast_schedule("ideal"), check_adiabaticity=False)
-    b = prepare(RAMP1, INIT, fast_schedule("w1"), check_adiabaticity=False, table=TABLE)
+    a = prepare(RAMP1, INIT, *fast_schedule("ideal"), check_adiabaticity=False)
+    b = prepare(RAMP1, INIT, *fast_schedule("w1"), check_adiabaticity=False, table=TABLE)
     assert abs(np.vdot(a, b)) ** 2 > 1 - 1e-12
 
 
@@ -171,7 +178,7 @@ def test_compiled_preparation_applies_programs_event_by_event():
     # move the prepared state's last bits and so the run's artifacts
     machine = spin_system()
     table = EventTable(machine, "finite")
-    psi = prepare(RAMP1, INIT, fast_schedule("w1", k=2), check_adiabaticity=False, table=table)
+    psi = prepare(RAMP1, INIT, *fast_schedule("w1", k=2), check_adiabaticity=False, table=table)
     want = INIT
     for s in range(5):
         program = compile_trotter_step(H1.with_coupling_scale(s / 4), TrotterPlan(1 / 700, 2), "w1", machine)
@@ -180,7 +187,7 @@ def test_compiled_preparation_applies_programs_event_by_event():
 
 
 def test_population_report_is_a_distribution():
-    psi = prepare(RAMP1, INIT, fast_schedule(), check_adiabaticity=False)
+    psi = prepare(RAMP1, INIT, *fast_schedule(), check_adiabaticity=False)
     rows = sector_population_report(RAMP1, psi)
     assert len(rows) == 3
     assert math.isclose(sum(p for _, _, p in rows), 1.0, rel_tol=1e-12)

@@ -20,7 +20,7 @@ from pairgap.presets import pairing_model, spin_system
 from pairgap.trotter import TrotterPlan, convergence_sweep, symmetric3_step
 
 ROOT = Path(__file__).resolve().parent.parent
-MAX_EXPORTS = 34
+MAX_EXPORTS = 33
 
 
 def public_names() -> list[str]:

@@ -209,6 +209,16 @@ def test_run_on_a_spin_that_never_moves_exit_4(tmp_path):
     assert not (tmp_path / "result.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "gap-exact"])
+def test_no_excited_level_above_the_population_floor_exit_5(command, tmp_path):
+    # h1's prepared state holds under 99 % in every excited level
+    proc = run_cli(command, "--preset", "h1", "--override", "run.population_floor=0.99", "--out", str(tmp_path))
+    assert proc.returncode == 5
+    assert proc.stderr.splitlines()[-1] == "line error: no reachable excited state above the population floor"
+    assert len(proc.stderr.splitlines()) == (2 if command == "run" else 1)  # run also warns of the fast ramp
+    assert not list(tmp_path.iterdir())
+
+
 def test_unrealizable_coupling_exit_4(tmp_path):
     cfgfile = tmp_path / "bare.cfg"
     cfgfile.write_text(

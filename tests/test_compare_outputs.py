@@ -26,7 +26,7 @@ def test_grid_covers_gap_exact_on_both_presets(tool):
     cases = tool.grid()
     assert ("gap-exact", "--preset", "h1") in cases
     assert ("gap-exact", "--preset", "h2") in cases
-    assert len(cases) == len(set(cases)) == 56
+    assert len(cases) == len(set(cases)) == 58
 
 
 def test_grid_covers_every_artifact_writer(tool):
@@ -45,6 +45,8 @@ def test_grid_covers_every_artifact_writer(tool):
         ("sweep", "--preset", "h1", "--override", "plan.t0_s=1e300", "--vary", "plan.t0_s=1e-3,1e-30"),
         ("run", "--preset", "h1", "--override", "machine.t2_1_s=0"),
         ("run", "--preset", "h2", "--override", "run.observed_spin=3"),
+        ("run", "--preset", "h1", "--override", "run.population_floor=0.99"),
+        ("gap-exact", "--preset", "h1", "--override", "run.population_floor=0.99"),
         ("sweep", "--preset", "h1", "--override", "run.method=w2", "--override", "run.pulse_mode=finite",
          "--vary", "plan.t0_s=0.5e-3,1e-3,2e-3"),
     ]:

@@ -11,6 +11,7 @@ from conftest import full_hamiltonian, kron_realize, same_bits
 from pairgap.adiabatic import sector_population_report
 from pairgap.config import ExperimentConfig
 from pairgap.exact import (
+    LineIdentityError,
     Ramp,
     _require_hermitian,
     computational_state,
@@ -251,7 +252,7 @@ def test_reachable_gap_floor():
     psi = np.zeros(8, dtype=complex)
     psi[idx] = math.sqrt(0.99) * es.vectors[:, 0] + math.sqrt(0.01) * es.vectors[:, 1]
     rows = sector_population_report(Ramp(m, 1, 2), psi)
-    with pytest.raises(ValueError, match="reachable"):
+    with pytest.raises(LineIdentityError, match="^no reachable excited state above the population floor$"):
         reachable_gap(rows, FLOOR)  # 1% is below the run's default floor
     level, _ = reachable_gap(rows, population_floor=0.005)
     assert level == 1

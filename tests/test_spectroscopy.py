@@ -407,7 +407,7 @@ def assert_kkt_on_rate_bound(fit, series):
     if fit.tau_e != 1e12:
         return
     beta = np.array([fit.amplitude, 0.0, fit.delta_exp, fit.phase])
-    f, jac = spectroscopy._model_and_jacobian(beta, series.times)
+    f, jac = spectroscopy._model_and_jacobian(beta, series.times, -series.times)
     g = jac.T @ (f - series.values)
     scale = np.linalg.norm(jac, axis=0) * np.linalg.norm(series.values)
     assert g[1] >= -1e-12 * scale[1]

@@ -10,8 +10,10 @@ delays and with zero-angle pulses; a compiled t0 sweep, h1 w2 finite) and
 of every other artifact the CLI writes (a t0 sweep without held
 epsilon_ft, a t0 sweep and a generic sweep each with an error row, compile,
 estimate), a t0 sweep whose held Q is not finite, one whose eps_ref * t0
-underflows to zero, a run refused for a bad per-spin T2, and a run on h2's
-spectator spin 3, whose series is flat, both trees run `python -m pairgap.cli <argv> --out <dir>` in a fresh process.
+underflows to zero, a run refused for a bad per-spin T2, a run on h2's
+spectator spin 3, whose series is flat, and run and gap-exact on h1 with a
+population floor no excited level reaches, both trees run
+`python -m pairgap.cli <argv> --out <dir>` in a fresh process.
 The exit code, stdout, stderr and the bytes of every file written must
 agree. Each side's output directory reads `<out>` and its source
 directory `<src>` in both streams, so a message that names a path of either
@@ -117,6 +119,8 @@ def grid() -> list[tuple[str, ...]]:
         ("sweep", "--preset", "h1", "--override", "plan.t0_s=1e300", "--vary", "plan.t0_s=1e-3,1e-30"),
         ("run", "--preset", "h1", "--override", "machine.t2_1_s=0"),
         ("run", "--preset", "h2", "--override", "run.observed_spin=3"),
+        ("run", "--preset", "h1", "--override", "run.population_floor=0.99"),
+        ("gap-exact", "--preset", "h1", "--override", "run.population_floor=0.99"),
         ("sweep", "--preset", "h2", "--vary", "plan.k=1,2,x"),
         ("compile", "--preset", "h1", "--override", "run.method=w1"),
         ("compile", "--preset", "h2", "--override", "run.method=w2"),
