@@ -45,9 +45,9 @@ def prepare(
 
     A compiled method runs on ``table``, the run's pulse-event table (its
     machine, pulse mode and step compilers), and raises ValueError without
-    one. The table compiles all S + 1 programs first, on its one compiler
-    for the method, and builds each distinct event once, in one stacked
-    batch for the whole ramp.
+    one. The table compiles each of the S + 1 programs once, on its one
+    compiler for the method, and builds each distinct event once, in one
+    stacked batch for the whole ramp and the run's reserved acquisition step.
     """
     if not (t_ad >= 0 and math.isfinite(t_ad)):
         raise ValueError("schedule.t_ad: must be non-negative and finite")

@@ -6,7 +6,7 @@ compiles it to a pulse program for the machine of the run's EventTable and
 simulates it in that table's pulse mode. This is the only module that tells
 the two apart: acquisition takes the step's unitary from ``step``,
 preparation applies the steps of its ramp to a state with ``step_state``.
-The table compiles and builds every program of a run.
+The table compiles each program of a run once and builds its events once.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def step(
     """(unitary, wall-clock seconds, clamp warnings) of one step t0.
 
     An ideal step takes the simulated time t0 as its wall time. A compiled
-    step composes the program's event unitaries from ``table`` and lasts the
-    program's wall time.
+    step takes its program from ``table`` (compiled once, reserved ahead by
+    a run), composes its built event unitaries and lasts its wall time.
     """
     if method == IDEAL:
         return symmetric3_step(model, plan), plan.t0, ()
@@ -49,9 +49,9 @@ def step_state(
     models: Sequence[PairingModel], plan: TrotterPlan, method: str, table: EventTable | None, psi: np.ndarray
 ) -> np.ndarray:
     """The state after one step of each model in turn, for the models of one
-    preparation ramp. A compiled method has the table compile every program
-    and build all their events at once, then applies each program event by
-    event, which rounds differently from applying its composed unitary."""
+    preparation ramp. A compiled method has the table compile each program
+    once and build their events, and a reserved step's, in one pass; each
+    is applied event by event, which rounds unlike its composed unitary."""
     if method == IDEAL:
         for model in models:
             psi = symmetric3_step(model, plan) @ psi

@@ -147,47 +147,32 @@ def _wrap_angle(angle: float) -> float:
     return a
 
 
-def _onsite_events(model: PairingModel, t: float, parity: dict[int, int], out: list, pulse) -> None:
-    """Composite z-rotations realizing the free evolution for time t.
-
-    Chronologically R_{-pi/2}(pi/2), per-spin R_0(nu_m t), R_{pi/2}(pi/2); the
-    bracketing pulses share phase and angle across spins and merge into single
-    multi-target events. A spin whose refocusing parity is odd gets its
-    z-angle negated, since the surrounding flips invert its frame. Every
-    pulse comes from ``pulse(targets, phase, angle)``.
-    """
-    every = tuple(range(1, model.n + 1))
-    out.append(pulse(every, -_PI / 2, _PI / 2))
-    for m in range(1, model.n + 1):
-        sign = -1.0 if parity[m] % 2 else 1.0
-        angle = sign * model.convention_factor * model.nu[m - 1] * t
-        out.append(pulse((m,), 0.0, _wrap_angle(angle)))
-    out.append(pulse(every, _PI / 2, _PI / 2))
-
-
-def _coupling_delay(model: PairingModel, t: float, machine: SpinSystem) -> tuple[float, tuple]:
-    """Shared ZZ delay realizing angle V_ml * t on every coupled pair, plus
-    those pairs as 0-based (i, j) with i < j. Both tables are read as Python
-    floats, whose arithmetic is the same IEEE arithmetic as numpy's."""
+def _coupling_delays(model: PairingModel, tau: float, machine: SpinSystem) -> tuple[float, float, tuple]:
+    """Shared ZZ delays realizing angles V_ml tau / 2 and V_ml tau on every
+    coupled pair, plus those pairs as 0-based (i, j) with i < j. One pass
+    over the pairs computes both; the refusals come as a tau / 2 pass and
+    then a tau pass would raise them. Both tables are read as Python floats,
+    whose arithmetic is the same IEEE arithmetic as numpy's."""
     v = (model.coupling * model.convention_factor).tolist()
     pairs = tuple((i, j) for i, j in combinations(range(model.n), 2) if v[i][j] != 0.0)
     if not pairs:
-        return 0.0, pairs
+        return 0.0, 0.0, pairs
     j_table = machine.j_hz.tolist()
-    durations = []
+    half, whole = [], []
     for i, j in pairs:
         j_hz = j_table[i][j]
-        if j_hz == 0.0:
-            raise ValueError(f"unrealizable coupling: spins {i + 1},{j + 1} have J = 0")
-        d = v[i][j] * t / (_PI * j_hz)
-        if d < 0:
-            raise ValueError(
-                f"coupling on spins {i + 1},{j + 1} requires a negative delay"
-            )
-        durations.append(d)
-    if max(durations) - min(durations) > 1e-12 * max(1e-12, max(durations)):
-        raise ValueError("coupled pairs demand inconsistent delays; one shared delay realizes them all")
-    return durations[0], pairs
+        # None stands for a pair with J = 0, which the tau / 2 pass refuses
+        half.append(v[i][j] * (tau / 2) / (_PI * j_hz) if j_hz != 0.0 else None)
+        whole.append(v[i][j] * tau / (_PI * j_hz) if j_hz != 0.0 else None)
+    for durations in (half, whole):
+        for (i, j), d in zip(pairs, durations):
+            if d is None:
+                raise ValueError(f"unrealizable coupling: spins {i + 1},{j + 1} have J = 0")
+            if d < 0:
+                raise ValueError(f"coupling on spins {i + 1},{j + 1} requires a negative delay")
+        if max(durations) - min(durations) > 1e-12 * max(1e-12, max(durations)):
+            raise ValueError("coupled pairs demand inconsistent delays; one shared delay realizes them all")
+    return half[0], whole[0], pairs
 
 
 def _refuse_open_couplings(machine: SpinSystem, pairs: tuple, coupled: tuple, idle: tuple) -> None:
@@ -210,55 +195,16 @@ def _refuse_open_couplings(machine: SpinSystem, pairs: tuple, coupled: tuple, id
         )
 
 
-def _coupling_events(
-    axis: str, d: float, coupled: tuple, idle: tuple, parity: dict, out: list, pulse, cut=None, warnings=None
-) -> None:
-    """One coupling block: basis-change sandwich on the ``coupled`` spins
-    around their shared ZZ delay d; when d > 0, the ``idle`` spins get a
-    single X pi pulse at its midpoint, which cancels their coupling to the
-    active spins over the block. Every pulse comes from
-    ``pulse(targets, phase, angle)``.
-
-    With ``cut`` (method "w2": t_pi / 2 pi), each delay is shortened by cut
-    times the summed |angle| of the two pulses that flank it; one the cut
-    would make negative is clamped to zero and reported in ``warnings`` by
-    its event index in ``out``.
-    """
-    open_phase, close_phase = {"X": (_PI / 2, -_PI / 2), "Y": (_PI, 0.0)}[axis]
-    if not coupled:
-        return
-
-    def delay(duration: float, before: RfPulse, after: RfPulse) -> None:
-        if cut is not None:
-            duration = float(duration) - cut * (abs(before.angle) + abs(after.angle))
-            if duration < 0:
-                warnings.append(f"event {len(out)}: compensated delay {duration:.3e} s clamped to 0")
-                duration = 0.0
-        out.append(Delay(duration))
-
-    opening = pulse(coupled, open_phase, _PI / 2)
-    closing = pulse(coupled, close_phase, _PI / 2)
-    out.append(opening)
-    if idle and d > 0:
-        flip = pulse(idle, 0.0, _PI)
-        delay(d / 2, opening, flip)
-        out.append(flip)
-        delay(d / 2, flip, closing)
-        for m in idle:
-            parity[m] += 1
-    else:
-        delay(d, opening, closing)
-    out.append(closing)
-
-
 class StepCompiler:
     """Compiles symmetric Trotter steps (see trotter.symmetric3_step) for
     ``machine`` with method "w1" or "w2", for any model and plan.
 
-    Each program is built event by event in one pass, with every w2 cut
-    applied as its delay is emitted. Each distinct pulse is built and
-    validated once per compiler, so the programs of one compiler, a run's
-    whole ramp and every acquisition step, share their RfPulse objects.
+    A compile fetches each of its pulses and delays once, builds the on-site
+    and coupling blocks of one step from them, with every w2 cut applied,
+    and emits the k repetitions from those blocks. Each distinct event is
+    built and validated once per compiler, so the programs of one compiler,
+    a run's whole ramp and every acquisition step, share their RfPulse and
+    Delay objects.
     """
 
     def __init__(self, method: str, machine: SpinSystem):
@@ -266,44 +212,78 @@ class StepCompiler:
             raise ValueError("method must be 'w1' or 'w2'")
         self.method = method
         self.machine = machine
-        self._pulses: dict[tuple, RfPulse] = {}
+        self._events: dict[tuple, PulseEvent] = {}
 
-    def _pulse(self, targets: tuple[int, ...], phase: float, angle: float) -> RfPulse:
-        # the angle's sign is part of the key: a -0.0 angle keeps its own
-        # pulse, which a compiled program's text prints as -0.0
-        key = (targets, phase, angle, math.copysign(1.0, angle))
-        ev = self._pulses.get(key)
+    def _event(self, *args) -> PulseEvent:
+        """The RfPulse(targets, phase, angle) or Delay(duration) of ``args``.
+        The sign of the last argument is part of the key: a -0.0 angle or
+        duration keeps its own event, which a program's text prints as -0.0."""
+        key = (*args, math.copysign(1.0, args[-1]))
+        ev = self._events.get(key)
         if ev is None:
-            ev = self._pulses[key] = RfPulse(targets, phase, angle)
+            ev = self._events[key] = RfPulse(*args) if len(args) == 3 else Delay(*args)
         return ev
 
     def compile(self, model: PairingModel, plan) -> PulseProgram:
-        """Refocusing parity is tracked across the whole program: spectator
-        z-angles flip sign while the running flip count is odd, and one
-        restoring X pi pulse ends it when the final count is odd. The
-        tau / 2 and tau blocks each get their own delay (with subnormal
-        couplings one is not half the other). A layout the shared delay
-        cannot realize raises a ValueError that names the spins."""
+        """Refocusing parity is tracked across the whole program: the
+        spectators, flipped together at the midpoint of each coupling block
+        with a nonzero delay, get their z-angles negated while the flip count
+        is odd, and one restoring X pi pulse ends the program when the final
+        count is odd. The tau / 2 and tau blocks each get their own delay
+        (with subnormal couplings one is not half the other). With method
+        "w2" each delay is shortened by t_pi / 2 pi times the summed |angle|
+        of its two flanking pulses; one the cut would make negative is
+        clamped to zero and reported by its event index. A layout the shared
+        delay cannot realize raises a ValueError that names the spins."""
         if self.machine.n != model.n:
             raise ValueError("machine and model spin counts differ")
         n, tau = model.n, plan.t0 / plan.k
-        half, pairs = _coupling_delay(model, tau / 2, self.machine)
-        whole, pairs = _coupling_delay(model, tau, self.machine)
+        half, whole, pairs = _coupling_delays(model, tau, self.machine)
         coupled = tuple(sorted({m + 1 for pair in pairs for m in pair}))
         idle = tuple(m for m in range(1, n + 1) if m not in coupled)
         if coupled and whole > 0:
             _refuse_open_couplings(self.machine, pairs, coupled, idle)
+        event, every = self._event, tuple(range(1, n + 1))
+
+        def onsite(flipped: tuple) -> list:
+            # R_{-pi/2}(pi/2), per-spin R_0(nu_m tau / 2), R_{pi/2}(pi/2); a flipped spin's z-angle is negated
+            signs = [-1.0 if m in flipped else 1.0 for m in every]
+            angles = [sign * model.convention_factor * model.nu[m - 1] * (tau / 2) for m, sign in zip(every, signs)]
+            spins = [event((m,), 0.0, _wrap_angle(angle)) for m, angle in zip(every, angles)]
+            return [event(every, -_PI / 2, _PI / 2), *spins, event(every, _PI / 2, _PI / 2)]
+
+        # the on-site block while the flip count is even, then while it is
+        # odd; each coupling block as (events, clamps, whether it flips)
+        free, blocks = [onsite(())], []
         cut = self.machine.t_pi / (2 * _PI) if self.method == W2 else None
-        parity = {m: 0 for m in range(1, n + 1)}
-        events, warnings = [], []
+        for d, open_phase, close_phase in ((half, _PI / 2, -_PI / 2), (whole, _PI, 0.0)) if coupled else ():
+            # basis change on the coupled spins around their shared delay d,
+            # split by one X pi pulse on the spectators when d > 0
+            pulses = [event(coupled, open_phase, _PI / 2), event(coupled, close_phase, _PI / 2)]
+            if idle and d > 0:
+                pulses.insert(1, event(idle, 0.0, _PI))
+            block, clamps = [pulses[0]], []
+            for before, after in zip(pulses, pulses[1:]):
+                duration = d / 2 if len(pulses) == 3 else d
+                if cut is not None:
+                    duration = float(duration) - cut * (abs(before.angle) + abs(after.angle))
+                    if duration < 0:
+                        clamps.append((len(block), f"compensated delay {duration:.3e} s clamped to 0"))
+                        duration = 0.0
+                block += [event(duration), after]
+            blocks.append((block, clamps, len(pulses) == 3))
+        if any(flips for *_, flips in blocks):
+            free.append(onsite(idle))
+        events, warnings, odd = [], [], 0
         for _ in range(plan.k):
-            _onsite_events(model, tau / 2, parity, events, self._pulse)
-            for axis, d in (("X", half), ("Y", whole), ("X", half)):
-                _coupling_events(axis, d, coupled, idle, parity, events, self._pulse, cut, warnings)
-            _onsite_events(model, tau / 2, parity, events, self._pulse)
-        odd = tuple(m for m in range(1, n + 1) if parity[m] % 2)
+            events += free[odd]
+            for block, clamps, flips in blocks[:2] + blocks[:1]:
+                warnings += (f"event {len(events) + i}: {text}" for i, text in clamps)
+                events += block
+                odd ^= flips
+            events += free[odd]
         if odd:
-            events.append(self._pulse(odd, 0.0, _PI))
+            events.append(event(idle, 0.0, _PI))
         return PulseProgram(tuple(events), n, tuple(warnings))
 
 
@@ -377,13 +357,13 @@ class EventTable:
     built once and then shared by every program applied through the table;
     the ZZ drift is held once, as its diagonal. A run keeps one table, the one
     carrier of its machine and pulse mode, and the table compiles and builds
-    every program the run applies (``programs``): one StepCompiler per
-    method compiles the preparation ramp, the acquisition step and every t0
-    point, whose programs then share its pulses, and the events the table
-    lacks are built in stacked batches, one numpy pass per event kind;
-    ``unitary`` builds a missing event as a batch of one. Using the table with another machine, spin count or pulse mode
-    raises ValueError instead of returning another machine's unitary, and so
-    does building one for more than 12 spins.
+    every program the run applies: one StepCompiler per method compiles each
+    program once, the acquisition step (``reserve``) before the ramp, and
+    the events the table lacks are built in stacked batches, one numpy pass
+    per event kind, so that a compiled run builds all its events in one
+    (``programs``). Using the table with another machine, spin count or
+    pulse mode raises ValueError instead of returning another machine's
+    unitary, and so does building one for more than 12 spins.
     """
 
     def __init__(self, machine: SpinSystem, pulse_mode: str):
@@ -395,6 +375,7 @@ class EventTable:
         self._zz_diag: np.ndarray | None = None
         self._unitaries: dict[PulseEvent, np.ndarray] = {}
         self._compilers: dict[str, StepCompiler] = {}
+        self._reserved: tuple = (None,) * 4  # (model, plan, method, program or compile error)
 
     def check(self, machine: SpinSystem, n: int, pulse_mode: str) -> None:
         if pulse_mode != self.pulse_mode:
@@ -407,21 +388,44 @@ class EventTable:
         if not same:
             raise ValueError("event table holds the unitaries of another machine")
 
-    def unitary(self, ev: PulseEvent) -> np.ndarray:
-        u = self._unitaries.get(ev)
-        if u is None:
-            self._build_all((ev,))
-            u = self._unitaries[ev]
-        return u
+    def unitaries(self, events: Sequence[PulseEvent]) -> list[np.ndarray]:
+        """The unitary of each event, in order: one dict lookup per event,
+        after building, in one batch, every event the table lacks."""
+        try:
+            return [self._unitaries[ev] for ev in events]
+        except KeyError:
+            self._build_all(events)
+            return [self._unitaries[ev] for ev in events]
+
+    def _compile(self, model: PairingModel, plan, method: str) -> PulseProgram:
+        reserved = self._reserved
+        if reserved[0] is model and reserved[1:3] == (plan, method):
+            if isinstance(reserved[3], ValueError):
+                raise reserved[3]
+            return reserved[3]
+        if method not in self._compilers:
+            self._compilers[method] = StepCompiler(method, self.machine)
+        return self._compilers[method].compile(model, plan)
+
+    def reserve(self, model: PairingModel, plan, method: str) -> None:
+        """Compile ``model``'s step of ``plan`` now if ``method`` is "w1" or
+        "w2": the next build takes its events in the same pass, and
+        ``programs`` hands it out instead of compiling it again. A compile
+        error is held until then and raised where compiling would raise."""
+        if method in (W1, W2):
+            try:
+                self._reserved = (model, plan, method, self._compile(model, plan, method))
+            except ValueError as exc:
+                self._reserved = (model, plan, method, exc)
 
     def programs(self, models: Sequence[PairingModel], plan, method: str) -> list[PulseProgram]:
         """One step of ``plan`` for each model, compiled with ``method`` on
-        the table's compiler for that method; every event of them that the
-        table lacks is built in one stacked pass before any is applied."""
-        if method not in self._compilers:
-            self._compilers[method] = StepCompiler(method, self.machine)
-        programs = [self._compilers[method].compile(model, plan) for model in models]
-        self._build_all(ev for program in programs for ev in program.events)
+        the table's compiler for that method (or reserved); every event of
+        them and of a reserved program that the table lacks is built in one
+        stacked pass before any is applied."""
+        programs = [self._compile(model, plan, method) for model in models]
+        held = [p for p in self._reserved[3:] if isinstance(p, PulseProgram)]
+        self._build_all(ev for program in programs + held for ev in program.events)
         return programs
 
     def _build_all(self, events: Iterable[PulseEvent]) -> None:
@@ -494,12 +498,13 @@ def _table_for(program: PulseProgram, machine: SpinSystem, pulse_mode: str, tabl
 def program_unitary(
     program: PulseProgram, machine: SpinSystem, pulse_mode: str = DELTA, table: EventTable | None = None
 ) -> np.ndarray:
-    """Ordered product of the program's event unitaries, taken from ``table``
-    (a fresh one when None)."""
-    table = _table_for(program, machine, pulse_mode, table)
+    """Ordered product of the program's event unitaries, taken from ``table``.
+    With no table a fresh one builds them: ``benchmarks/oracle.py`` composes
+    its compiled steps that way, so that path serves the benchmark's oracle
+    as well as the tests."""
     u = np.eye(2**program.n, dtype=complex)
-    for ev in program.events:
-        u = table.unitary(ev) @ u
+    for ev_u in _table_for(program, machine, pulse_mode, table).unitaries(program.events):
+        u = ev_u @ u
     return u
 
 
@@ -515,7 +520,6 @@ def simulate_program(
     psi = np.asarray(init, dtype=complex)
     if psi.shape[0] != 2**program.n:
         raise ValueError("state dimension does not match program spin count")
-    table = _table_for(program, machine, pulse_mode, table)
-    for ev in program.events:
-        psi = table.unitary(ev) @ psi
+    for u in _table_for(program, machine, pulse_mode, table).unitaries(program.events):
+        psi = u @ psi
     return psi

@@ -73,15 +73,19 @@ class _Preparation:
     delta_exact: float
 
 
-def _prepare(cfg: ExperimentConfig) -> _Preparation:
+def _prepare(cfg: ExperimentConfig, reserve: bool = False) -> _Preparation:
     """Prepare once with ``schedule.evolver``, project that state once, and
     take the reachable level and its exact gap from the projection. Neither
-    t0 nor Q enters, so the points of a t0 sweep share one preparation."""
+    t0 nor Q enters, so the points of a t0 sweep share one preparation; a
+    single run ``reserve``s its acquisition step on the table first, so that
+    a compiled ramp builds its events along with the ramp's."""
     init = computational_state(cfg.model.n, cfg.init_index)
     # One pulse-event table and one ramp serve every stage of this run; the
     # table first, so a model above its qubit limit fails before the ramp's
     # eigensolve.
     table = EventTable(cfg.machine, cfg.pulse_mode)
+    if reserve:
+        table.reserve(cfg.model, cfg.plan, cfg.method)
     ramp = Ramp(cfg.model, cfg.schedule_steps, cfg.pairs)
     prepared = prepare(ramp, init, cfg.t_ad, cfg.preparation_method, cfg.plan.k, table=table)
     populations = sector_population_report(ramp, prepared)
@@ -119,7 +123,7 @@ def _measure(cfg: ExperimentConfig, prep: _Preparation) -> RunResult:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Prepare once with ``schedule.evolver``, take the reachable level and
     its exact gap from that prepared state, then acquire, transform and fit."""
-    return _measure(cfg, _prepare(cfg))
+    return _measure(cfg, _prepare(cfg, reserve=True))
 
 
 def result_record(result: RunResult) -> dict:
@@ -281,8 +285,8 @@ def report_to_csv(rows: list[tuple[int, float, float]]) -> str:
 
 def sweep_rows_to_csv(rows: tuple[tuple[float, int, int | None, RunResult | Exception], ...]) -> str:
     """t0-sweep table: one row per (t0, k, q, its run or the error it raised);
-    a q of None is an empty cell. Every number goes through float():
-    fit.tau_e is an np.float64, whose repr under numpy 2 is np.float64(...)."""
+    a q of None is an empty cell. Every number goes through float(), since
+    the repr of an np.float64 under numpy 2 is np.float64(...)."""
 
     def row(t0: float, k: int, q: int | None, r: RunResult | Exception) -> str:
         if isinstance(r, Exception):

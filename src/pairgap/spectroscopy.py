@@ -176,19 +176,23 @@ def systematic_offset(delta_exp: float, delta_exact: float) -> float:
     return delta_exp - delta_exact
 
 
-def _model_and_jacobian(beta: np.ndarray, t: np.ndarray, neg_t: np.ndarray, jac: np.ndarray | None = None):
+def _model_and_jacobian(beta: list[float] | np.ndarray, t: np.ndarray, neg_t: np.ndarray, jac: np.ndarray | None = None):
     """Model values and their (Q, 4) Jacobian, written into ``jac`` when a
     C-contiguous buffer is given; ``neg_t`` is -t."""
     a, rate, omega, phi = beta
     if jac is None:
         jac = np.empty((len(t), 4))
-    envelope = np.exp(-rate * t)
     arg = omega * t + phi
     c = np.cos(arg)
     s = np.sin(arg)
-    ae = a * envelope
-    tae = neg_t * a * envelope
-    np.multiply(envelope, c, out=jac[:, 0])
+    if rate == 0.0:
+        # the envelope exp(-0.0 t) is exactly 1, and x * 1.0 == x
+        jac[:, 0] = c
+        ae, tae = a, neg_t * a
+    else:
+        envelope = np.exp(-rate * t)
+        ae, tae = a * envelope, neg_t * a * envelope
+        np.multiply(envelope, c, out=jac[:, 0])
     np.multiply(tae, c, out=jac[:, 1])
     np.multiply(tae, s, out=jac[:, 2])
     np.multiply(-ae, s, out=jac[:, 3])
@@ -228,7 +232,9 @@ def fit_damped_sinusoid(spectrum: Spectrum, seed: float) -> FitResult:
     if a0 == 0.0:
         a0 = spread / 2
     phi0 = float(np.angle(x))
-    beta = np.array([a0, 1.0 / (q * series.t0), float(seed), phi0])
+    # The parameters and each step are held as Python floats, whose
+    # arithmetic is the same IEEE arithmetic as numpy's.
+    beta = [float(a0), 1.0 / (q * series.t0), float(seed), phi0]
 
     # The accepted point's Jacobian and a spare that each trial writes into;
     # they swap when a trial is accepted.
@@ -238,29 +244,31 @@ def fit_damped_sinusoid(spectrum: Spectrum, seed: float) -> FitResult:
     cost = float(residual @ residual)
     lam = 1e-3
     converged = False
+    tiny = {n: 1e-300 * np.eye(n) for n in (3, 4)}
     for _ in range(_MAX_FIT_ITERATIONS):
         jtj = jac.T @ jac
         g = jac.T @ residual
         # Rate on its bound with the gradient pushing it out: hold it there.
-        free = _FREE_OF_RATE if beta[1] == 0.0 and g[1] >= 0.0 else slice(None)
+        held = beta[1] == 0.0 and g[1] >= 0.0
+        free = _FREE_OF_RATE if held else slice(None)
         sub = jtj[free][:, free]
         sub_diag = np.diag(np.diag(sub))
-        tiny = 1e-300 * np.eye(len(sub))
         rhs = -g[free]
-        scale = np.maximum(np.abs(beta), 1e-12)
+        scale = [max(abs(b), 1e-12) for b in beta]
         step = None
         for _ in range(50):
             try:
-                solved = np.linalg.solve(sub + lam * sub_diag + tiny, rhs)
+                solved = np.linalg.solve(sub + lam * sub_diag + tiny[len(sub)], rhs)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
-            step = np.zeros(4)
-            step[free] = solved
-            trial = beta + step
+            step = solved.tolist()
+            if held:
+                step.insert(1, 0.0)
+            trial = [b + d for b, d in zip(beta, step)]
             trial[1] = max(trial[1], 0.0)  # decay rates stay physical
-            rel = float(np.max(np.abs(trial - beta) / scale))
-            if rel < _STEP_TOL:
+            # every relative move below tolerance (a nan move is not)
+            if all(abs(x - b) / s < _STEP_TOL for x, b, s in zip(trial, beta, scale)):
                 # Parameters have stopped moving (possibly pinned at the
                 # rate >= 0 boundary); that is convergence, not failure.
                 converged = True

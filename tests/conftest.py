@@ -5,18 +5,20 @@ pair-number leak), the step built from dense eigendecompositions, test-only
 operators and pulse blocks, the per-event unitary reference of the pulse
 table, the Pauli-sum form of every Hamiltonian and the
 np.kron builders that realize it, the dense exact side (sector blocks sliced
-from the full Hamiltonian, the dense exact preparation), the reference step
-compiler, the reference acquisition loop and two reference damped-cosine
-fits."""
+from the full Hamiltonian, the dense exact preparation), the emission oracle and
+the reference step compiler built on it, the reference acquisition loop and
+two reference damped-cosine fits."""
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from pairgap.exact import propagator
 from pairgap.hamiltonian import sector_basis
-from pairgap.nmr import Delay, PulseProgram, RfPulse, _coupling_delay, _coupling_events, _onsite_events
+from pairgap.hamiltonian import PairingModel
+from pairgap.nmr import Delay, PulseProgram, RfPulse, SpinSystem, _wrap_angle
 from pairgap.spectroscopy import FitResult, TimeSeries
 
 _LINES: list[str] = []
@@ -124,6 +126,98 @@ def first_order_step(parts: list[np.ndarray], t: float, k: int) -> np.ndarray:
     for h in parts:
         step = step @ propagator(h, t / k)
     return np.linalg.matrix_power(step, k)
+
+
+# Emission oracle: the compiler's per-block emission as it stood before
+# StepCompiler.compile took it over, kept verbatim so that the compiled
+# programs are checked against it rather than against themselves. Every
+# pulse comes from ``pulse``; here that is RfPulse itself, built afresh.
+
+_PI = math.pi
+
+
+def _onsite_events(model: PairingModel, t: float, parity: dict[int, int], out: list, pulse) -> None:
+    """Composite z-rotations realizing the free evolution for time t.
+
+    Chronologically R_{-pi/2}(pi/2), per-spin R_0(nu_m t), R_{pi/2}(pi/2); the
+    bracketing pulses share phase and angle across spins and merge into single
+    multi-target events. A spin whose refocusing parity is odd gets its
+    z-angle negated, since the surrounding flips invert its frame. Every
+    pulse comes from ``pulse(targets, phase, angle)``.
+    """
+    every = tuple(range(1, model.n + 1))
+    out.append(pulse(every, -_PI / 2, _PI / 2))
+    for m in range(1, model.n + 1):
+        sign = -1.0 if parity[m] % 2 else 1.0
+        angle = sign * model.convention_factor * model.nu[m - 1] * t
+        out.append(pulse((m,), 0.0, _wrap_angle(angle)))
+    out.append(pulse(every, _PI / 2, _PI / 2))
+
+
+def _coupling_delay(model: PairingModel, t: float, machine: SpinSystem) -> tuple[float, tuple]:
+    """Shared ZZ delay realizing angle V_ml * t on every coupled pair, plus
+    those pairs as 0-based (i, j) with i < j. Both tables are read as Python
+    floats, whose arithmetic is the same IEEE arithmetic as numpy's."""
+    v = (model.coupling * model.convention_factor).tolist()
+    pairs = tuple((i, j) for i, j in combinations(range(model.n), 2) if v[i][j] != 0.0)
+    if not pairs:
+        return 0.0, pairs
+    j_table = machine.j_hz.tolist()
+    durations = []
+    for i, j in pairs:
+        j_hz = j_table[i][j]
+        if j_hz == 0.0:
+            raise ValueError(f"unrealizable coupling: spins {i + 1},{j + 1} have J = 0")
+        d = v[i][j] * t / (_PI * j_hz)
+        if d < 0:
+            raise ValueError(
+                f"coupling on spins {i + 1},{j + 1} requires a negative delay"
+            )
+        durations.append(d)
+    if max(durations) - min(durations) > 1e-12 * max(1e-12, max(durations)):
+        raise ValueError("coupled pairs demand inconsistent delays; one shared delay realizes them all")
+    return durations[0], pairs
+
+
+def _coupling_events(
+    axis: str, d: float, coupled: tuple, idle: tuple, parity: dict, out: list, pulse, cut=None, warnings=None
+) -> None:
+    """One coupling block: basis-change sandwich on the ``coupled`` spins
+    around their shared ZZ delay d; when d > 0, the ``idle`` spins get a
+    single X pi pulse at its midpoint, which cancels their coupling to the
+    active spins over the block. Every pulse comes from
+    ``pulse(targets, phase, angle)``.
+
+    With ``cut`` (method "w2": t_pi / 2 pi), each delay is shortened by cut
+    times the summed |angle| of the two pulses that flank it; one the cut
+    would make negative is clamped to zero and reported in ``warnings`` by
+    its event index in ``out``.
+    """
+    open_phase, close_phase = {"X": (_PI / 2, -_PI / 2), "Y": (_PI, 0.0)}[axis]
+    if not coupled:
+        return
+
+    def delay(duration: float, before: RfPulse, after: RfPulse) -> None:
+        if cut is not None:
+            duration = float(duration) - cut * (abs(before.angle) + abs(after.angle))
+            if duration < 0:
+                warnings.append(f"event {len(out)}: compensated delay {duration:.3e} s clamped to 0")
+                duration = 0.0
+        out.append(Delay(duration))
+
+    opening = pulse(coupled, open_phase, _PI / 2)
+    closing = pulse(coupled, close_phase, _PI / 2)
+    out.append(opening)
+    if idle and d > 0:
+        flip = pulse(idle, 0.0, _PI)
+        delay(d / 2, opening, flip)
+        out.append(flip)
+        delay(d / 2, flip, closing)
+        for m in idle:
+            parity[m] += 1
+    else:
+        delay(d, opening, closing)
+    out.append(closing)
 
 
 def compile_onsite(model, t: float) -> PulseProgram:

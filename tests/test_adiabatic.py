@@ -22,7 +22,7 @@ from pairgap.adiabatic import (
 )
 from pairgap.backend import step
 from pairgap.config import build_config
-from pairgap.exact import Ramp, computational_state
+from pairgap.exact import LineIdentityError, Ramp, computational_state
 from pairgap.hamiltonian import PairingModel, sector_basis
 from pairgap.nmr import EventTable, RfPulse, compile_trotter_step, simulate_program
 from pairgap.pipeline import report_to_csv, result_record, run_experiment, sweep_rows_to_csv, sweep_t0
@@ -329,9 +329,10 @@ def test_run_builds_each_distinct_pulse_once(monkeypatch):
 
 @pytest.mark.parametrize("evolver", ["nmr", "trotter"])
 def test_compiled_run_decomposes_its_pulses_in_one_eigh_per_batch(monkeypatch, evolver):
-    # the ramp's stacked eigh, then one per event-table batch: the compiled
-    # preparation hands over its S + 1 programs' events together, the step
-    # its one program's
+    # the ramp's stacked eigh, then one event-table batch: the acquisition
+    # step is compiled before the preparation builds, so a compiled ramp's
+    # S + 1 programs and the step's program build together, and with an
+    # ideal ramp the step builds alone
     solved = counting(monkeypatch, np.linalg, "eigh")
     cfg = build_config(
         preset="h1", overrides=("run.method=w2", "run.pulse_mode=finite", f"schedule.evolver={evolver}")
@@ -340,10 +341,33 @@ def test_compiled_run_decomposes_its_pulses_in_one_eigh_per_batch(monkeypatch, e
         warnings.simplefilter("ignore", AdiabaticityWarning)
         run_experiment(cfg)
     ramp = (cfg.schedule_steps + 1, 3, 3)
-    batches = 2 if evolver == "nmr" else 1
     assert [h.shape for h in solved][0] == ramp
-    assert len(solved) == 1 + batches <= 3
+    assert len(solved) == 2
     assert all(h.ndim == 3 and h.shape[1:] == (8, 8) for h in solved[1:])
+
+
+@pytest.mark.parametrize("mode", ["delta", "finite"])
+def test_compiled_run_builds_every_pulse_in_one_batch(monkeypatch, mode):
+    batches = counting(monkeypatch, EventTable, "_pulse_unitaries")
+    cfg = build_config(preset="h2", overrides=("run.method=w1", f"run.pulse_mode={mode}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdiabaticityWarning)
+        run_experiment(cfg)
+    assert len(batches) == 1
+
+
+@pytest.mark.parametrize("evolver", ["exact", "trotter"])
+def test_a_reserved_step_that_cannot_compile_fails_after_the_preparation(monkeypatch, evolver):
+    # the acquisition step is compiled before the preparation, but its error
+    # is raised where the step asks for it: after the warning, and behind
+    # the preparation's own line error
+    compiled = counting(monkeypatch, pairgap.nmr.StepCompiler, "compile")
+    overrides = ("run.method=w1", f"schedule.evolver={evolver}", "machine.j_1_2_hz=0")
+    with pytest.warns(AdiabaticityWarning), pytest.raises(ValueError, match="spins 1,2 have J = 0"):
+        run_experiment(build_config(preset="h1", overrides=overrides))
+    assert len(compiled) == 1
+    with pytest.warns(AdiabaticityWarning), pytest.raises(LineIdentityError):
+        run_experiment(build_config(preset="h1", overrides=overrides + ("run.population_floor=0.99",)))
 
 
 def test_run_compiles_each_step_once_on_one_compiler(monkeypatch):

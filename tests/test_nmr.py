@@ -176,10 +176,10 @@ def test_stacked_event_builds_match_the_per_event_reference_bit_for_bit(case, pu
     batch._build_all(events)
     assert len(batch._unitaries) == len(set(events))
     for ev in events:
-        got = batch.unitary(ev)
+        got = batch.unitaries([ev])[0]
         assert not got.flags.writeable
-        # a batch of one, as a miss in unitary builds it
-        assert same_bits(got, EventTable(machine, pulse_mode).unitary(ev))
+        # a batch of one, as a lone miss in unitaries builds it
+        assert same_bits(got, EventTable(machine, pulse_mode).unitaries([ev])[0])
         want = reference_event_unitary(ev, machine, pulse_mode)
         if pulse_mode == "delta" and isinstance(ev, RfPulse) and ev.angle != 0.0:
             assert np.array_equal(got, want)  # the kron chain's signed zeros differ
@@ -204,7 +204,7 @@ def test_event_table_zz_drift_matches_the_kron_oracle_exactly(j):
     n = j.shape[0]
     table = EventTable(SpinSystem(j), "delta")
     d = 1.3e-3
-    u = table.unitary(Delay(d))
+    u = table.unitaries([Delay(d)])[0]
     want = kron_realize(nmr_zz_hamiltonian(j))
     # the table holds the diagonal; finite pulses add it as np.diag of it
     assert same_bits(table._zz_diag, np.real(np.diag(want)))
@@ -295,9 +295,9 @@ def test_equal_events_hash_alike_and_share_one_unitary():
     assert d == e and hash(d) == hash(e) and hash(Delay(0.0)) == hash(Delay(-0.0))
     assert d != Delay(2e-3)
     table = EventTable(MACHINE, "delta")
-    assert table.unitary(a) is table.unitary(b)
-    assert table.unitary(d) is table.unitary(e)
-    assert table.unitary(RfPulse((1, 2), 0.5, -1.0)) is not table.unitary(a)
+    assert table.unitaries([a])[0] is table.unitaries([b])[0]
+    assert table.unitaries([d])[0] is table.unitaries([e])[0]
+    assert table.unitaries([RfPulse((1, 2), 0.5, -1.0)])[0] is not table.unitaries([a])[0]
     assert len(table._unitaries) == 3
 
 
@@ -453,6 +453,23 @@ def test_shared_pulses_keep_the_sign_of_a_zero_angle():
     got, _ = assert_ramp_matches_fresh_and_reference(model, TrotterPlan(2e-3, 2), "w1", MACHINE)
     zeros = [ev.angle for p in got for ev in p.events if isinstance(ev, RfPulse) and ev.angle == 0.0]
     assert {math.copysign(1.0, a) for a in zeros} == {-1.0, 1.0}
+
+
+def test_shared_delays_keep_the_sign_of_a_zero_duration():
+    # a subnormal V_12 against a positive J_12 underflows to a zero delay:
+    # 0.0 for V > 0, -0.0 for V < 0, two delays one compiler keeps apart
+    assert MACHINE.j_hz[0, 1] > 0
+    shared, plan = StepCompiler("w1", MACHINE), TrotterPlan(2e-3, 2)
+    for v12 in (5e-324, -5e-324):
+        v = np.zeros((3, 3))
+        v[0, 1] = v[1, 0] = v12
+        model = PairingModel(H1.nu, v)
+        got, reference = shared.compile(model, plan), reference_compile_step(model, plan, "w1", MACHINE)
+        assert got == reference
+        assert program_to_text(got, MACHINE.t_pi) == program_to_text(reference, MACHINE.t_pi)
+        delays = [ev.duration for ev in got.events if isinstance(ev, Delay)]
+        assert delays and all(d == 0.0 and math.copysign(1.0, d) == math.copysign(1.0, v12) for d in delays)
+    assert "DELAY -0.0\n" in program_to_text(got, MACHINE.t_pi)
 
 
 @st.composite
@@ -650,7 +667,7 @@ def test_finite_mode_needs_a_pulse_width():
         table._build_all(events)
     assert table._unitaries == {}
     table._build_all(events[:2])
-    assert np.array_equal(table.unitary(events[1]), np.eye(8))
+    assert np.array_equal(table.unitaries([events[1]])[0], np.eye(8))
 
 
 def test_finite_pulse_calibration_without_coupling():
